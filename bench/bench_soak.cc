@@ -1,15 +1,17 @@
 // Soak driver for the resilience layer (docs/RESILIENCE.md): proves the
-// crash-safe journal's headline guarantee end to end. One invocation
+// cell store's resume guarantee end to end. One invocation
 //
 //   1. runs a seeded randomized sweep uninterrupted and keeps its bench
 //      JSON as the reference,
-//   2. re-runs the same sweep in a worker process that SIGKILLs itself
-//      at a seeded point mid-batch (after K journal appends, K chosen
-//      from the seed), leaving a partial journal behind,
-//   3. resumes that journal in a fresh worker and writes its bench JSON,
+//   2. re-runs the same sweep over a cell-store directory in a worker
+//      process that SIGKILLs itself at a seeded point mid-batch (after K
+//      store publishes, K chosen from the seed), leaving a partly filled
+//      store behind,
+//   3. re-runs the sweep over the same directory in a fresh worker, which
+//      restores the stored cells and writes its bench JSON,
 //   4. gates on the resumed JSON being bit-identical to the reference
 //      after stripping host-volatile fields (wall clock, host MIPS,
-//      journal/restored bookkeeping) — every digest, cycle count, cache
+//      store/restored bookkeeping) — every digest, cycle count, cache
 //      and energy number must match exactly.
 //
 // The worker re-executes this same binary (--worker) so the kill lands
@@ -23,7 +25,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +38,7 @@
 #include "bench/bench_util.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
+#include "serve/cache.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -52,9 +54,8 @@ struct SoakArgs {
   bool keep = false;
   // Worker-only:
   std::string json_path;
-  std::string journal_path;
-  std::string resume_path;
-  std::uint64_t kill_after = 0;  // SIGKILL self after K journal appends
+  std::string cache_dir;
+  std::uint64_t kill_after = 0;  // SIGKILL self after K store publishes
 };
 
 [[noreturn]] void Usage(const char* argv0) {
@@ -89,10 +90,8 @@ SoakArgs ParseArgs(int argc, char** argv) {
       a.keep = true;
     } else if (arg == "--json") {
       a.json_path = value();
-    } else if (arg == "--journal") {
-      a.journal_path = value();
-    } else if (arg == "--resume") {
-      a.resume_path = value();
+    } else if (arg == "--cache") {
+      a.cache_dir = value();
     } else if (arg == "--kill-after") {
       a.kill_after = static_cast<std::uint64_t>(
           dsa::bench::ParseCountArg(arg, value()));
@@ -136,16 +135,12 @@ std::size_t SweepCells(const SoakArgs& a) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker: one sweep through the BatchRunner under the supervisor, with an
-// optional self-SIGKILL after `kill_after` journal appends.
+// Worker: one sweep through the BatchRunner under the supervisor, backed
+// by the cell store when --cache is given, with an optional self-SIGKILL
+// after `kill_after` store publishes.
 
 int WorkerMain(const SoakArgs& a) {
   dsa::resilience::SupervisorOptions so;
-  so.journal_path = a.journal_path;
-  so.resume_path = a.resume_path;
-  // Durability on every append: the kill point must not be able to
-  // outrun the journal, or the equivalence gate would race the disk.
-  so.journal.fsync = dsa::resilience::FsyncPolicy::kAlways;
   dsa::resilience::Supervisor sup(so);
   std::string err;
   if (!sup.Init(&err)) {
@@ -158,16 +153,22 @@ int WorkerMain(const SoakArgs& a) {
   ro.repeats = 2;  // give the determinism oracle two samples per cell
   sup.Attach(ro);
 
-  std::atomic<std::uint64_t> appended{0};
+  dsa::serve::ResultCache cache;
+  if (!a.cache_dir.empty()) {
+    if (!cache.Open(a.cache_dir, &err)) {
+      std::fprintf(stderr, "soak worker: %s\n", err.c_str());
+      return 2;
+    }
+    dsa::serve::AttachCache(cache, ro);
+  }
   if (a.kill_after > 0) {
-    ro.on_outcome = [inner = ro.on_outcome, &appended,
+    ro.on_outcome = [inner = ro.on_outcome, &cache,
                      kill_after = a.kill_after](
                         const dsa::sim::JobOutcome& out) {
       if (inner) inner(out);
-      if (out.cell_status == "ok" && !out.restored &&
-          appended.fetch_add(1) + 1 == kill_after) {
-        // The fsync-per-append policy already made the journal durable;
-        // die the hard way, mid-batch, like a real OOM-kill would.
+      if (cache.stats().stores >= kill_after) {
+        // Every published entry was fsynced before its rename; die the
+        // hard way, mid-batch, like a real OOM-kill would.
         ::raise(SIGKILL);
       }
     };
@@ -181,7 +182,8 @@ int WorkerMain(const SoakArgs& a) {
     }
   }
   const dsa::sim::BatchReport report = runner.Finish();
-  const dsa::sim::BenchJsonExtras extras = sup.Extras(report);
+  dsa::sim::BenchJsonExtras extras = sup.Extras(report);
+  if (cache.open()) dsa::serve::ReportCache(cache, extras);
   if (!dsa::sim::WriteBenchJson(a.json_path, "soak", runner, report,
                                 &extras)) {
     std::fprintf(stderr, "soak worker: could not write %s\n",
@@ -189,9 +191,9 @@ int WorkerMain(const SoakArgs& a) {
     return 1;
   }
   std::printf("soak worker: %" PRIu64 " distinct job(s), %" PRIu64
-              " restored, journal %s\n",
+              " restored, cell store %s\n",
               report.distinct_jobs, report.restored_cells,
-              a.journal_path.empty() ? "off" : a.journal_path.c_str());
+              a.cache_dir.empty() ? "off" : a.cache_dir.c_str());
   return report.ok() ? 0 : 1;
 }
 
@@ -261,7 +263,7 @@ bool LoadJson(const std::string& path, JsonValue& out) {
 // Strips the host-volatile fields from a bench report, leaving only what
 // must reproduce bit-identically across a kill/resume: per-result keys
 // wall_ms/host (timing) and restored (bookkeeping), plus the top-level
-// run bookkeeping (jobs, wall_ms, memo/restored/journal counters).
+// run bookkeeping (jobs, wall_ms, memo/restored/cache counters).
 JsonValue Canonicalize(const JsonValue& report) {
   static const char* kTopLevel[] = {"schema",        "bench",
                                     "repeats",       "distinct_jobs",
@@ -302,16 +304,20 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
   }
   const std::string ref_json = dir + "/reference.json";
   const std::string soak_json = dir + "/resumed.json";
-  const std::string journal = dir + "/run.jnl";
+  const std::string store = dir + "/store";
   std::remove(soak_json.c_str());
-  std::remove(journal.c_str());
+  cmd = "rm -rf '" + store + "'";
+  if (std::system(cmd.c_str()) != 0) {
+    std::fprintf(stderr, "soak: cannot empty %s\n", store.c_str());
+    return 1;
+  }
 
   const std::size_t cells = SweepCells(a);
   const std::uint64_t kill_after = 1 + a.seed % (cells - 1);
   const std::string seed_s = std::to_string(a.seed);
   const std::string jobs_s = std::to_string(a.jobs);
   std::printf("soak: steps=%s seed=%" PRIu64 " (%zu cells, kill after %" PRIu64
-              " journal append(s))\n",
+              " store publish(es))\n",
               a.steps.c_str(), a.seed, cells, kill_after);
 
   // 1. Reference: the uninterrupted sweep.
@@ -322,10 +328,10 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
     return 1;
   }
 
-  // 2. The same sweep, SIGKILLed mid-batch after `kill_after` appends.
+  // 2. The same sweep, SIGKILLed mid-batch after `kill_after` publishes.
   WorkerExit killed = RunWorker(
       self, {"--steps", a.steps, "--seed", seed_s, "--jobs", jobs_s, "--json",
-             soak_json, "--journal", journal, "--kill-after",
+             soak_json, "--cache", store, "--kill-after",
              std::to_string(kill_after)});
   if (!killed.signalled || killed.signal != SIGKILL) {
     std::fprintf(stderr,
@@ -336,10 +342,10 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
     return 1;
   }
 
-  // 3. Resume from the partial journal.
+  // 3. Resume: the same sweep over the partly filled store.
   WorkerExit resumed = RunWorker(
       self, {"--steps", a.steps, "--seed", seed_s, "--jobs", jobs_s, "--json",
-             soak_json, "--journal", journal, "--resume", journal});
+             soak_json, "--cache", store});
   if (resumed.signalled || resumed.code != 0) {
     std::fprintf(stderr, "soak: resume run failed (exit %d)\n", resumed.code);
     return 1;
@@ -353,8 +359,8 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
   const JsonValue* restored = soak_report.Find("restored_cells");
   if (restored == nullptr || restored->AsU64() == 0) {
     std::fprintf(stderr,
-                 "soak: resumed run restored no cells — the journal replay "
-                 "never happened\n");
+                 "soak: resumed run restored no cells — the cell store "
+                 "never answered\n");
     return 1;
   }
   const std::string canon_ref = DumpJson(Canonicalize(ref_report));

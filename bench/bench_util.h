@@ -6,10 +6,9 @@
 // consistency oracle: a driver exits non-zero if any output-equivalence,
 // determinism or invariant check fails, instead of silently printing a
 // wrong table. Common CLI: --jobs N, --json PATH, --filter SUBSTR,
-// --repeats K, --no-oracle, --dispatch switch|threaded, plus the
-// resilience flags --isolate,
-// --journal/--resume, --deadline-ms, --mem-limit-mb, --breaker and
-// --fsync (docs/RESILIENCE.md).
+// --repeats K, --no-oracle, --dispatch switch|threaded, the cell store
+// --cache DIR, plus the resilience flags --isolate, --deadline-ms,
+// --mem-limit-mb and --breaker (docs/RESILIENCE.md).
 #pragma once
 
 #include <cctype>
@@ -26,6 +25,7 @@
 
 #include "fault/fault.h"
 #include "resilience/supervisor.h"
+#include "serve/cache.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/system.h"
@@ -41,13 +41,19 @@ struct BenchOptions {
   // --faults <spec>: deterministic fault injection for DSA cells, e.g.
   // "cidp@0,bitflip@2+3;seed=7" (grammar in docs/FAULTS.md).
   fault::FaultPlan faults;
-  // Resilience layer (docs/RESILIENCE.md): --isolate, --journal PATH,
-  // --resume PATH, --deadline-ms N, --mem-limit-mb N, --breaker N,
-  // --fsync none|interval|always.
+  // Resilience layer (docs/RESILIENCE.md): --isolate, --deadline-ms N,
+  // --mem-limit-mb N, --breaker N.
   resilience::SupervisorOptions resilience;
-  // Built (and attached to `runner`) by ParseBenchArgs when any
-  // resilience flag is given; FinishBench reads its census for the JSON.
+  // --cache DIR: the content-addressed cell store (serve/cache.h).
+  // Completed cells already stored are restored instead of executed and
+  // every fresh "ok" cell is stored, so re-running a killed sweep over
+  // the same directory resumes it.
+  std::string cache_dir;
+  // Built (and attached to `runner`) by ParseBenchArgs when a resilience
+  // flag or --cache is given; FinishBench reads their census for the
+  // JSON.
   std::shared_ptr<resilience::Supervisor> supervisor;
+  std::shared_ptr<serve::ResultCache> cache;
   bool serial = false;        // --serial: seed-style direct Run() loop
   bool compare = false;       // --compare: time serial vs. runner paths
   bool reference = false;     // --reference: pre-optimization sim paths
@@ -209,10 +215,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       }
     } else if (arg == "--isolate") {
       o.resilience.isolate = true;
-    } else if (arg == "--journal") {
-      o.resilience.journal_path = value();
-    } else if (arg == "--resume") {
-      o.resilience.resume_path = value();
+    } else if (arg == "--cache") {
+      o.cache_dir = value();
     } else if (arg == "--deadline-ms") {
       o.resilience.deadline_ms =
           static_cast<std::uint64_t>(ParseCountArg(arg, value()));
@@ -222,14 +226,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     } else if (arg == "--breaker") {
       o.resilience.breaker_threshold =
           static_cast<int>(ParseCountArg(arg, value()));
-    } else if (arg == "--fsync") {
-      const char* mode = value();
-      if (!resilience::ParseFsyncPolicy(mode, o.resilience.journal.fsync)) {
-        std::fprintf(stderr,
-                     "--fsync expects none|interval|always, got \"%s\"\n",
-                     mode);
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--jobs N] [--repeats K] [--json PATH] "
@@ -238,9 +234,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                    "[--interleave N] [--assert-ratio X] "
                    "[--dispatch switch|threaded] "
                    "[--gen-seed S] [--gen-count N] "
-                   "[--isolate] [--journal PATH] [--resume PATH] "
-                   "[--deadline-ms N] [--mem-limit-mb N] [--breaker N] "
-                   "[--fsync none|interval|always]\n",
+                   "[--cache DIR] [--isolate] "
+                   "[--deadline-ms N] [--mem-limit-mb N] [--breaker N]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -270,32 +265,36 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                  "child; add --isolate\n");
     std::exit(2);
   }
-  if (o.resilience.isolate && !o.trace_path.empty()) {
-    // The child's structured trace is not shipped across the isolation
-    // pipe, so --trace would end with "no job produced a trace".
-    std::fprintf(stderr, "--trace is not supported with --isolate\n");
+  if ((o.resilience.isolate || !o.cache_dir.empty()) &&
+      !o.trace_path.empty()) {
+    // Neither the isolation pipe nor the cell store carries the
+    // structured trace, so --trace would end with "no job produced a
+    // trace" (or silently drop restored cells' trace blocks).
+    std::fprintf(stderr, "--trace is not supported with --isolate or "
+                         "--cache\n");
     std::exit(2);
   }
+  const bool supervised = o.resilience.any() || !o.cache_dir.empty();
   if (o.interleave > 0 &&
       (o.reference || o.serial || o.compare || !o.json_path.empty() ||
-       !o.trace_path.empty() || o.faults.enabled() || o.resilience.any())) {
+       !o.trace_path.empty() || o.faults.enabled() || supervised)) {
     // The interleave loop runs its own reference arm and bypasses the
     // batch runner entirely, so the runner-side flags have nothing to
     // attach to; refuse instead of silently ignoring them.
     std::fprintf(stderr,
                  "--interleave is a standalone fast-vs-reference A/B loop; "
                  "drop --reference/--serial/--compare/--json/--trace/"
-                 "--faults and the resilience flags\n");
+                 "--faults/--cache and the resilience flags\n");
     std::exit(2);
   }
   if (o.assert_ratio > 0.0 && o.interleave == 0) {
     std::fprintf(stderr, "--assert-ratio requires --interleave\n");
     std::exit(2);
   }
-  if ((o.serial || o.compare) && o.resilience.any()) {
+  if ((o.serial || o.compare) && supervised) {
     std::fprintf(stderr,
-                 "resilience flags apply to the batch runner; drop "
-                 "--serial/--compare\n");
+                 "--cache and the resilience flags apply to the batch "
+                 "runner; drop --serial/--compare\n");
     std::exit(2);
   }
   if (o.faults.enabled() && o.runner.oracle && o.runner.repeats < 2 &&
@@ -320,7 +319,9 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                  "will run (use --repeats 2 or --no-oracle)\n",
                  o.runner.repeats);
   }
-  if (o.resilience.any()) {
+  if (supervised) {
+    // The drain handler comes with --cache too: an interrupted sweep
+    // finishes its in-flight cells (and stores them) before exiting 3.
     o.supervisor = std::make_shared<resilience::Supervisor>(o.resilience);
     std::string err;
     if (!o.supervisor->Init(&err)) {
@@ -333,18 +334,15 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                    "warning: fork() unavailable on this platform; --isolate "
                    "falls back to in-process execution\n");
     }
-    if (!o.resilience.resume_path.empty()) {
-      std::printf("resume: %llu completed cell(s) replayed from %s",
-                  static_cast<unsigned long long>(
-                      o.supervisor->replay().cells.size()),
-                  o.resilience.resume_path.c_str());
-      if (o.supervisor->replay().torn_bytes > 0) {
-        std::printf(" (%llu torn byte(s) truncated)",
-                    static_cast<unsigned long long>(
-                        o.supervisor->replay().torn_bytes));
-      }
-      std::printf("\n");
+  }
+  if (!o.cache_dir.empty()) {
+    o.cache = std::make_shared<serve::ResultCache>();
+    std::string err;
+    if (!o.cache->Open(o.cache_dir, &err)) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      std::exit(2);
     }
+    serve::AttachCache(*o.cache, o.runner);
   }
   return o;
 }
@@ -418,10 +416,12 @@ inline int FinishBench(sim::BatchRunner& runner, const BenchOptions& o,
   } else if (report.interrupted) {
     extras.run_status = "interrupted";
   }
-  if (report.restored_cells > 0) {
-    std::printf("[%s] %llu cell(s) restored from the resume journal\n",
-                bench_name,
-                static_cast<unsigned long long>(report.restored_cells));
+  if (o.cache) {
+    serve::ReportCache(*o.cache, extras);
+    std::printf("[%s] cell store %s: %llu cell(s) restored, %llu stored\n",
+                bench_name, o.cache_dir.c_str(),
+                static_cast<unsigned long long>(report.restored_cells),
+                static_cast<unsigned long long>(extras.cache_stores));
   }
   if (extras.run_status == "interrupted") {
     std::fprintf(stderr,

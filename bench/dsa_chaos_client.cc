@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "resilience/journal.h"
@@ -124,23 +125,14 @@ void BlindWrite(int fd, const void* data, std::size_t len) {
   }
 }
 
-void PutU32(std::string& s, std::uint32_t v) {
-  s.push_back(static_cast<char>(v & 0xFF));
-  s.push_back(static_cast<char>((v >> 8) & 0xFF));
-  s.push_back(static_cast<char>((v >> 16) & 0xFF));
-  s.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
+using dsa::resilience::EncodeFrame;
+using dsa::resilience::PutFrameHeader;
+using dsa::serve::kFrameRequest;
 
-// A wire-correct frame (magic, length, CRC) around an arbitrary payload
-// — used to deliver hostile *content* through an honest envelope.
-std::string ValidFrame(const std::string& payload) {
-  std::string frame;
-  frame.append(dsa::serve::kProtoMagic, 4);
-  PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, dsa::resilience::Crc32(payload.data(), payload.size()));
-  frame += payload;
-  return frame;
-}
+constexpr std::string_view kMagic(dsa::serve::kProtoMagic,
+                                   sizeof(dsa::serve::kProtoMagic));
+constexpr std::string_view kPing =
+    "{\"schema\":\"dsa-serve/1\",\"kind\":\"ping\"}";
 
 const char* const kAttackNames[] = {
     "random-bytes",   "truncated-frame", "bad-magic",
@@ -160,40 +152,33 @@ void Attack(int which, SplitMix64& rng, const ChaosArgs& a) {
       break;
     }
     case 1: {  // truncated-frame: honest header, half the payload, hangup
-      const std::string payload =
-          std::string(1, dsa::serve::kFrameRequest) +
-          "{\"schema\":\"dsa-serve/1\",\"kind\":\"ping\"}";
-      const std::string frame = ValidFrame(payload);
+      const std::string frame = EncodeFrame(kMagic, kFrameRequest, kPing);
       BlindWrite(fd, frame.data(), frame.size() / 2);
       break;
     }
     case 2: {  // bad-magic
-      std::string frame = "XSAD";
-      PutU32(frame, 32);
-      PutU32(frame, 0);
+      std::string frame;
+      PutFrameHeader(frame, "XSAD", 32, 0);
       frame.append(32, 'x');
       BlindWrite(fd, frame.data(), frame.size());
       break;
     }
     case 3: {  // oversize-header: a length no allocation should honor
       std::string frame;
-      frame.append(dsa::serve::kProtoMagic, 4);
-      PutU32(frame, dsa::serve::kMaxFrameBytes + 1 +
-                        static_cast<std::uint32_t>(rng.Next() % 1024));
-      PutU32(frame, static_cast<std::uint32_t>(rng.Next()));
+      const auto len = dsa::serve::kMaxFrameBytes + 1 +
+                       static_cast<std::uint32_t>(rng.Next() % 1024);
+      PutFrameHeader(frame, kMagic, len,
+                     static_cast<std::uint32_t>(rng.Next()));
       BlindWrite(fd, frame.data(), frame.size());
       break;
     }
     case 4: {  // mid-frame-disconnect: a few header bytes, then vanish
-      const std::string frame = ValidFrame(
-          std::string(1, dsa::serve::kFrameRequest) + "{}");
+      const std::string frame = EncodeFrame(kMagic, kFrameRequest, "{}");
       BlindWrite(fd, frame.data(), 3 + rng.Next() % 8);
       break;
     }
     case 5: {  // slow-loris: drip the header one byte at a time
-      const std::string frame = ValidFrame(
-          std::string(1, dsa::serve::kFrameRequest) +
-          "{\"schema\":\"dsa-serve/1\",\"kind\":\"ping\"}");
+      const std::string frame = EncodeFrame(kMagic, kFrameRequest, kPing);
       const std::size_t drip = 6 + rng.Next() % 6;  // never a whole header
       for (std::size_t i = 0; i < drip; ++i) {
         BlindWrite(fd, frame.data() + i, 1);
@@ -202,15 +187,15 @@ void Attack(int which, SplitMix64& rng, const ChaosArgs& a) {
       break;
     }
     case 6: {  // non-json-payload inside a CRC-valid frame
-      const std::string frame = ValidFrame(
-          std::string(1, dsa::serve::kFrameRequest) + "not json at all {{{");
+      const std::string frame =
+          EncodeFrame(kMagic, kFrameRequest, "not json at all {{{");
       BlindWrite(fd, frame.data(), frame.size());
       break;
     }
     case 7:
     default: {  // wrong record type in a CRC-valid frame
-      const std::string frame = ValidFrame(
-          std::string(1, 'Z') + "{\"schema\":\"dsa-serve/1\"}");
+      const std::string frame =
+          EncodeFrame(kMagic, 'Z', "{\"schema\":\"dsa-serve/1\"}");
       BlindWrite(fd, frame.data(), frame.size());
       break;
     }

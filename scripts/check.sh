@@ -45,17 +45,23 @@ echo "== chaos smoke (fault injection + guard recovery) =="
     --json "$BUILD"/BENCH_chaos_check.json
 python3 scripts/validate_bench.py "$BUILD"/BENCH_chaos_check.json
 
-echo "== chaos smoke under isolation + journal =="
+echo "== chaos smoke under isolation + cell store =="
 # The same chaos slice with the resilience layer composed in: every cell
-# runs in a forked child (--isolate) and lands in the crash-safe journal.
-# Proves the fault-injection path and process isolation compose, with the
-# sanitizers watching both sides of the pipe protocol.
-rm -f "$BUILD"/CHAOS_check.jnl
+# runs in a forked child (--isolate) and lands in the cell store
+# (--cache). Proves the fault-injection path, process isolation and the
+# store compose, with the sanitizers watching both sides of the pipe
+# protocol. The second run over the same directory restores every cell.
+rm -rf "$BUILD"/chaos_cache_check
 "$BUILD"/bench/bench_chaos --filter VecAdd --jobs 2 --isolate \
-    --journal "$BUILD"/CHAOS_check.jnl \
+    --cache "$BUILD"/chaos_cache_check \
     --json "$BUILD"/BENCH_chaos_isolate_check.json
 python3 scripts/validate_bench.py "$BUILD"/BENCH_chaos_isolate_check.json
 grep -q '"run_status": "complete"' "$BUILD"/BENCH_chaos_isolate_check.json
+"$BUILD"/bench/bench_chaos --filter VecAdd --jobs 2 --isolate \
+    --cache "$BUILD"/chaos_cache_check \
+    --json "$BUILD"/BENCH_chaos_restore_check.json
+python3 scripts/validate_bench.py "$BUILD"/BENCH_chaos_restore_check.json
+grep -q '"restored": true' "$BUILD"/BENCH_chaos_restore_check.json
 
 echo "== generator fuzz smoke under ASan (200 seeds) =="
 # 200 generated loop-nest programs (classes round-robin), every one run
@@ -81,16 +87,18 @@ echo "== traced mini bench + trace validation =="
 python3 scripts/validate_trace.py "$BUILD"/TRACE_check.json
 
 echo "== kill-and-resume soak smoke =="
-# bench_soak runs a seeded sweep, SIGKILLs itself mid-batch, resumes from
-# the crash-safe journal and gates on the resumed bench report being
-# bit-identical to an uninterrupted run (docs/RESILIENCE.md).
+# bench_soak runs a seeded sweep, SIGKILLs itself after K cell-store
+# publishes, re-runs the sweep over the same store directory and gates on
+# the resumed bench report being bit-identical to an uninterrupted run
+# (docs/RESILIENCE.md).
 "$BUILD"/bench/bench_soak --steps small --seed 7 \
     --dir "$BUILD"/soak_check.tmp
 
 echo "== runner + resilience suites under TSan =="
-# The batch runner's thread pool and the resilience seams (journal
-# appends from worker threads, breaker state, drain flag) are the
-# concurrency-heavy surfaces; run their suites under ThreadSanitizer.
+# The batch runner's thread pool and the resilience seams (cell-store
+# publishes from worker threads, restores outside the runner's lock,
+# breaker state, drain flag) are the concurrency-heavy surfaces; run
+# their suites under ThreadSanitizer.
 cmake --preset tsan > /dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runner test_resilience \
     test_serve bench_stream
@@ -104,7 +112,7 @@ echo "== generator sweep under TSan (64 seeds, --jobs 4) =="
 # The 64-seed differential sweep through the batch runner's thread pool:
 # generated programs stream through worker threads while the oracle
 # cross-checks fast vs reference results, with TSan watching the memo
-# and journal seams. (--jobs clamps to the host's hardware threads.)
+# seam. (--jobs clamps to the host's hardware threads.)
 TSAN_OPTIONS="halt_on_error=1" build-tsan/bench/bench_stream \
     --gen-seed 11 --gen-count 64 --jobs 4 \
     --json build-tsan/BENCH_stream_tsan.json

@@ -12,10 +12,11 @@ src/sim/runner.cc) honours the contract in docs/BENCH_SCHEMA.md:
     results flagged `"restored": true`,
   * checks run_status/cell_status consistency: run_status is "complete"
     or "interrupted", and a "complete" run has no cancelled cells,
-  * validates the optional resilience blocks -- `journal` (path /
-    restored / appended, restored agreeing with restored_cells) and the
-    `breaker` census (per-workload state in closed/open/half-open with
-    non-negative counters),
+  * validates the optional resilience blocks -- the cell-store `cache`
+    census (restored agreeing with restored_cells, non-negative store
+    counters, an [io-fault] warning exactly when a failure count is
+    above zero) and the `breaker` census (per-workload state in
+    closed/open/half-open with non-negative counters),
   * carries an oracle verdict (and, by default, a passing one),
   * has one result object per distinct job with the required fields --
     faulted cells appear with a minimal payload (status, attempts, error)
@@ -65,8 +66,8 @@ REQUIRED_GEN = ["seed", "class", "count"]
 GEN_CLASSES = {"counted", "sentinel", "conditional", "nested",
                "stride-variant", "early-exit"}
 REQUIRED_FAULTS = ["plan", "seed", "total_fired", "opportunities", "fired"]
-REQUIRED_JOURNAL = ["path", "restored", "appended", "write_failures",
-                    "fsync_failures"]
+REQUIRED_CACHE = ["dir", "restored", "stores", "store_failures",
+                  "fsync_failures"]
 REQUIRED_BREAKER_ENTRY = ["workload", "state", "failures", "trips", "skipped"]
 MODES = {"arm-original", "neon-autovec", "neon-handvec", "neon-dsa"}
 CELL_STATUSES = {"ok", "faulted", "crashed", "timeout", "oom", "skipped",
@@ -110,33 +111,31 @@ def main() -> None:
         fail(f"run_status 'complete' but cancelled_cells="
              f"{doc['cancelled_cells']}")
 
-    if "journal" in doc:
-        jn = doc["journal"]
-        for k in REQUIRED_JOURNAL:
-            if k not in jn:
-                fail(f"journal block missing '{k}'")
-        if not jn["path"]:
-            fail("journal block with an empty path")
-        if jn["restored"] != doc["restored_cells"]:
-            fail(f"journal.restored={jn['restored']} disagrees with "
+    if "cache" in doc:
+        cb = doc["cache"]
+        for k in REQUIRED_CACHE:
+            if k not in cb:
+                fail(f"cache block missing '{k}'")
+        if not cb["dir"]:
+            fail("cache block with an empty dir")
+        if cb["restored"] != doc["restored_cells"]:
+            fail(f"cache.restored={cb['restored']} disagrees with "
                  f"restored_cells={doc['restored_cells']}")
-        if jn["appended"] < 0:
-            fail("negative journal.appended")
+        for k in ("stores", "store_failures", "fsync_failures"):
+            if not isinstance(cb[k], int) or cb[k] < 0:
+                fail(f"cache.{k}={cb[k]!r} is not a non-negative integer")
         # Host-I/O degradation is typed, never silent: non-zero failure
         # counters must carry the [io-fault] warning string, and a clean
-        # journal must not cry wolf.
-        failures = jn.get("write_failures", 0) + jn.get("fsync_failures", 0)
-        if failures > 0 and "[io-fault]" not in jn.get("warning", ""):
-            fail(f"journal reports {failures} host-I/O failure(s) without "
+        # store must not cry wolf.
+        failures = cb["store_failures"] + cb["fsync_failures"]
+        if failures > 0 and "[io-fault]" not in cb.get("warning", ""):
+            fail(f"cache reports {failures} host-I/O failure(s) without "
                  f"an [io-fault] warning")
-        if failures == 0 and jn.get("warning"):
-            fail(f"journal.warning present with zero failures: "
-                 f"{jn['warning']!r}")
-        for k in ("write_failures", "fsync_failures"):
-            if k in jn and (not isinstance(jn[k], int) or jn[k] < 0):
-                fail(f"journal.{k}={jn[k]!r} is not a non-negative integer")
+        if failures == 0 and "warning" in cb:
+            fail(f"cache.warning present with zero failures: "
+                 f"{cb['warning']!r}")
     elif doc["restored_cells"] != 0:
-        fail(f"restored_cells={doc['restored_cells']} without a journal "
+        fail(f"restored_cells={doc['restored_cells']} without a cache "
              f"block")
 
     if "breaker" in doc:

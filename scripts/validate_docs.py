@@ -35,8 +35,9 @@ def parsed_bench_flags(root: str) -> set:
 def documented_flags(readme: str) -> set:
     """Flags mentioned in README table rows (| `--flag ...` | ... |).
 
-    A row may document several flags at once (`--journal` / `--resume`),
-    so collect every --flag token inside the row's code spans.
+    A row may document several flags at once (`--deadline-ms N` /
+    `--mem-limit-mb N`), so collect every --flag token inside the row's
+    code spans.
     """
     flags = set()
     for line in readme.splitlines():

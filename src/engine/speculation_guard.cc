@@ -4,28 +4,9 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "mem/fnv.h"
+
 namespace dsa::engine {
-
-namespace {
-
-std::uint64_t FnvBytes(const std::uint8_t* data, std::size_t n,
-                       std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t FnvU64(std::uint64_t v, std::uint64_t h) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(v >> (8 * i));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 void SpeculationGuard::Arm(const engine::TakeoverPlan& plan, cpu::Cpu& cpu) {
   checkpoint_ = cpu.state();
@@ -86,26 +67,25 @@ void SpeculationGuard::Arm(const engine::TakeoverPlan& plan, cpu::Cpu& cpu) {
 
 std::uint64_t SpeculationGuard::DigestState(const cpu::Cpu& cpu) const {
   const cpu::CpuState& st = cpu.state();
-  std::uint64_t h = 14695981039346656037ull;
-  h = FnvBytes(reinterpret_cast<const std::uint8_t*>(st.regs.data()),
-               st.regs.size() * sizeof(st.regs[0]), h);
+  mem::Fnv1a f;
+  f.Bytes(st.regs.data(), st.regs.size() * sizeof(st.regs[0]));
   for (int i = 0; i < isa::kNumVecRegs; ++i) {
     const neon::QReg& q = st.vregs.q(i);
-    h = FnvBytes(q.bytes.data(), q.bytes.size(), h);
+    f.Bytes(q.bytes.data(), q.bytes.size());
   }
-  h = FnvU64(static_cast<std::uint64_t>(st.cmp_diff), h);
-  h = FnvU64(st.pc, h);
-  h = FnvU64(st.halted ? 1 : 0, h);
+  f.U64(static_cast<std::uint64_t>(st.cmp_diff));
+  f.U64(st.pc);
+  f.U64(st.halted ? 1 : 0);
 
   const std::vector<std::uint8_t>& bytes = cpu.memory().raw();
   if (snapshot_) {
-    h = FnvBytes(bytes.data(), bytes.size(), h);
+    f.Bytes(bytes.data(), bytes.size());
   } else {
     for (const UndoRange& r : undo_) {
-      h = FnvBytes(bytes.data() + r.lo, r.saved.size(), h);
+      f.Bytes(bytes.data() + r.lo, r.saved.size());
     }
   }
-  return h;
+  return f.h;
 }
 
 void SpeculationGuard::EmitFault(fault::FaultKind kind,

@@ -49,8 +49,8 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
 
 // The process-global injector. `active` is the hot-path gate: with no
 // plan installed every shim is one relaxed load plus the raw syscall.
-// Everything else lives behind `mu`, because the journal, the cache and
-// the wire protocol draw opportunities from worker threads concurrently
+// Everything else lives behind `mu`, because the cell store and the wire
+// protocol draw opportunities from worker threads concurrently
 // and the sequence must stay deterministic.
 struct GlobalInjector {
   std::mutex mu;

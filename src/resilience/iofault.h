@@ -9,8 +9,8 @@
 // claiming durability.
 //
 // Unlike the per-run FaultInjector, this injector is process-global and
-// thread-safe: the journal appends from worker threads and the result
-// cache stores concurrently, and all of them must draw opportunities
+// thread-safe: the cell store publishes from worker threads while the
+// daemon writes response frames, and all of them must draw opportunities
 // from one deterministic sequence. When no plan is installed the shims
 // are a single relaxed atomic load away from the raw syscall.
 //

@@ -26,50 +26,23 @@ namespace {
 
 #if DSA_HAVE_FORK
 
-// Pipe frame: "DSAI" magic, u32 payload length, u32 CRC-32, payload.
-// The payload is one byte of record type ('R' result / 'E' error)
-// followed by JSON. A torn or corrupted frame (child died mid-write)
-// is classified as a crash.
-constexpr char kMagic[4] = {'D', 'S', 'A', 'I'};
+// Pipe frame (journal.h codec): "DSAI" magic, u32 payload length, u32
+// CRC-32, payload. The payload is one byte of record type ('R' result /
+// 'E' error) followed by JSON. A torn or corrupted frame (child died
+// mid-write) is classified as a crash.
+constexpr std::string_view kMagic = "DSAI";
 
-void PutU32(std::string& s, std::uint32_t v) {
-  s.push_back(static_cast<char>(v & 0xFF));
-  s.push_back(static_cast<char>((v >> 8) & 0xFF));
-  s.push_back(static_cast<char>((v >> 16) & 0xFF));
-  s.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t GetU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void WriteAll(int fd, const std::string& data) {
+void SendFrame(int fd, char type, const std::string& json) {
+  const std::string frame = EncodeFrame(kMagic, type, json);
   std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+  while (off < frame.size()) {
+    const ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return;  // parent vanished; nothing sane left to do in the child
     }
     off += static_cast<std::size_t>(n);
   }
-}
-
-void SendFrame(int fd, char type, const std::string& json) {
-  std::string payload;
-  payload.reserve(json.size() + 1);
-  payload.push_back(type);
-  payload += json;
-  std::string frame;
-  frame.reserve(payload.size() + 12);
-  frame.append(kMagic, 4);
-  PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, Crc32(payload.data(), payload.size()));
-  frame += payload;
-  WriteAll(fd, frame);
 }
 
 std::string ErrorJson(sim::DsaErrorCode code, const std::string& what) {
@@ -174,24 +147,6 @@ ChildStatus SuperviseChild(pid_t pid, int read_fd, std::string& buffer,
   }
 }
 
-// Extracts the single frame from the child's byte stream. Returns false
-// on a missing, torn, or corrupted frame.
-bool DecodeFrame(const std::string& buffer, char& type, std::string& json) {
-  if (buffer.size() < 12 || std::memcmp(buffer.data(), kMagic, 4) != 0) {
-    return false;
-  }
-  const auto* p = reinterpret_cast<const unsigned char*>(buffer.data());
-  const std::uint32_t len = GetU32(p + 4);
-  const std::uint32_t crc = GetU32(p + 8);
-  if (buffer.size() < 12 + static_cast<std::size_t>(len) || len == 0) {
-    return false;
-  }
-  if (Crc32(buffer.data() + 12, len) != crc) return false;
-  type = buffer[12];
-  json.assign(buffer, 13, len - 1);
-  return true;
-}
-
 #endif  // DSA_HAVE_FORK
 
 }  // namespace
@@ -233,7 +188,7 @@ sim::RunResult RunIsolated(const std::function<sim::RunResult()>& fn,
   }
   char type = 0;
   std::string json;
-  if (DecodeFrame(buffer, type, json)) {
+  if (DecodeFrame(buffer, kMagic, type, json)) {
     if (type == 'R') {
       sim::RunResult r;
       if (ParseRunResult(json, r)) return r;

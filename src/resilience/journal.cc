@@ -1,54 +1,26 @@
 #include "resilience/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
+#include <stdexcept>
 
-#include "resilience/iofault.h"
 #include "resilience/mini_json.h"
 
 namespace dsa::resilience {
 
 namespace {
 
-constexpr const char kJournalSchema[] = "dsa-journal/1";
-
-// ---------------------------------------------------------------------------
-// Signal-safe fd registry: a fixed table of open journal fds so a signal
-// handler can fsync them without locks or allocation.
-
-constexpr int kMaxJournals = 16;
-std::atomic<int> g_journal_fds[kMaxJournals];
-std::atomic<bool> g_registry_init{false};
-
-void InitRegistryOnce() {
-  bool expected = false;
-  if (g_registry_init.compare_exchange_strong(expected, true)) {
-    for (auto& slot : g_journal_fds) slot.store(-1, std::memory_order_relaxed);
-  }
+// Little-endian u32 fields of a frame header.
+void PutU32(std::string& s, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) s.push_back(static_cast<char>(v >> (8 * i)));
 }
 
-void RegisterFd(int fd) {
-  InitRegistryOnce();
-  for (auto& slot : g_journal_fds) {
-    int expected = -1;
-    if (slot.compare_exchange_strong(expected, fd)) return;
-  }
-}
-
-void DeregisterFd(int fd) {
-  if (!g_registry_init.load()) return;
-  for (auto& slot : g_journal_fds) {
-    int expected = fd;
-    if (slot.compare_exchange_strong(expected, -1)) return;
-  }
+std::uint32_t GetU32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,46 +295,11 @@ bool ParseResult(const JsonValue& j, sim::RunResult& r) {
   return true;
 }
 
-// Validates one framed line (without its trailing newline). Returns true
-// and fills `payload` when the CRC matches.
-bool CheckFrame(std::string_view line, std::string& payload) {
-  if (line.size() < 10 || line[8] != ' ') return false;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = line[i];
-    crc <<= 4;
-    if (c >= '0' && c <= '9') crc |= static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') crc |= static_cast<std::uint32_t>(c - 'a' + 10);
-    else return false;
-  }
-  const std::string_view body = line.substr(9);
-  if (Crc32(body.data(), body.size()) != crc) return false;
-  payload.assign(body);
-  return true;
-}
-
 }  // namespace
 
-bool ParseFsyncPolicy(const std::string& name, FsyncPolicy& out) {
-  if (name == "none") out = FsyncPolicy::kNone;
-  else if (name == "interval") out = FsyncPolicy::kInterval;
-  else if (name == "always") out = FsyncPolicy::kAlways;
-  else return false;
-  return true;
-}
-
-std::string_view ToString(FsyncPolicy p) {
-  switch (p) {
-    case FsyncPolicy::kNone: return "none";
-    case FsyncPolicy::kInterval: return "interval";
-    case FsyncPolicy::kAlways: return "always";
-  }
-  return "?";
-}
-
 std::uint32_t Crc32(const void* data, std::size_t len) {
-  // Table-free bitwise CRC-32; the journal appends are one small line per
-  // simulated cell, so throughput is irrelevant next to the sim itself.
+  // Table-free bitwise CRC-32: frames and cell records are small next to
+  // the simulation that produced them, so throughput is irrelevant.
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < len; ++i) {
@@ -372,6 +309,53 @@ std::uint32_t Crc32(const void* data, std::size_t len) {
     }
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+void PutFrameHeader(std::string& out, std::string_view magic,
+                    std::uint32_t len, std::uint32_t crc) {
+  out.append(magic.data(), 4);
+  PutU32(out, len);
+  PutU32(out, crc);
+}
+
+std::string EncodeFrame(std::string_view magic, char type,
+                        std::string_view json) {
+  std::string payload;
+  payload.reserve(json.size() + 1);
+  payload.push_back(type);
+  payload.append(json);
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  PutFrameHeader(frame, magic, static_cast<std::uint32_t>(payload.size()),
+                 Crc32(payload.data(), payload.size()));
+  frame += payload;
+  return frame;
+}
+
+bool DecodeFrameHeader(std::string_view frame, std::string_view magic,
+                       std::uint32_t& len, std::uint32_t& crc) {
+  if (frame.size() < kFrameHeaderBytes || frame.substr(0, 4) != magic) {
+    return false;
+  }
+  const auto* p = reinterpret_cast<const unsigned char*>(frame.data());
+  len = GetU32(p + 4);
+  crc = GetU32(p + 8);
+  return true;
+}
+
+bool DecodeFrame(std::string_view frame, std::string_view magic, char& type,
+                 std::string& json) {
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+  if (!DecodeFrameHeader(frame, magic, len, crc) || len == 0 ||
+      frame.size() - kFrameHeaderBytes < len) {
+    return false;
+  }
+  const std::string_view payload = frame.substr(kFrameHeaderBytes, len);
+  if (Crc32(payload.data(), payload.size()) != crc) return false;
+  type = payload[0];
+  json.assign(payload.substr(1));
+  return true;
 }
 
 std::string SerializeRunResult(const sim::RunResult& r) {
@@ -404,17 +388,14 @@ std::string SerializeOutcome(const sim::JobOutcome& out) {
   return s;
 }
 
-bool ParseOutcomePayload(const std::string& payload, std::string& key,
-                         sim::JobOutcome& out) {
-  JsonValue j;
-  if (!ParseJson(payload, j) || !j.is_object()) return false;
+bool ParseOutcome(const JsonValue& j, sim::JobOutcome& out) {
+  if (!j.is_object()) return false;
   const JsonValue* kind = j.Find("kind");
   if (kind == nullptr || kind->AsString() != "cell") return false;
   const JsonValue* k = j.Find("key");
   if (k == nullptr || !k->is_string() || k->AsString().empty()) return false;
-  key = k->AsString();
   out = sim::JobOutcome{};
-  out.key = key;
+  out.key = k->AsString();
   const JsonValue* status = j.Find("status");
   if (status == nullptr || !status->is_string()) return false;
   out.cell_status = status->AsString();
@@ -432,189 +413,12 @@ bool ParseOutcomePayload(const std::string& payload, std::string& key,
     if (result == nullptr) return false;
     sim::RunResult r;
     if (!ParseResult(*result, r)) return false;
-    // The journal stores the canonical run once; the recorded sample
-    // count is restored by replication (all repeats of a journaled cell
-    // already passed the determinism oracle before being appended).
+    // A record stores the canonical run once; the recorded sample count
+    // is restored by replication (every repeat of a stored cell already
+    // passed the determinism oracle before it was written).
     out.runs.assign(static_cast<std::size_t>(n), r);
   }
   return true;
-}
-
-bool ReplayJournal(const std::string& path, ReplayResult& out,
-                   std::string* error) {
-  out = ReplayResult{};
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return true;  // no journal yet: empty replay
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string data = ss.str();
-
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) break;  // incomplete final line: torn
-    const std::string_view line(data.data() + pos, nl - pos);
-    std::string payload;
-    if (!CheckFrame(line, payload)) break;
-    if (!saw_header) {
-      // First record must be the header carrying the journal schema.
-      JsonValue j;
-      if (!ParseJson(payload, j) || !j.is_object()) break;
-      const JsonValue* kind = j.Find("kind");
-      const JsonValue* schema = j.Find("schema");
-      if (kind == nullptr || kind->AsString() != "meta" || schema == nullptr) {
-        break;
-      }
-      if (schema->AsString() != kJournalSchema) {
-        if (error != nullptr) {
-          *error = "journal schema " + schema->AsString() +
-                   " is not " + kJournalSchema;
-        }
-        return false;
-      }
-      saw_header = true;
-    } else {
-      std::string key;
-      sim::JobOutcome cell;
-      if (!ParseOutcomePayload(payload, key, cell)) break;
-      if (out.cells.count(key) != 0) ++out.duplicates;
-      out.cells[key] = std::move(cell);
-    }
-    ++out.records;
-    pos = nl + 1;
-  }
-  out.valid_bytes = pos;
-  out.torn_bytes = data.size() - pos;
-  return true;
-}
-
-Journal::~Journal() { Close(); }
-
-bool Journal::Open(const std::string& path, const JournalOptions& opts,
-                   std::string* error) {
-  Close();
-  ReplayResult scan;
-  if (!ReplayJournal(path, scan, error)) return false;
-  const int fd = IoOpen(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    if (error != nullptr) {
-      *error = "cannot open " + path + ": " + std::strerror(errno);
-    }
-    return false;
-  }
-  if (scan.torn_bytes > 0) {
-    // Drop the torn tail before appending, so resumed records start on a
-    // clean frame boundary.
-    if (::ftruncate(fd, static_cast<off_t>(scan.valid_bytes)) != 0) {
-      if (error != nullptr) {
-        *error = "cannot truncate torn tail of " + path + ": " +
-                 std::strerror(errno);
-      }
-      ::close(fd);
-      return false;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  path_ = path;
-  opts_ = opts;
-  fd_ = fd;
-  appended_ = 0;
-  since_fsync_ = 0;
-  write_failures_ = 0;
-  fsync_failures_ = 0;
-  RegisterFd(fd_);
-  if (scan.records == 0) {
-    std::string header = "{";
-    PutStr(header, "kind", "meta");
-    PutStr(header, "schema", kJournalSchema);
-    CloseObj(header);
-    AppendLine(header);
-  }
-  return true;
-}
-
-void Journal::AppendLine(const std::string& payload) {
-  char frame[10];
-  std::snprintf(frame, sizeof(frame), "%08x ",
-                Crc32(payload.data(), payload.size()));
-  std::string line;
-  line.reserve(payload.size() + 10);
-  line.append(frame, 9);
-  line += payload;
-  line += '\n';
-  // One write() per record: with O_APPEND the line lands contiguously, so
-  // a crash can tear at most the final record — exactly what the replay
-  // truncation handles.
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = IoWrite(fd_, line.data() + off, line.size() - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      // Disk full / IO error: the next replay truncates the tear. The
-      // failure is counted, not swallowed — the bench JSON surfaces it
-      // as a typed [io-fault] durability warning.
-      ++write_failures_;
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (opts_.fsync == FsyncPolicy::kAlways) {
-    if (IoFsync(fd_) != 0) ++fsync_failures_;
-  } else if (opts_.fsync == FsyncPolicy::kInterval) {
-    if (++since_fsync_ >= opts_.fsync_interval) {
-      if (IoFsync(fd_) != 0) ++fsync_failures_;
-      since_fsync_ = 0;
-    }
-  }
-}
-
-void Journal::Append(const sim::JobOutcome& out) {
-  const std::string payload = SerializeOutcome(out);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;
-  AppendLine(payload);
-  ++appended_;  // cell records only; the header does not count
-}
-
-void Journal::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) {
-    if (IoFsync(fd_) != 0) ++fsync_failures_;
-    since_fsync_ = 0;
-  }
-}
-
-void Journal::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;
-  if (IoFsync(fd_) != 0) ++fsync_failures_;
-  DeregisterFd(fd_);
-  ::close(fd_);
-  fd_ = -1;
-}
-
-std::uint64_t Journal::appended() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return appended_;
-}
-
-std::uint64_t Journal::write_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_failures_;
-}
-
-std::uint64_t Journal::fsync_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fsync_failures_;
-}
-
-void FlushAllJournals() {
-  if (!g_registry_init.load()) return;
-  for (const auto& slot : g_journal_fds) {
-    const int fd = slot.load(std::memory_order_relaxed);
-    if (fd >= 0) ::fsync(fd);
-  }
 }
 
 }  // namespace dsa::resilience

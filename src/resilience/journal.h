@@ -1,127 +1,73 @@
-// Crash-safe run journal: an append-only, CRC-framed JSONL file recording
-// every completed cell of a batch (key, output digest, full deterministic
-// stats). A killed run resumes by replaying the journal — completed cells
-// are restored into the BatchRunner without re-executing, and the merged
-// bench report is bit-identical (per-cell digests and stats) to an
-// uninterrupted run. Format, fsync policy and the torn-tail truncation
-// rules are documented in docs/RESILIENCE.md.
+// The record-and-frame codec shared by every path that persists a cell
+// or ships one between processes (the header keeps the name of the crash
+// journal it grew out of):
 //
-// Framing: each line is `CCCCCCCC <json>\n` where CCCCCCCC is the
-// lowercase CRC-32 (IEEE, zlib polynomial) of the JSON payload bytes in
-// hex. A record is valid only if its line is complete (trailing newline
-// present), its CRC matches and its payload parses; replay stops at the
-// first invalid record and reports everything after it as the torn tail.
-// Opening a journal for append truncates the torn tail first, so a crash
-// mid-append can never corrupt records written after resume.
+//   - Cell records. SerializeOutcome / ParseOutcome round-trip one
+//     completed cell (key, status, output digest, full deterministic
+//     stats) as compact JSON. The content-addressed cell store
+//     (serve/cache.h) persists exactly these records; the daemon serves
+//     from it and the CLI drivers resume from it (`--cache DIR`).
+//   - Run results. SerializeRunResult / ParseRunResult carry one
+//     RunResult back over the isolation pipe (isolate.h).
+//   - Binary frames: `magic[4] | u32 payload length (LE) | u32 CRC-32 of
+//     the payload (LE) | payload`, where the payload is one record-type
+//     byte followed by JSON. The "DSAI" isolation pipe and the "DSAS"
+//     daemon socket (serve/proto.h) both use it. Callers do their own
+//     read(2)/write(2), so which writes route through the host-I/O fault
+//     shim (iofault.h) stays a decision of each caller.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
+#include <string_view>
 
 #include "sim/runner.h"
 
 namespace dsa::resilience {
 
-// When to fsync the journal fd. kInterval is the default: durable enough
-// for a soak run (at most interval-1 cells replay after a power cut)
-// without paying a disk sync per cell.
-enum class FsyncPolicy { kNone, kInterval, kAlways };
-
-[[nodiscard]] bool ParseFsyncPolicy(const std::string& name, FsyncPolicy& out);
-[[nodiscard]] std::string_view ToString(FsyncPolicy p);
-
-struct JournalOptions {
-  FsyncPolicy fsync = FsyncPolicy::kInterval;
-  int fsync_interval = 8;  // records between fsyncs under kInterval
-};
+class JsonValue;
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `len` bytes.
 [[nodiscard]] std::uint32_t Crc32(const void* data, std::size_t len);
 
-// One journaled cell, fully round-trippable: SerializeOutcome emits the
-// JSON payload, ParseOutcomeRecord rebuilds an equivalent JobOutcome
-// (the canonical run replicated `runs` times so the determinism oracle
-// sees the recorded sample count).
+inline constexpr std::size_t kFrameHeaderBytes = 12;
+
+// Appends a frame header: the four bytes of `magic`, then `len` and `crc`
+// as little-endian u32s. EncodeFrame builds honest headers with it; the
+// protocol fuzzer forges dishonest ones.
+void PutFrameHeader(std::string& out, std::string_view magic,
+                    std::uint32_t len, std::uint32_t crc);
+
+// One complete frame whose payload is `type` followed by `json`.
+[[nodiscard]] std::string EncodeFrame(std::string_view magic, char type,
+                                      std::string_view json);
+
+// Reads the header at the front of `frame`. False when fewer than
+// kFrameHeaderBytes are present or the magic differs; `len` is returned
+// unchecked, so a streaming reader can bound it before reading on.
+[[nodiscard]] bool DecodeFrameHeader(std::string_view frame,
+                                     std::string_view magic,
+                                     std::uint32_t& len, std::uint32_t& crc);
+
+// Decodes the frame at the front of `frame`. False on a bad header, an
+// empty payload, a payload shorter than its length field (a torn frame)
+// or a CRC mismatch — a frame is either verified whole or rejected.
+[[nodiscard]] bool DecodeFrame(std::string_view frame, std::string_view magic,
+                               char& type, std::string& json);
+
+// One cell as a JSON object. ParseOutcome rebuilds an equivalent
+// JobOutcome from the parsed object in place: the canonical run is
+// replicated `runs` times so the determinism oracle sees the recorded
+// sample count. False on any missing or ill-typed field.
 [[nodiscard]] std::string SerializeOutcome(const sim::JobOutcome& out);
-[[nodiscard]] bool ParseOutcomePayload(const std::string& payload,
-                                       std::string& key,
-                                       sim::JobOutcome& out);
+[[nodiscard]] bool ParseOutcome(const JsonValue& cell, sim::JobOutcome& out);
 
 // One RunResult as compact JSON — the deterministic fields only (the
 // trace pointer is not carried; host wall time is carried but marked
-// volatile everywhere it is consumed). Shared by the journal records and
-// the isolation pipe protocol (isolate.h).
+// volatile everywhere it is consumed).
 [[nodiscard]] std::string SerializeRunResult(const sim::RunResult& r);
 [[nodiscard]] bool ParseRunResult(const std::string& payload,
                                   sim::RunResult& r);
-
-struct ReplayResult {
-  // Completed cells by job key (last record wins on duplicates).
-  std::map<std::string, sim::JobOutcome> cells;
-  std::uint64_t records = 0;     // valid records, including the header
-  std::uint64_t duplicates = 0;  // keys journaled more than once
-  std::uint64_t valid_bytes = 0; // length of the valid prefix
-  std::uint64_t torn_bytes = 0;  // bytes dropped after the valid prefix
-};
-
-// Replays `path`. A missing file is not an error (empty ReplayResult);
-// an unreadable file or a bad header returns false with `error` filled.
-[[nodiscard]] bool ReplayJournal(const std::string& path, ReplayResult& out,
-                                 std::string* error = nullptr);
-
-class Journal {
- public:
-  Journal() = default;
-  ~Journal();
-
-  Journal(const Journal&) = delete;
-  Journal& operator=(const Journal&) = delete;
-
-  // Opens `path` for appending: scans any existing content, truncates a
-  // torn tail, and writes the header record if the file is empty. The fd
-  // is registered for the signal-safe flush path (FlushAllJournals).
-  [[nodiscard]] bool Open(const std::string& path, const JournalOptions& opts,
-                          std::string* error = nullptr);
-
-  // Serializes and appends one completed cell (thread-safe; the runner's
-  // on_outcome hook calls this from worker threads). Only call for cells
-  // worth replaying — the supervisor journals cell_status == "ok" only.
-  void Append(const sim::JobOutcome& out);
-
-  void Flush();  // fsync now, regardless of policy
-  void Close();
-
-  [[nodiscard]] bool open() const { return fd_ >= 0; }
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] std::uint64_t appended() const;
-  // Host-I/O failures observed while appending (write(2) could not land
-  // a record; fsync(2) refused durability). Non-zero means the journal
-  // may be missing records or lagging the disk — surfaced as a typed
-  // [io-fault] warning in the bench JSON journal census instead of being
-  // silently swallowed.
-  [[nodiscard]] std::uint64_t write_failures() const;
-  [[nodiscard]] std::uint64_t fsync_failures() const;
-
- private:
-  void AppendLine(const std::string& payload);  // caller holds mu_
-
-  mutable std::mutex mu_;
-  std::string path_;
-  JournalOptions opts_;
-  int fd_ = -1;
-  std::uint64_t appended_ = 0;
-  std::uint64_t write_failures_ = 0;
-  std::uint64_t fsync_failures_ = 0;
-  int since_fsync_ = 0;
-};
-
-// fsyncs every open journal in the process. Async-signal-safe (fsync on a
-// registered fd table, no locks, no allocation) — the graceful-drain
-// signal handler and std::at_quick_exit both route through this so an
-// abnormal exit never loses buffered records (satellite: flush on
-// abnormal exit paths).
-void FlushAllJournals();
 
 }  // namespace dsa::resilience

@@ -1,6 +1,6 @@
 // Minimal recursive-descent JSON reader for the resilience layer: parses
-// the journal records and bench reports that this repository itself
-// writes (sim::WriteBenchJson, resilience::Journal). It is a strict
+// the cell records and bench reports that this repository itself writes
+// (sim::WriteBenchJson, resilience::SerializeOutcome). It is a strict
 // subset of JSON — objects, arrays, strings (with \uXXXX escapes),
 // numbers, booleans, null — with one deliberate twist: numbers keep their
 // raw source text, so 64-bit counters and %.17g doubles round-trip

@@ -1,7 +1,6 @@
 #include "resilience/supervisor.h"
 
 #include <csignal>
-#include <cstdlib>
 #include <utility>
 
 #include "sim/error.h"
@@ -15,20 +14,10 @@ std::atomic<bool> g_drain{false};
 
 #if defined(__unix__) || defined(__APPLE__)
 extern "C" void DrainSignalHandler(int /*sig*/) {
-  // Async-signal-safe: an atomic store plus fsync of registered fds.
+  // Async-signal-safe: one atomic store.
   g_drain.store(true, std::memory_order_relaxed);
-  FlushAllJournals();
 }
 #endif
-
-void InstallAbnormalExitFlush() {
-  static bool installed = false;
-  if (installed) return;
-  installed = true;
-  // quick_exit skips destructors, so the journal's own Close() never
-  // runs — flush from the quick-exit path too.
-  (void)std::at_quick_exit(&FlushAllJournals);
-}
 
 }  // namespace
 
@@ -50,18 +39,7 @@ Supervisor::Supervisor(SupervisorOptions opts)
     : opts_(std::move(opts)),
       breaker_(opts_.breaker_threshold, opts_.breaker_probe_after) {}
 
-bool Supervisor::Init(std::string* error) {
-  if (!opts_.resume_path.empty()) {
-    if (!ReplayJournal(opts_.resume_path, replay_, error)) return false;
-  }
-  if (!opts_.journal_path.empty()) {
-    if (!journal_.Open(opts_.journal_path, opts_.journal, error)) return false;
-  }
-  return true;
-}
-
 void Supervisor::Attach(sim::RunnerOptions& ro) {
-  InstallAbnormalExitFlush();
   if (opts_.install_signal_drain) InstallDrainHandler();
   ro.drain = &g_drain;
 
@@ -102,22 +80,6 @@ void Supervisor::Attach(sim::RunnerOptions& ro) {
       throw;
     }
   };
-
-  if (!replay_.cells.empty()) {
-    ro.restore_fn = [this](const std::string& key, sim::JobOutcome& out) {
-      const auto it = replay_.cells.find(key);
-      if (it == replay_.cells.end()) return false;
-      out = it->second;
-      return true;
-    };
-  }
-  if (journal_.open()) {
-    ro.on_outcome = [this](const sim::JobOutcome& out) {
-      // Only completed cells are worth replaying; failed cells should
-      // re-execute on resume (the fault may have been environmental).
-      if (out.cell_status == "ok" && !out.restored) journal_.Append(out);
-    };
-  }
 }
 
 sim::BenchJsonExtras Supervisor::Extras(const sim::BatchReport& report) const {
@@ -126,17 +88,6 @@ sim::BenchJsonExtras Supervisor::Extras(const sim::BatchReport& report) const {
       (report.interrupted || DrainRequested()) ? "interrupted" : "complete";
   extras.breaker_enabled = breaker_.enabled();
   if (breaker_.enabled()) extras.breaker = breaker_.Census();
-  if (journal_.open() || !opts_.journal_path.empty() ||
-      !opts_.resume_path.empty()) {
-    // A resume-only run (--resume without --journal) still reports the
-    // journal it restored from, so restored_cells always has provenance.
-    extras.journal_path = !opts_.journal_path.empty() ? opts_.journal_path
-                                                      : opts_.resume_path;
-    extras.journal_restored = report.restored_cells;
-    extras.journal_appended = journal_.appended();
-    extras.journal_write_failures = journal_.write_failures();
-    extras.journal_fsync_failures = journal_.fsync_failures();
-  }
   return extras;
 }
 

@@ -1,15 +1,15 @@
 // Supervisor: the one object a bench driver instantiates to make its
-// BatchRunner resilient. It composes the four resilience pieces
+// BatchRunner resilient. It composes the resilience pieces
 // (docs/RESILIENCE.md) behind the runner's existing seams:
-//   - process isolation  -> wraps RunnerOptions::run_fn (isolate.h)
-//   - crash-safe journal -> restore_fn (resume replay) + on_outcome
-//     (append each completed cell)                      (journal.h)
-//   - circuit breaker    -> fail-fast inside the wrapped run_fn
-//                                                       (breaker.h)
-//   - graceful drain     -> SIGINT/SIGTERM set a process-wide flag the
-//     runner polls; in-flight cells finish, the journal is fsynced from
-//     the (async-signal-safe) handler, queued cells become "cancelled"
-//     and the JSON reports run_status "interrupted".
+//   - process isolation -> wraps RunnerOptions::run_fn (isolate.h)
+//   - circuit breaker   -> fail-fast inside the wrapped run_fn
+//                                                      (breaker.h)
+//   - graceful drain    -> SIGINT/SIGTERM set a process-wide flag the
+//     runner polls; in-flight cells finish, queued cells become
+//     "cancelled" and the JSON reports run_status "interrupted".
+// Persistence is not a supervisor piece: the cell store (`--cache DIR`,
+// serve/cache.h) attaches to restore_fn/on_outcome on its own, and every
+// entry it publishes is already fsynced, so a drain has nothing to flush.
 #pragma once
 
 #include <atomic>
@@ -18,16 +18,15 @@
 
 #include "resilience/breaker.h"
 #include "resilience/isolate.h"
-#include "resilience/journal.h"
 #include "sim/runner.h"
 
 namespace dsa::resilience {
 
 // Installs the SIGINT/SIGTERM graceful-drain handler (idempotent): the
-// handler sets Supervisor::DrainFlag() and fsyncs every open journal,
-// both async-signal-safe. Supervisor::Attach calls this; it is exposed
-// for long-lived drivers that drain without a Supervisor (the serving
-// daemon, src/serve/daemon.cc).
+// handler sets Supervisor::DrainFlag(), an async-signal-safe atomic
+// store. Supervisor::Attach calls this; it is exposed for long-lived
+// drivers that drain without a Supervisor (the serving daemon,
+// src/serve/daemon.cc).
 void InstallDrainHandler();
 
 struct SupervisorOptions {
@@ -36,11 +35,6 @@ struct SupervisorOptions {
   // Per-cell wall-clock deadline / child memory cap; require isolate.
   std::uint64_t deadline_ms = 0;
   std::uint64_t mem_limit_mb = 0;
-  // Crash-safe journal (--journal): append each completed cell.
-  std::string journal_path;
-  // Resume (--resume): replay this journal and skip completed cells.
-  std::string resume_path;
-  JournalOptions journal;
   // Circuit breaker (--breaker N): open after N consecutive failures of
   // one workload; 0 disables.
   int breaker_threshold = 0;
@@ -50,8 +44,8 @@ struct SupervisorOptions {
   bool install_signal_drain = true;
 
   [[nodiscard]] bool any() const {
-    return isolate || !journal_path.empty() || !resume_path.empty() ||
-           breaker_threshold > 0 || deadline_ms > 0 || mem_limit_mb > 0;
+    return isolate || breaker_threshold > 0 || deadline_ms > 0 ||
+           mem_limit_mb > 0;
   }
 };
 
@@ -59,9 +53,12 @@ class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions opts);
 
-  // Replays the resume journal and opens the append journal. Returns
-  // false with `error` filled on an unreadable/incompatible journal.
-  [[nodiscard]] bool Init(std::string* error = nullptr);
+  // Always true: nothing the supervisor owns touches the file system.
+  // Kept as the first step of the Init/Attach protocol drivers follow.
+  [[nodiscard]] bool Init(std::string* error = nullptr) {
+    (void)error;
+    return true;
+  }
 
   // Installs the resilience seams into the runner options. Call after
   // Init() and before constructing the BatchRunner. The existing run_fn
@@ -73,8 +70,6 @@ class Supervisor {
   [[nodiscard]] sim::BenchJsonExtras Extras(
       const sim::BatchReport& report) const;
 
-  [[nodiscard]] const ReplayResult& replay() const { return replay_; }
-  [[nodiscard]] Journal& journal() { return journal_; }
   [[nodiscard]] CircuitBreaker& breaker() { return breaker_; }
   [[nodiscard]] const SupervisorOptions& options() const { return opts_; }
 
@@ -85,8 +80,6 @@ class Supervisor {
 
  private:
   SupervisorOptions opts_;
-  ReplayResult replay_;
-  Journal journal_;
   CircuitBreaker breaker_;
 };
 

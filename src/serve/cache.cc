@@ -1,14 +1,19 @@
 #include "serve/cache.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "mem/fnv.h"
 #include "mem/memory.h"
 #include "resilience/iofault.h"
 #include "resilience/journal.h"
@@ -28,25 +33,9 @@ namespace dsa::serve {
 
 namespace {
 
-// FNV-1a, 64-bit: the repo's digest primitive (the output-digest oracle
-// uses the same construction), here accumulated field-by-field so the
-// hash is a pure function of declared content, never of padding.
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void Bytes(const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
+// Field-by-field FNV-1a (mem/fnv.h), so the hash is a pure function of
+// declared content, never of padding.
+struct KeyHasher : mem::Fnv1a {
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   void F64(double v) {
     std::uint64_t bits = 0;
@@ -59,7 +48,7 @@ struct Fnv1a {
   }
 };
 
-void HashProgram(Fnv1a& f, const prog::Program& p) {
+void HashProgram(KeyHasher& f, const prog::Program& p) {
   f.U64(p.size());
   for (const isa::Instruction& ins : p.code()) {
     f.I64(static_cast<std::int64_t>(ins.op));
@@ -106,51 +95,62 @@ std::string Slurp(const std::string& path, bool& ok) {
   return ss.str();
 }
 
-// Structural validity of one cache-entry file: complete `CCCCCCCC json\n`
-// frame, matching CRC, entry-schema label, parseable hex digests and a
-// round-trippable cell payload. The boot-time scrub keeps any entry that
-// passes (Load still re-verifies and compares the key on every hit);
-// anything that fails would be quarantined at serving time anyway, so the
-// scrub moves it aside before the daemon starts answering requests.
-bool EntryStructurallyValid(const std::string& data) {
+// The one parser of a cache-entry file, shared by Load and the boot
+// scrub so the two can never disagree about what is corrupt: a complete
+// `CCCCCCCC <json>\n` frame with a matching CRC, the entry-schema label,
+// every key field present (hex digests parseable), and a cell record
+// whose own key matches the entry's, read in place from the parsed JSON.
+// True fills the key the entry answers for and its cell; false means the
+// bytes are corrupt.
+bool ParseEntry(const std::string& data, CacheKey& key, sim::JobOutcome& cell) {
   std::uint64_t crc = 0;
   if (data.size() < 10 || data.back() != '\n' || data[8] != ' ' ||
       !ParseHexU64(data.substr(0, 8), crc)) {
     return false;
   }
-  const std::string payload = data.substr(9, data.size() - 10);
-  if (resilience::Crc32(payload.data(), payload.size()) != crc) return false;
+  const std::string_view payload(data.data() + 9, data.size() - 10);
   resilience::JsonValue entry;
-  if (!resilience::ParseJson(payload, entry) || !entry.is_object())
+  if (resilience::Crc32(payload.data(), payload.size()) != crc ||
+      !resilience::ParseJson(payload, entry) || !entry.is_object()) {
     return false;
+  }
   const auto field = [&entry](std::string_view name) -> std::string {
     const resilience::JsonValue* v = entry.Find(name);
     return v != nullptr ? v->AsString() : std::string();
   };
-  std::uint64_t digest = 0;
-  const auto hex_field = [&](std::string_view name) {
-    std::string s = field(name);
-    if (s.rfind("0x", 0) == 0) s = s.substr(2);
-    return ParseHexU64(s, digest);
+  const auto digest = [&field](std::string_view name, std::uint64_t& out) {
+    std::string hex = field(name);
+    if (hex.rfind("0x", 0) == 0) hex.erase(0, 2);
+    return ParseHexU64(hex, out);
   };
-  if (field("schema") != kCacheEntrySchema || field("key").empty() ||
-      field("engine").empty() || field("bench_schema").empty() ||
-      !hex_field("workload_digest") || !hex_field("config_digest")) {
-    return false;
-  }
-  const resilience::JsonValue* cell = entry.Find("cell");
-  if (cell == nullptr || !cell->is_object()) return false;
-  std::string parsed_key;
-  sim::JobOutcome parsed;
-  return resilience::ParseOutcomePayload(resilience::DumpJson(*cell),
-                                         parsed_key, parsed) &&
-         parsed_key == field("key");
+  key.job_key = field("key");
+  key.engine_version = field("engine");
+  key.bench_schema = field("bench_schema");
+  const resilience::JsonValue* stored = entry.Find("cell");
+  return field("schema") == kCacheEntrySchema && !key.job_key.empty() &&
+         !key.engine_version.empty() && !key.bench_schema.empty() &&
+         digest("workload_digest", key.workload_digest) &&
+         digest("config_digest", key.config_digest) && stored != nullptr &&
+         resilience::ParseOutcome(*stored, cell) && cell.key == key.job_key;
+}
+
+// Moves a corrupt entry aside for forensics. Deliberately a direct
+// ::rename, not the injectable shim: this is the repair path, and an
+// armed rename-fail plan must target the Store publish rename, not the
+// cleanup.
+void Quarantine(const std::string& path) {
+#if DSA_HAVE_CACHE_FS
+  const std::string aside = path + ".quarantine";
+  if (::rename(path.c_str(), aside.c_str()) != 0) (void)::unlink(path.c_str());
+#else
+  (void)path;
+#endif
 }
 
 }  // namespace
 
 std::uint64_t WorkloadDigest(const sim::Workload& wl) {
-  Fnv1a f;
+  KeyHasher f;
   f.Str(wl.name);
   f.U64(wl.mem_bytes);
   HashProgram(f, wl.scalar);
@@ -184,7 +184,7 @@ std::uint64_t WorkloadDigest(const sim::Workload& wl) {
 }
 
 std::uint64_t ConfigDigest(const sim::SystemConfig& cfg) {
-  Fnv1a f;
+  KeyHasher f;
   // cpu::TimingConfig
   f.U64(cfg.timing.superscalar_width);
   f.U64(cfg.timing.branch_mispredict_penalty);
@@ -266,7 +266,7 @@ std::uint64_t ConfigDigest(const sim::SystemConfig& cfg) {
 }
 
 std::string CacheKey::FileName() const {
-  Fnv1a f;
+  KeyHasher f;
   f.Str(job_key);
   f.U64(workload_digest);
   f.U64(config_digest);
@@ -314,80 +314,19 @@ bool ResultCache::Load(const CacheKey& key, sim::JobOutcome& out) {
   const std::string path = dir_ + "/" + key.FileName();
   bool readable = false;
   const std::string data = Slurp(path, readable);
-  if (!readable) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return false;
-  }
-  // Entry line: `CCCCCCCC <json>\n` — complete, CRC-matching, parseable,
-  // and carrying the exact key it claims to answer for. Anything less is
-  // quarantined and recomputed, never trusted.
-  const auto quarantine = [&] {
-#if DSA_HAVE_CACHE_FS
-    const std::string aside = path + ".quarantine";
-    if (::rename(path.c_str(), aside.c_str()) != 0) (void)::unlink(path.c_str());
-#endif
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.quarantined;
-    ++stats_.misses;
-  };
-  std::uint64_t crc = 0;
-  if (data.size() < 10 || data.back() != '\n' || data[8] != ' ' ||
-      !ParseHexU64(data.substr(0, 8), crc)) {
-    quarantine();
-    return false;
-  }
-  const std::string payload = data.substr(9, data.size() - 10);
-  if (resilience::Crc32(payload.data(), payload.size()) != crc) {
-    quarantine();
-    return false;
-  }
-  resilience::JsonValue entry;
-  if (!resilience::ParseJson(payload, entry) || !entry.is_object()) {
-    quarantine();
-    return false;
-  }
-  const auto field = [&entry](std::string_view name) -> std::string {
-    const resilience::JsonValue* v = entry.Find(name);
-    return v != nullptr ? v->AsString() : std::string();
-  };
-  std::uint64_t wl_digest = 0;
-  std::uint64_t cfg_digest = 0;
-  const bool digests_ok =
-      ParseHexU64(field("workload_digest").substr(
-                      field("workload_digest").rfind("0x") == 0 ? 2 : 0),
-                  wl_digest) &&
-      ParseHexU64(field("config_digest").substr(
-                      field("config_digest").rfind("0x") == 0 ? 2 : 0),
-                  cfg_digest);
-  const resilience::JsonValue* cell = entry.Find("cell");
-  if (field("schema") != kCacheEntrySchema || !digests_ok ||
-      cell == nullptr || !cell->is_object()) {
-    quarantine();
-    return false;
-  }
-  // A well-formed entry for a different key (hash collision, copied
-  // file) is a miss, not corruption — leave it in place.
-  if (field("key") != key.job_key || wl_digest != key.workload_digest ||
-      cfg_digest != key.config_digest ||
-      field("engine") != key.engine_version ||
-      field("bench_schema") != key.bench_schema) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return false;
-  }
-  std::string parsed_key;
-  sim::JobOutcome parsed;
-  if (!resilience::ParseOutcomePayload(resilience::DumpJson(*cell),
-                                       parsed_key, parsed) ||
-      parsed_key != key.job_key) {
-    quarantine();
-    return false;
-  }
-  out = std::move(parsed);
+  CacheKey stored;
+  sim::JobOutcome cell;
+  // Anything less than a well-formed entry is quarantined and recomputed,
+  // never trusted. A well-formed entry for a different key (hash
+  // collision, copied file) is a miss, not corruption — it stays.
+  const bool corrupt = readable && !ParseEntry(data, stored, cell);
+  if (corrupt) Quarantine(path);
+  const bool hit = readable && !corrupt && stored == key;
+  if (hit) out = std::move(cell);
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.hits;
-  return true;
+  if (corrupt) ++stats_.quarantined;
+  ++(hit ? stats_.hits : stats_.misses);
+  return hit;
 }
 
 bool ResultCache::Store(const CacheKey& key, const sim::JobOutcome& out) {
@@ -499,17 +438,14 @@ ScrubStats ResultCache::Scrub() {
     const std::string path = dir_ + "/" + name;
     bool readable = false;
     const std::string data = Slurp(path, readable);
+    CacheKey key;
+    sim::JobOutcome cell;
     ++s.checked;
-    if (readable && EntryStructurallyValid(data)) {
+    if (readable && ParseEntry(data, key, cell)) {
       ++s.ok;
       continue;
     }
-    // Deliberately a direct ::rename, not the injectable shim: the scrub
-    // is the repair path, and an armed rename-fail plan must target the
-    // Store publish rename, not the cleanup.
-    const std::string aside = path + ".quarantine";
-    if (::rename(path.c_str(), aside.c_str()) != 0)
-      (void)::unlink(path.c_str());
+    Quarantine(path);
     ++s.quarantined;
   }
 #endif
@@ -526,6 +462,54 @@ CacheStats ResultCache::stats() const {
 ScrubStats ResultCache::scrub_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return scrub_stats_;
+}
+
+void AttachCache(ResultCache& cache, sim::RunnerOptions& ro) {
+  // restore_fn sees the job and computes its full key; on_outcome sees
+  // only the outcome, so each missed key waits here for its cell.
+  struct PendingKeys {
+    std::mutex mu;
+    std::map<std::string, CacheKey> by_job;
+  };
+  auto pending = std::make_shared<PendingKeys>();
+  // A cell recorded with another run count than this sweep asks for (the
+  // daemon stores single runs) executes again and is stored again, so
+  // every report reconciles exactly like an uninterrupted run.
+  const std::size_t runs = static_cast<std::size_t>(std::max(ro.repeats, 1));
+  ro.restore_fn = [&cache, pending, runs](const sim::BatchJob& job,
+                                          sim::JobOutcome& out) {
+    CacheKey key = KeyFor(job);
+    sim::JobOutcome stored;
+    if (cache.Load(key, stored) && stored.runs.size() == runs) {
+      out = std::move(stored);
+      return true;
+    }
+    std::lock_guard<std::mutex> lock(pending->mu);
+    pending->by_job.emplace(key.job_key, std::move(key));
+    return false;
+  };
+  ro.on_outcome = [&cache, pending, inner = std::move(ro.on_outcome)](
+                      const sim::JobOutcome& out) {
+    if (out.cell_status == "ok") {
+      std::unique_lock<std::mutex> lock(pending->mu);
+      const auto it = pending->by_job.find(out.key);
+      if (it != pending->by_job.end()) {
+        const CacheKey key = std::move(it->second);
+        pending->by_job.erase(it);
+        lock.unlock();
+        (void)cache.Store(key, out);
+      }
+    }
+    if (inner) inner(out);
+  };
+}
+
+void ReportCache(const ResultCache& cache, sim::BenchJsonExtras& extras) {
+  const CacheStats s = cache.stats();
+  extras.cache_dir = cache.dir();
+  extras.cache_stores = s.stores;
+  extras.cache_store_failures = s.store_failures;
+  extras.cache_fsync_failures = s.fsync_failures;
 }
 
 }  // namespace dsa::serve

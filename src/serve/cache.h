@@ -1,18 +1,19 @@
-// Persistent content-addressed result cache of the serving daemon
-// (docs/SERVING.md): one file per completed cell, keyed by the workload
-// digest, the config digest, the engine version and the bench-schema
-// version, so a daemon restart — including a kill -9 mid-sweep — serves
-// every previously completed cell bit-identically without re-simulating,
-// and any engine or schema change invalidates the whole cache by
-// construction (the version labels are part of the key hash, so stale
-// entries are simply never addressed again).
+// The content-addressed cell store — the repository's one persistence
+// format (docs/SERVING.md). One file per completed cell, keyed by the
+// job key, the workload digest, the config digest, the engine version
+// and the bench-schema version. The serving daemon answers repeated
+// cells from it across restarts, including a kill -9 mid-sweep, and the
+// CLI drivers resume killed sweeps from it (`--cache DIR`, AttachCache).
+// Any engine or schema change invalidates the whole store by
+// construction: the version labels are part of the key hash, so stale
+// entries are simply never addressed again, and a cell simulated under
+// one config can never answer for another.
 //
-// Entry format: one journal-style CRC-framed line, `CCCCCCCC <json>\n`
-// (the same framing as the crash-safe journal, docs/RESILIENCE.md),
-// where the JSON carries the full key for verification plus the cell's
-// serialized JobOutcome. Writes go to a temporary sibling, fsync, then
-// an atomic rename — a torn write can never be observed under the final
-// name. A corrupt or mismatched entry is quarantined (renamed to
+// Entry format: one CRC-framed line, `CCCCCCCC <json>\n`, where the JSON
+// carries the full key for verification plus the cell's serialized
+// JobOutcome (resilience/journal.h). Writes go to a temporary sibling,
+// fsync, then an atomic rename — a torn write can never be observed
+// under the final name. A corrupt entry is quarantined (renamed to
 // `<name>.quarantine`) and recomputed instead of trusted.
 #pragma once
 
@@ -56,6 +57,8 @@ struct CacheKey {
   // Content address: 16 lowercase hex digits of the combined key hash,
   // plus the ".cell" suffix.
   [[nodiscard]] std::string FileName() const;
+
+  bool operator==(const CacheKey&) const = default;
 };
 
 // The full key for one batch job (digests computed here).
@@ -100,9 +103,11 @@ class ResultCache {
 
   // Looks the key up. True fills `out` with the recorded outcome
   // (cell_status "ok" by construction — only completed cells are
-  // stored). A corrupt entry is quarantined and reported as a miss; an
-  // entry whose stored key fields disagree with `key` (hash collision,
-  // hand-edited file) is a miss too.
+  // stored). A corrupt entry is quarantined and reported as a miss; a
+  // well-formed entry whose stored key fields disagree with `key` (hash
+  // collision, copied file) is a miss too. Load and Scrub share one entry
+  // parser: Scrub keeps an entry exactly when Load would not quarantine
+  // it.
   [[nodiscard]] bool Load(const CacheKey& key, sim::JobOutcome& out);
 
   // Promotes one completed cell to disk (atomic tmp + rename, fsync'd
@@ -113,9 +118,9 @@ class ResultCache {
   // failed rename — has a deterministic rehearsal path.
   [[nodiscard]] bool Store(const CacheKey& key, const sim::JobOutcome& out);
 
-  // Boot-time integrity sweep: verifies the CRC frame, schema label, key
-  // fields and cell payload of every `*.cell` entry in the directory and
-  // quarantines (renames to `<name>.quarantine`) anything invalid, so a
+  // Boot-time integrity sweep: parses every `*.cell` entry in the
+  // directory as Load does and quarantines (renames to
+  // `<name>.quarantine`) anything corrupt, so a
   // torn or bit-rotted entry is caught before the daemon starts serving
   // rather than on first Load. Returns the census; also retrievable via
   // scrub_stats(). Quarantines here are NOT double-counted into
@@ -131,5 +136,18 @@ class ResultCache {
   CacheStats stats_;
   ScrubStats scrub_stats_;
 };
+
+// Backs a BatchRunner with the store — the CLI drivers' `--cache DIR`
+// (docs/RESILIENCE.md). restore_fn answers every job whose full key is
+// already stored with `ro.repeats` runs, without executing it; on_outcome
+// stores each cell that finishes "ok" (fsynced before it is published,
+// so a kill -9 never loses or tears one). A killed sweep resumes by
+// re-running it over the same directory. Attach after setting
+// `ro.repeats`; chains onto any on_outcome already installed. `cache`
+// must outlive the runner.
+void AttachCache(ResultCache& cache, sim::RunnerOptions& ro);
+
+// Copies the store's census into the bench JSON's `cache` block.
+void ReportCache(const ResultCache& cache, sim::BenchJsonExtras& extras);
 
 }  // namespace dsa::serve

@@ -152,7 +152,7 @@ bool Daemon::Init(std::string* error) {
     return false;
   }
   // Install the host-I/O fault plan before anything touches the disk, so
-  // the very first store/journal write already draws from the plan's
+  // the very first store write already draws from the plan's
   // deterministic opportunity sequence.
   if (!opts_.io_fault_plan.empty()) {
     try {

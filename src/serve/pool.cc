@@ -33,7 +33,12 @@ bool WorkerPool::Submit(std::function<void()> task) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) return false;
   bool any_usable = false;
-  for (const Slot& s : slots_) any_usable = any_usable || !s.retired;
+  for (const Slot& s : slots_) {
+    // A dead slot at its strike limit retires as soon as the supervisor
+    // reaps it; a task queued in between would only be discarded.
+    const bool retiring = s.dead && s.strikes >= opts_.max_strikes;
+    any_usable = any_usable || !(s.retired || retiring);
+  }
   if (!any_usable) return false;
   queue_.push_back(std::move(task));
   work_cv_.notify_one();

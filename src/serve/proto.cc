@@ -1,7 +1,7 @@
 #include "serve/proto.h"
 
 #include <cerrno>
-#include <cstring>
+#include <string_view>
 
 #include "resilience/iofault.h"
 #include "resilience/journal.h"
@@ -17,21 +17,9 @@ namespace dsa::serve {
 
 namespace {
 
-void PutU32(std::string& s, std::uint32_t v) {
-  s.push_back(static_cast<char>(v & 0xFF));
-  s.push_back(static_cast<char>((v >> 8) & 0xFF));
-  s.push_back(static_cast<char>((v >> 16) & 0xFF));
-  s.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t GetU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 #if DSA_HAVE_SOCKETS
+
+constexpr std::string_view kMagic(kProtoMagic, sizeof(kProtoMagic));
 
 // Frame writes route through the injectable host-I/O shim
 // (resilience/iofault.h): an armed write-kind plan (enospc/eio/
@@ -84,16 +72,7 @@ std::string_view ToString(RecvStatus s) {
 bool SendFrame(int fd, char type, const std::string& json) {
 #if DSA_HAVE_SOCKETS
   if (json.size() + 1 > kMaxFrameBytes) return false;
-  std::string payload;
-  payload.reserve(json.size() + 1);
-  payload.push_back(type);
-  payload += json;
-  std::string frame;
-  frame.reserve(payload.size() + 12);
-  frame.append(kProtoMagic, 4);
-  PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, resilience::Crc32(payload.data(), payload.size()));
-  frame += payload;
+  const std::string frame = resilience::EncodeFrame(kMagic, type, json);
   return WriteAll(fd, frame.data(), frame.size());
 #else
   (void)fd;
@@ -105,26 +84,25 @@ bool SendFrame(int fd, char type, const std::string& json) {
 
 RecvStatus RecvFrame(int fd, char& type, std::string& json) {
 #if DSA_HAVE_SOCKETS
-  char header[12];
+  std::string frame(resilience::kFrameHeaderBytes, '\0');
   std::size_t got = 0;
-  const int hr = ReadExact(fd, header, sizeof(header), got);
+  const int hr = ReadExact(fd, frame.data(), frame.size(), got);
   if (hr < 0) return RecvStatus::kError;
   if (hr == 0) return got == 0 ? RecvStatus::kClosed : RecvStatus::kCorrupt;
-  if (std::memcmp(header, kProtoMagic, 4) != 0) return RecvStatus::kCorrupt;
-  const auto* p = reinterpret_cast<const unsigned char*>(header);
-  const std::uint32_t len = GetU32(p + 4);
-  const std::uint32_t crc = GetU32(p + 8);
-  if (len == 0 || len > kMaxFrameBytes) return RecvStatus::kCorrupt;
-  std::string payload(len, '\0');
-  const int pr = ReadExact(fd, payload.data(), len, got);
-  if (pr < 0) return RecvStatus::kError;
-  if (pr == 0) return RecvStatus::kCorrupt;  // peer died mid-frame
-  if (resilience::Crc32(payload.data(), payload.size()) != crc) {
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+  if (!resilience::DecodeFrameHeader(frame, kMagic, len, crc) || len == 0 ||
+      len > kMaxFrameBytes) {
     return RecvStatus::kCorrupt;
   }
-  type = payload[0];
-  json.assign(payload, 1, payload.size() - 1);
-  return RecvStatus::kOk;
+  frame.resize(resilience::kFrameHeaderBytes + len);
+  const int pr = ReadExact(fd, frame.data() + resilience::kFrameHeaderBytes,
+                           len, got);
+  if (pr < 0) return RecvStatus::kError;
+  if (pr == 0) return RecvStatus::kCorrupt;  // peer died mid-frame
+  return resilience::DecodeFrame(frame, kMagic, type, json)
+             ? RecvStatus::kOk
+             : RecvStatus::kCorrupt;
 #else
   (void)fd;
   (void)type;

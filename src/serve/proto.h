@@ -4,10 +4,10 @@
 //   "DSAS" | u32 payload length (LE) | u32 CRC-32 of the payload (LE) |
 //   payload = one record-type byte + JSON
 //
-// — the same length-prefixed, CRC-checked shape as the "DSAI" isolation
-// pipe (src/resilience/isolate.cc), so a torn or corrupted frame is
-// detected and classified instead of being parsed. A connection carries
-// one request frame ('Q') and one response frame ('S').
+// — the frame codec of src/resilience/journal.h, shared with the "DSAI"
+// isolation pipe, so a torn or corrupted frame is detected and
+// classified instead of being parsed. A connection carries one request
+// frame ('Q') and one response frame ('S').
 #pragma once
 
 #include <cstdint>

@@ -35,9 +35,9 @@ enum class DsaErrorCode : std::uint8_t {
   // Host-I/O failure (src/resilience/iofault.h): a write/fsync/rename/
   // open the durability story depends on failed — disk full, flaky
   // medium, fd exhaustion. The cell result itself is unaffected (the
-  // cache degrades to recompute-without-promote; the journal counts the
-  // miss), but the failure is typed so nothing claims durability it did
-  // not deliver.
+  // cell store degrades to recompute-without-promote and counts the
+  // failure), but the failure is typed so nothing claims durability it
+  // did not deliver.
   kIoFault,
 };
 

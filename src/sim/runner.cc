@@ -62,35 +62,42 @@ BatchRunner::~BatchRunner() {
 
 std::string BatchRunner::Submit(BatchJob job) {
   std::string key = JobKey(job);
+  // True, and counted, when the key was already submitted; needs mu_.
+  const auto memo_hit = [&] {
+    if (jobs_.count(key) == 0) return false;
+    ++memo_hits_;
+    return true;
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = jobs_.find(key);
-    if (it != jobs_.end()) {
-      ++memo_hits_;
-      return key;
+    if (memo_hit()) return key;
+  }
+  auto pending = std::make_unique<Pending>();
+  pending->key = key;
+  // Resume seam, outside the lock: restoring may hash the whole workload,
+  // and workers must not stall on it. The restore callback fills the full
+  // outcome (runs, stats, status), so downstream consumers cannot tell a
+  // restored cell apart from a fresh execution.
+  if (opts_.restore_fn && opts_.restore_fn(job, pending->outcome)) {
+    JobOutcome& out = pending->outcome;
+    out.key = key;
+    out.workload_key = WorkloadKey(job);
+    out.mode = job.mode;
+    out.config_tag = job.config_tag;
+    out.restored = true;
+    pending->done = true;
+  }
+  pending->job = std::move(job);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A concurrent Submit of the same key may have won the race.
+    if (memo_hit()) return key;
+    if (pending->done) {
+      ++restored_cells_;
+    } else {
+      queue_.push_back(pending.get());
+      ++in_flight_;
     }
-    auto pending = std::make_unique<Pending>();
-    pending->job = std::move(job);
-    pending->key = key;
-    // Resume seam: a journaled cell is answered without executing. The
-    // restore callback fills the full outcome (runs, stats, status), so
-    // downstream consumers cannot tell it apart from a fresh execution.
-    if (opts_.restore_fn) {
-      JobOutcome& out = pending->outcome;
-      if (opts_.restore_fn(key, out)) {
-        out.key = key;
-        out.workload_key = WorkloadKey(pending->job);
-        out.mode = pending->job.mode;
-        out.config_tag = pending->job.config_tag;
-        out.restored = true;
-        pending->done = true;
-        ++restored_cells_;
-        jobs_.emplace(key, std::move(pending));
-        return key;
-      }
-    }
-    queue_.push_back(pending.get());
-    ++in_flight_;
     jobs_.emplace(key, std::move(pending));
   }
   queue_cv_.notify_one();
@@ -126,7 +133,7 @@ void BatchRunner::WorkerLoop() {
                          opts_.drain->load(std::memory_order_relaxed);
     if (drained) {
       // Graceful drain: never start new work, but let in-flight cells
-      // finish so the journal and the partial report stay consistent.
+      // finish so the cell store and the partial report stay consistent.
       JobOutcome& out = p->outcome;
       out.key = p->key;
       out.workload_key = WorkloadKey(p->job);
@@ -400,23 +407,21 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
   w.Str("run_status", extras != nullptr ? extras->run_status
                                         : (report.interrupted ? "interrupted"
                                                               : "complete"));
-  if (extras != nullptr && !extras->journal_path.empty()) {
-    w.Open("journal", '{');
-    w.Str("path", extras->journal_path);
-    w.U64("restored", extras->journal_restored);
-    w.U64("appended", extras->journal_appended);
-    w.U64("write_failures", extras->journal_write_failures);
-    w.U64("fsync_failures", extras->journal_fsync_failures);
-    if (extras->journal_write_failures > 0 ||
-        extras->journal_fsync_failures > 0) {
-      // Typed degradation instead of silent success: the journal hit the
-      // host's disk limits and some records may not be durable.
+  if (extras != nullptr && !extras->cache_dir.empty()) {
+    w.Open("cache", '{');
+    w.Str("dir", extras->cache_dir);
+    w.U64("restored", report.restored_cells);
+    w.U64("stores", extras->cache_stores);
+    w.U64("store_failures", extras->cache_store_failures);
+    w.U64("fsync_failures", extras->cache_fsync_failures);
+    if (extras->cache_store_failures > 0 || extras->cache_fsync_failures > 0) {
+      // Typed degradation instead of silent success: the store hit the
+      // host's disk limits and some cells may not be durable.
       w.Str("warning",
-            "[io-fault] " +
-                std::to_string(extras->journal_write_failures) +
-                " write failure(s), " +
-                std::to_string(extras->journal_fsync_failures) +
-                " fsync failure(s): journal durability not guaranteed");
+            "[io-fault] " + std::to_string(extras->cache_store_failures) +
+                " store failure(s), " +
+                std::to_string(extras->cache_fsync_failures) +
+                " fsync failure(s): cell-store durability not guaranteed");
     }
     w.Close('}');
   }

@@ -65,8 +65,8 @@ struct JobOutcome {
   std::string cell_status = "ok";
   // run_fn invocations, including retried attempts (>= runs.size()).
   std::uint64_t attempts = 0;
-  // True when the outcome was replayed from a crash-safe journal instead
-  // of executed in this process (RunnerOptions::restore_fn).
+  // True when the outcome was restored from the cell store instead of
+  // executed in this process (RunnerOptions::restore_fn).
   bool restored = false;
 
   [[nodiscard]] const RunResult& result() const { return runs.at(0); }
@@ -89,13 +89,16 @@ struct RunnerOptions {
   // wrap execution in a forked child with a deadline and circuit breaker.
   std::function<RunResult(const Workload&, RunMode, const SystemConfig&)>
       run_fn;
-  // Resume seam: consulted once per distinct job at Submit time. Returning
-  // true marks the cell done with the filled outcome (counted as restored)
-  // instead of queueing it — the crash-safe journal replays through this.
-  std::function<bool(const std::string& key, JobOutcome& out)> restore_fn;
+  // Resume seam: consulted once per distinct job at Submit time, outside
+  // the runner's lock (it may hash the whole workload). Returning true
+  // marks the cell done with the filled outcome (counted as restored)
+  // instead of queueing it — the cell store (serve/cache.h, `--cache
+  // DIR`) restores completed cells through this.
+  std::function<bool(const BatchJob& job, JobOutcome& out)> restore_fn;
   // Completion hook: called from the worker thread right after a cell
-  // finished executing (not for restored or drained cells). The journal
-  // appends through this; it must not call back into the runner.
+  // finished executing (not for restored or drained cells). The cell
+  // store publishes "ok" cells through this; it must not call back into
+  // the runner.
   std::function<void(const JobOutcome&)> on_outcome;
   // Graceful-drain flag (owned by the caller, typically set from a
   // SIGINT/SIGTERM handler): once true, queued cells are marked
@@ -109,8 +112,8 @@ struct BatchReport {
   std::uint64_t executed_runs = 0;  // completed runs across all cells
   std::uint64_t faulted_cells = 0;  // cells with cell_status != "ok"
   std::uint64_t memo_hits = 0;      // submissions answered from the memo
-  // Cells answered from the resume journal (RunnerOptions::restore_fn)
-  // and cells abandoned by a graceful drain, respectively. Restored cells
+  // Cells answered from the cell store (RunnerOptions::restore_fn) and
+  // cells abandoned by a graceful drain, respectively. Restored cells
   // contribute their recorded runs to executed_runs so a resumed batch
   // reconciles exactly like the uninterrupted one.
   std::uint64_t restored_cells = 0;
@@ -219,14 +222,14 @@ struct BenchJsonExtras {
   std::string run_status = "complete";
   bool breaker_enabled = false;
   std::vector<BreakerCensusEntry> breaker;
-  std::string journal_path;  // empty = no journal attached
-  std::uint64_t journal_restored = 0;  // cells replayed on --resume
-  std::uint64_t journal_appended = 0;  // cells appended this run
-  // Host-I/O failures while appending (resilience/journal.h): non-zero
-  // means durability was NOT delivered and the journal block carries a
-  // typed "[io-fault]" warning instead of silently claiming it.
-  std::uint64_t journal_write_failures = 0;
-  std::uint64_t journal_fsync_failures = 0;
+  // Cell-store census (`--cache DIR`, serve/cache.h); an empty cache_dir
+  // means no store was attached. Store or fsync failures mean some cells
+  // were not made durable: the `cache` block then carries a typed
+  // "[io-fault]" warning instead of silently claiming durability.
+  std::string cache_dir;
+  std::uint64_t cache_stores = 0;
+  std::uint64_t cache_store_failures = 0;
+  std::uint64_t cache_fsync_failures = 0;
 };
 
 // Writes the batch as machine-readable JSON (schema "dsa-bench-json/5"):
@@ -234,7 +237,7 @@ struct BenchJsonExtras {
 // in the batch, DSA stats (including the speculation guard's rollback and
 // blacklist counters), energy breakdown, wall time, host simulation
 // throughput (the `host` block), fault-injection report (`faults` block,
-// armed runs only), per-cell status/attempts, the run_status/journal/
+// armed runs only), per-cell status/attempts, the run_status/cache/
 // breaker resilience census (docs/RESILIENCE.md), the `stream`/`gen`
 // blocks of streaming and generated workloads, plus the oracle
 // verdict. Failed cells appear with a minimal payload so a poisoned cell

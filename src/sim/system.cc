@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "engine/speculation_guard.h"
+#include "mem/fnv.h"
 #include "neon/vector_unit.h"
 
 namespace dsa::sim {
@@ -44,27 +45,18 @@ double RunResult::detection_latency_pct() const {
 
 namespace {
 
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t n,
-                    std::uint64_t h = 14695981039346656037ull) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::uint64_t DigestOutputs(const Workload& wl, const mem::Memory& memory) {
   const std::vector<std::uint8_t>& bytes = memory.raw();
-  if (wl.outputs.empty()) return Fnv1a(bytes.data(), bytes.size());
-  std::uint64_t h = 14695981039346656037ull;
+  mem::Fnv1a f;
+  if (wl.outputs.empty()) f.Bytes(bytes.data(), bytes.size());
   for (const OutputRegion& region : wl.outputs) {
     const std::size_t end =
         std::min<std::size_t>(bytes.size(),
                               std::size_t{region.addr} + region.bytes);
     if (region.addr >= end) continue;
-    h = Fnv1a(bytes.data() + region.addr, end - region.addr, h);
+    f.Bytes(bytes.data() + region.addr, end - region.addr);
   }
-  return h;
+  return f.h;
 }
 
 // Executes the covered region of a takeover: the remaining loop iterations

@@ -1,8 +1,9 @@
-// Resilience-layer tests (src/resilience, docs/RESILIENCE.md): journal
-// framing and torn-tail truncation, kill-and-resume bit-equivalence,
-// crash/deadline/OOM classification of isolated cells, circuit-breaker
-// state transitions, and the graceful drain. Everything runs against the
-// real BatchRunner — the same seams the bench drivers use.
+// Resilience-layer tests (src/resilience, docs/RESILIENCE.md): the CRC
+// and frame codec, crash/deadline/OOM classification of isolated cells,
+// circuit-breaker state transitions, the graceful drain and the host-I/O
+// fault injector. Everything runs against the real BatchRunner — the
+// same seams the bench drivers use. Resuming from the cell store is
+// tested with the store, in test_serve.cc.
 #include <gtest/gtest.h>
 #include <fcntl.h>
 #include <signal.h>
@@ -14,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -67,11 +67,6 @@ std::string Slurp(const std::string& path) {
   return ss.str();
 }
 
-void Spew(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << data;
-}
-
 // ---------------------------------------------------------------------------
 // CRC and mini_json plumbing.
 
@@ -106,202 +101,30 @@ TEST(MiniJson, RejectsMalformedInput) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal: round trip, torn tails, CRC corruption.
+// Frame codec: the one byte layout behind the DSAI pipe and DSAS socket.
 
-JobOutcome RunOneCell(const Workload& wl, RunMode mode) {
-  RunnerOptions o;
-  o.jobs = 1;
-  o.repeats = 2;
-  BatchRunner runner(o);
-  const std::string key = runner.Submit(wl, mode, SystemConfig{});
-  (void)runner.Finish();
-  return runner.outcomes().at(key);
-}
+TEST(FrameCodec, EncodesTheDocumentedByteLayout) {
+  const std::string frame = EncodeFrame("DSAI", 'R', "{}");
+  std::string expected = "DSAI";
+  expected += std::string("\x03\0\0\0", 4);  // payload length, LE
+  const std::uint32_t crc = Crc32("R{}", 3);
+  for (int i = 0; i < 4; ++i) expected += static_cast<char>(crc >> (8 * i));
+  expected += "R{}";
+  EXPECT_EQ(frame, expected);
 
-TEST(Journal, RoundTripsACompletedCell) {
-  const JobOutcome out = RunOneCell(workloads::MakeVecAdd(512), RunMode::kDsa);
-  const std::string path = TempPath("roundtrip");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    j.Append(out);
-    EXPECT_EQ(j.appended(), 1u);
+  char type = 0;
+  std::string json;
+  ASSERT_TRUE(DecodeFrame(frame, "DSAI", type, json));
+  EXPECT_EQ(type, 'R');
+  EXPECT_EQ(json, "{}");
+  EXPECT_FALSE(DecodeFrame(frame, "DSAS", type, json));  // foreign magic
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(DecodeFrame(frame.substr(0, len), "DSAI", type, json))
+        << "torn at " << len;
   }
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  EXPECT_EQ(replay.records, 2u);  // header + one cell
-  EXPECT_EQ(replay.torn_bytes, 0u);
-  ASSERT_EQ(replay.cells.count(out.key), 1u);
-  const JobOutcome& back = replay.cells.at(out.key);
-  // Bit-identical round trip of every deterministic field.
-  EXPECT_EQ(SerializeOutcome(back), SerializeOutcome(out));
-  EXPECT_EQ(back.runs.size(), out.runs.size());
-  EXPECT_EQ(back.result().output_digest, out.result().output_digest);
-  EXPECT_EQ(back.result().cycles, out.result().cycles);
-  EXPECT_EQ(back.result().energy.total(), out.result().energy.total());
-  std::remove(path.c_str());
-}
-
-TEST(Journal, ReplayTruncatesTornTailAndReopenDropsIt) {
-  const JobOutcome out = RunOneCell(workloads::MakeVecAdd(512), RunMode::kDsa);
-  const std::string path = TempPath("torn");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    j.Append(out);
-  }
-  const std::string intact = Slurp(path);
-  // A half-written record (no trailing newline) is a torn tail.
-  Spew(path, intact + "12345678 {\"kind\":\"cell\",\"key\":\"half");
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  EXPECT_EQ(replay.cells.size(), 1u);
-  EXPECT_EQ(replay.valid_bytes, intact.size());
-  EXPECT_GT(replay.torn_bytes, 0u);
-  // Re-opening for append truncates the tear so new records start on a
-  // clean frame boundary.
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    JobOutcome second = out;
-    second.key = "second-cell";
-    j.Append(second);
-  }
-  ReplayResult after;
-  ASSERT_TRUE(ReplayJournal(path, after));
-  EXPECT_EQ(after.torn_bytes, 0u);
-  EXPECT_EQ(after.cells.size(), 2u);
-  EXPECT_EQ(after.cells.count("second-cell"), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(Journal, CrcCorruptionInvalidatesTheRecordAndEverythingAfter) {
-  const JobOutcome out = RunOneCell(workloads::MakeVecAdd(512), RunMode::kDsa);
-  const std::string path = TempPath("crc");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    j.Append(out);
-    JobOutcome second = out;
-    second.key = "second-cell";
-    j.Append(second);
-  }
-  std::string data = Slurp(path);
-  // Flip one payload byte of the first cell record (line 2).
-  const std::size_t line2 = data.find('\n') + 1;
-  data[line2 + 15] ^= 0x01;
-  Spew(path, data);
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  // Replay must stop at the corrupted record: trusting anything after an
-  // invalid frame would resurrect records with no integrity anchor.
-  EXPECT_EQ(replay.cells.size(), 0u);
-  EXPECT_EQ(replay.records, 1u);  // header only
-  EXPECT_GT(replay.torn_bytes, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Journal, MissingFileReplaysEmptyAndBadHeaderFails) {
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(TempPath("nonexistent"), replay));
-  EXPECT_EQ(replay.records, 0u);
-
-  const std::string path = TempPath("badheader");
-  Spew(path, "41414141 {\"kind\":\"meta\",\"schema\":\"other/9\"}\n");
-  // Wrong CRC -> the header is torn -> treated as an empty journal.
-  ReplayResult torn;
-  ASSERT_TRUE(ReplayJournal(path, torn));
-  EXPECT_EQ(torn.records, 0u);
-  // Valid CRC but wrong schema -> explicit failure.
-  const std::string payload = "{\"kind\":\"meta\",\"schema\":\"other/9\"}";
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x ", Crc32(payload.data(),
-                                                 payload.size()));
-  Spew(path, std::string(crc) + payload + "\n");
-  std::string err;
-  ReplayResult bad;
-  EXPECT_FALSE(ReplayJournal(path, bad, &err));
-  EXPECT_NE(err.find("schema"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Journal, ParsesFsyncPolicyNames) {
-  FsyncPolicy p = FsyncPolicy::kNone;
-  EXPECT_TRUE(ParseFsyncPolicy("always", p));
-  EXPECT_EQ(p, FsyncPolicy::kAlways);
-  EXPECT_TRUE(ParseFsyncPolicy("interval", p));
-  EXPECT_EQ(p, FsyncPolicy::kInterval);
-  EXPECT_TRUE(ParseFsyncPolicy("none", p));
-  EXPECT_EQ(p, FsyncPolicy::kNone);
-  EXPECT_FALSE(ParseFsyncPolicy("sometimes", p));
-}
-
-// ---------------------------------------------------------------------------
-// Resume: a journaled batch replays with zero re-executions and
-// bit-identical outcomes.
-
-TEST(Resume, RestoresJournaledCellsWithoutReexecution) {
-  const std::string path = TempPath("resume");
-  std::remove(path.c_str());
-  const Workload wl = workloads::MakeVecAdd(512);
-
-  // Pass 1: execute and journal the full matrix.
-  std::vector<std::string> keys;
-  std::map<std::string, std::string> serialized;
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.Open(path, JournalOptions{}));
-    RunnerOptions o;
-    o.jobs = 2;
-    o.repeats = 2;
-    o.on_outcome = [&journal](const JobOutcome& out) {
-      if (out.cell_status == "ok") journal.Append(out);
-    };
-    BatchRunner runner(o);
-    const auto ks = runner.SubmitMatrix(wl);
-    keys.assign(ks.begin(), ks.end());
-    const BatchReport report = runner.Finish();
-    ASSERT_TRUE(report.ok());
-    for (const std::string& k : keys) {
-      serialized[k] = SerializeOutcome(runner.outcomes().at(k));
-    }
-  }
-
-  // Pass 2: resume through the supervisor; nothing may execute.
-  SupervisorOptions so;
-  so.resume_path = path;
-  so.install_signal_drain = false;
-  Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
-  std::atomic<int> executions{0};
-  RunnerOptions o2;
-  o2.jobs = 2;
-  o2.repeats = 2;
-  o2.run_fn = [&executions](const Workload& w, RunMode m,
-                            const SystemConfig& c) {
-    ++executions;
-    return sim::Run(w, m, c);
-  };
-  sup.Attach(o2);
-  BatchRunner runner2(o2);
-  (void)runner2.SubmitMatrix(wl);
-  const BatchReport report2 = runner2.Finish();
-  EXPECT_TRUE(report2.ok());
-  EXPECT_EQ(executions.load(), 0);
-  EXPECT_EQ(report2.restored_cells, 4u);
-  // Restored cells keep their recorded run count, so the report
-  // reconciles exactly like the uninterrupted batch.
-  EXPECT_EQ(report2.executed_runs, 4u * 2u);
-  for (const std::string& k : keys) {
-    const JobOutcome& out = runner2.outcomes().at(k);
-    EXPECT_TRUE(out.restored) << k;
-    EXPECT_EQ(out.cell_status, "ok") << k;
-    EXPECT_EQ(SerializeOutcome(out), serialized[k]) << k;
-  }
-  std::remove(path.c_str());
+  std::string flipped = frame;
+  flipped.back() ^= 0x01;
+  EXPECT_FALSE(DecodeFrame(flipped, "DSAI", type, json));  // CRC mismatch
 }
 
 // ---------------------------------------------------------------------------
@@ -721,88 +544,6 @@ TEST(Breaker, ProbeDyingWithNonDsaErrorReopensInsteadOfWedging) {
 }
 
 // ---------------------------------------------------------------------------
-// Interval-fsync kill drill: a journal cut off at *any* byte (the disk
-// image a kill -9 between fsyncs can leave) must replay only complete,
-// bit-identical records — the torn tail is dropped, never resurrected as
-// a partial cell.
-
-TEST(Journal, TruncationAtEveryByteNeverResurrectsAPartialCell) {
-  const Workload wl = workloads::MakeVecAdd(256);
-  std::vector<JobOutcome> appended;
-  appended.push_back(RunOneCell(wl, RunMode::kScalar));
-  appended.push_back(RunOneCell(wl, RunMode::kAutoVec));
-  appended.push_back(RunOneCell(wl, RunMode::kDsa));
-
-  const std::string path = TempPath("killdrill");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    JournalOptions jo;
-    jo.fsync = FsyncPolicy::kInterval;
-    jo.fsync_interval = 2;  // a crash window of up to one record
-    ASSERT_TRUE(j.Open(path, jo));
-    for (const JobOutcome& out : appended) j.Append(out);
-    EXPECT_EQ(j.appended(), appended.size());
-  }
-  const std::string intact = Slurp(path);
-  ASSERT_GT(intact.size(), 0u);
-  std::map<std::string, std::string> expected;
-  for (const JobOutcome& out : appended) {
-    expected[out.key] = SerializeOutcome(out);
-  }
-
-  const std::string cut = path + ".cut";
-  // Every byte under sanitizers is slow; a stride still crosses every
-  // record boundary because record lengths are not multiples of it.
-  const std::size_t stride = intact.size() > 4096 ? 3 : 1;
-  std::size_t max_cells = 0;
-  for (std::size_t len = 0; len <= intact.size();
-       len = (len + stride <= intact.size() ? len + stride
-                                            : len + 1)) {
-    Spew(cut, intact.substr(0, len));
-    ReplayResult replay;
-    std::string err;
-    ASSERT_TRUE(ReplayJournal(cut, replay, &err)) << "len " << len << ": "
-                                                  << err;
-    EXPECT_LE(replay.valid_bytes, len) << "len " << len;
-    // Only a prefix of the appended records may replay, each bit-equal
-    // to what was appended — a torn record yields nothing, not a
-    // half-filled cell.
-    EXPECT_LE(replay.cells.size(), appended.size());
-    for (std::size_t i = 0; i < appended.size(); ++i) {
-      const bool present = replay.cells.count(appended[i].key) > 0;
-      const bool prefix_holds = i < replay.cells.size();
-      EXPECT_EQ(present, prefix_holds)
-          << "len " << len << " cell " << appended[i].key;
-    }
-    for (const auto& [key, cell] : replay.cells) {
-      ASSERT_EQ(expected.count(key), 1u) << "len " << len;
-      EXPECT_EQ(SerializeOutcome(cell), expected.at(key))
-          << "len " << len << " cell " << key;
-    }
-    if (replay.cells.size() > max_cells) max_cells = replay.cells.size();
-  }
-  EXPECT_EQ(max_cells, appended.size());  // the full file replays fully
-
-  // And re-opening a torn journal for append keeps working: the tail is
-  // truncated, new records land on a clean frame boundary.
-  Spew(cut, intact.substr(0, intact.size() - 7));
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(cut, JournalOptions{}));
-    JobOutcome extra = appended[0];
-    extra.key = "post-truncation-cell";
-    j.Append(extra);
-  }
-  ReplayResult after;
-  ASSERT_TRUE(ReplayJournal(cut, after));
-  EXPECT_EQ(after.torn_bytes, 0u);
-  EXPECT_EQ(after.cells.count("post-truncation-cell"), 1u);
-  std::remove(cut.c_str());
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Host-I/O fault injection (iofault.h, docs/FAULTS.md).
 
 // The injector is process-global; every test must leave it disarmed.
@@ -950,40 +691,6 @@ TEST(IoFaultInjector, ErrnoMatchesTheRealSyscall) {
   errno = 0;
   EXPECT_LT(IoOpen(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0666), 0);
   EXPECT_EQ(errno, EMFILE);
-  std::remove(path.c_str());
-}
-
-// Satellite: the journal counts refused writes/fsyncs instead of
-// swallowing them — the bench JSON surfaces them as a typed warning.
-TEST(JournalTest, CountsWriteAndFsyncFailures) {
-  IoFaultPlanGuard guard;
-  const std::string path = TempPath("iofault_journal");
-  Journal j;
-  JournalOptions opts;
-  opts.fsync = FsyncPolicy::kAlways;
-  ASSERT_TRUE(j.Open(path, opts));
-  EXPECT_EQ(j.write_failures(), 0u);
-  EXPECT_EQ(j.fsync_failures(), 0u);
-
-  JobOutcome out;
-  out.key = "cell-a";
-  out.cell_status = "ok";
-
-  InstallIoFaultPlan(ParseIoFaultPlan("fsync-fail@0+"));
-  j.Append(out);
-  EXPECT_EQ(j.write_failures(), 0u);
-  EXPECT_GE(j.fsync_failures(), 1u);
-
-  InstallIoFaultPlan(ParseIoFaultPlan("eio@0+"));
-  j.Append(out);
-  EXPECT_GE(j.write_failures(), 1u);
-
-  ClearIoFaultPlan();
-  j.Append(out);  // recovered: clean appends still land
-  j.Close();
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  EXPECT_GE(replay.cells.count("cell-a"), 1u);
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,8 @@
 // Serving-layer tests (src/serve, docs/SERVING.md): strict flag-value
 // parsing, wire-protocol framing over a socketpair, workload/config
 // digests, the persistent result cache (round trip, corruption
-// quarantine, version invalidation), the respawning worker pool,
+// quarantine, version invalidation, Load/Scrub agreement), resuming CLI
+// sweeps from it (`--cache DIR`), the respawning worker pool,
 // admission control, and the daemon end to end over a real Unix-domain
 // socket — submit, cache-hit resubmit with bit-identical results,
 // malformed requests, request deadlines and the graceful drain.
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "resilience/iofault.h"
+#include "resilience/journal.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
 #include "serve/cache.h"
@@ -613,6 +616,295 @@ TEST(SharedCacheDir, ConcurrentStoresNeverTearEntries) {
   const ScrubStats stats = a.Scrub();
   EXPECT_EQ(stats.checked, static_cast<std::uint64_t>(kKeys));
   EXPECT_EQ(stats.quarantined, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One entry parser: Load and the boot scrub agree on every fixture.
+
+// Load and Scrub share one entry parser, so they cannot disagree: every
+// fixture this suite plants — bit flips, a torn write, a foreign key —
+// plus entries whose CRC is valid but whose content is not, is kept by
+// the scrub exactly when Load does not quarantine it, and an entry
+// planted under its own key is kept exactly when it loads.
+TEST(ResultCacheScrub, AgreesWithLoadOnEveryFixture) {
+  const CacheKey own = FakeKey("VecAdd@arm-original");
+  CacheKey foreign = own;
+  foreign.job_key = "VecAdd@neon-dsa";
+  std::string intact;
+  {
+    ResultCache source;
+    const std::string dir = TempPath("agree_source");
+    ASSERT_TRUE(source.Open(dir));
+    ASSERT_TRUE(source.Store(own, FakeOutcome(own.job_key)));
+    intact = Slurp(dir + "/" + own.FileName());
+  }
+  // Rewrites one span of the payload and re-frames it with a valid CRC.
+  const auto edited = [&intact](const std::string& from,
+                                const std::string& to) {
+    std::string payload = intact.substr(9, intact.size() - 10);
+    const std::size_t at = payload.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) payload.replace(at, from.size(), to);
+    char crc[12];
+    std::snprintf(crc, sizeof(crc), "%08x ",
+                  resilience::Crc32(payload.data(), payload.size()));
+    return crc + payload + "\n";
+  };
+  std::string payload_flip = intact;
+  payload_flip[15] ^= 0x20;
+  std::string bit_rot = intact;
+  bit_rot[bit_rot.size() / 2] ^= 0x5A;
+  struct Fixture {
+    const char* name;
+    std::string bytes;
+    CacheKey planted;  // the key whose file name holds the bytes
+    bool kept;
+  };
+  const std::string engine =
+      "\"engine\":\"" + std::string(kEngineVersion) + "\"";
+  const std::vector<Fixture> fixtures = {
+      {"intact", intact, own, true},
+      {"foreign-key", intact, foreign, true},
+      {"payload-bit-flip", payload_flip, own, false},
+      {"mid-entry-bit-rot", bit_rot, own, false},
+      {"torn-write", intact.substr(0, intact.size() / 2), own, false},
+      {"empty-engine-label", edited(engine, "\"engine\":\"\""), own, false},
+      {"cell-key-disagrees",
+       edited("\"key\":\"VecAdd@arm-original\",\"status\"",
+              "\"key\":\"VecAdd@neon-dsa\",\"status\""),
+       own, false},
+      {"wrong-entry-schema",
+       edited(std::string(kCacheEntrySchema), "dsa-serve-cache/0"), own,
+       false},
+  };
+  for (const Fixture& f : fixtures) {
+    SCOPED_TRACE(f.name);
+    ResultCache scrubbed;
+    ResultCache loaded;
+    const std::string scrub_dir = TempPath(std::string("agree_s_") + f.name);
+    const std::string load_dir = TempPath(std::string("agree_l_") + f.name);
+    ASSERT_TRUE(scrubbed.Open(scrub_dir));
+    ASSERT_TRUE(loaded.Open(load_dir));
+    Spew(scrub_dir + "/" + f.planted.FileName(), f.bytes);
+    Spew(load_dir + "/" + f.planted.FileName(), f.bytes);
+    const bool kept = scrubbed.Scrub().ok == 1;
+    JobOutcome in;
+    const bool hit = loaded.Load(f.planted, in);
+    EXPECT_EQ(kept, f.kept);
+    EXPECT_EQ(kept, loaded.stats().quarantined == 0);
+    if (f.planted == own) {
+      EXPECT_EQ(kept, hit);
+    }
+  }
+}
+
+// A stored entry cut off at any length below full (the image a torn,
+// non-atomic writer could leave) never makes Load fill `out`, and the
+// boot scrub quarantines it; the full length loads bit-identically.
+TEST(ResultCacheTest, TruncationAtEveryByteNeverLoadsAPartialCell) {
+  const BatchJob job{workloads::MakeVecAdd(256), RunMode::kDsa,
+                     SystemConfig{}, "", ""};
+  sim::RunnerOptions ro;
+  ro.run_fn = [](const Workload& w, RunMode m, const SystemConfig& c) {
+    return sim::Run(w, m, c);
+  };
+  JobOutcome cell;
+  sim::ExecuteCell(job, ro, cell);
+  ASSERT_EQ(cell.cell_status, "ok");
+  const CacheKey key = KeyFor(job);
+
+  ResultCache cache;
+  const std::string dir = TempPath("killdrill");
+  ASSERT_TRUE(cache.Open(dir));
+  ASSERT_TRUE(cache.Store(key, cell));
+  const std::string path = dir + "/" + key.FileName();
+  const std::string intact = Slurp(path);
+  ASSERT_GT(intact.size(), 0u);
+  // Every byte under sanitizers is slow; a stride still crosses every
+  // field boundary because field lengths are not multiples of it.
+  const std::size_t stride = intact.size() > 4096 ? 3 : 1;
+  std::uint64_t cuts = 0;
+  for (std::size_t len = 0; len < intact.size(); len += stride, ++cuts) {
+    Spew(path, intact.substr(0, len));
+    JobOutcome in;
+    in.key = "untouched";
+    EXPECT_FALSE(cache.Load(key, in)) << "len " << len;
+    EXPECT_EQ(in.key, "untouched") << "len " << len;
+    Spew(path, intact.substr(0, len));
+    EXPECT_EQ(cache.Scrub().quarantined, 1u) << "len " << len;
+  }
+  EXPECT_EQ(cache.stats().quarantined, cuts);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  Spew(path, intact);
+  JobOutcome in;
+  ASSERT_TRUE(cache.Load(key, in));
+  EXPECT_EQ(resilience::SerializeOutcome(in), resilience::SerializeOutcome(cell));
+  EXPECT_EQ(cache.Scrub().quarantined, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Resuming a CLI sweep from the store (AttachCache, `--cache DIR`).
+
+TEST(Resume, RestoresStoredCellsWithoutReexecution) {
+  const std::string dir = TempPath("resume");
+  const Workload wl = workloads::MakeVecAdd(512);
+
+  // Pass 1: execute the full matrix into the store.
+  std::vector<std::string> keys;
+  std::map<std::string, std::string> serialized;
+  {
+    ResultCache cache;
+    ASSERT_TRUE(cache.Open(dir));
+    sim::RunnerOptions o;
+    o.jobs = 2;
+    o.repeats = 2;
+    AttachCache(cache, o);
+    sim::BatchRunner runner(o);
+    const auto ks = runner.SubmitMatrix(wl);
+    keys.assign(ks.begin(), ks.end());
+    ASSERT_TRUE(runner.Finish().ok());
+    EXPECT_EQ(cache.stats().stores, 4u);
+    for (const std::string& k : keys) {
+      serialized[k] = resilience::SerializeOutcome(runner.outcomes().at(k));
+    }
+  }
+
+  // Pass 2: the same sweep over the same directory executes nothing.
+  ResultCache cache;
+  ASSERT_TRUE(cache.Open(dir));
+  std::atomic<int> executions{0};
+  sim::RunnerOptions o2;
+  o2.jobs = 2;
+  o2.repeats = 2;
+  o2.run_fn = [&executions](const Workload& w, RunMode m,
+                            const SystemConfig& c) {
+    ++executions;
+    return sim::Run(w, m, c);
+  };
+  AttachCache(cache, o2);
+  sim::BatchRunner runner2(o2);
+  (void)runner2.SubmitMatrix(wl);
+  const sim::BatchReport report2 = runner2.Finish();
+  EXPECT_TRUE(report2.ok());
+  EXPECT_EQ(executions.load(), 0);
+  EXPECT_EQ(report2.restored_cells, 4u);
+  // Restored cells keep their recorded run count, so the report
+  // reconciles exactly like the uninterrupted batch.
+  EXPECT_EQ(report2.executed_runs, 4u * 2u);
+  EXPECT_EQ(cache.stats().stores, 0u);
+  for (const std::string& k : keys) {
+    const JobOutcome& out = runner2.outcomes().at(k);
+    EXPECT_TRUE(out.restored) << k;
+    EXPECT_EQ(out.cell_status, "ok") << k;
+    EXPECT_EQ(resilience::SerializeOutcome(out), serialized[k]) << k;
+  }
+}
+
+// The job key alone does not tell two configs apart (no driver tagged
+// them), but the store's key covers the full config digest: a cell
+// stored under the default config must never answer for slower DRAM.
+TEST(Resume, ConfigChangeUnderTheSameJobKeyIsNeverRestored) {
+  const std::string dir = TempPath("stale_config");
+  const Workload wl = workloads::MakeVecAdd(512);
+  SystemConfig slow;
+  slow.memory.dram_latency += 100;
+  const RunResult fresh_default = sim::Run(wl, RunMode::kDsa, SystemConfig{});
+  const RunResult fresh_slow = sim::Run(wl, RunMode::kDsa, slow);
+  ASSERT_NE(fresh_default.cycles, fresh_slow.cycles);  // the premise
+
+  sim::RunnerOptions o;
+  o.jobs = 1;
+  o.repeats = 1;
+  std::string stored_key;
+  {
+    ResultCache cache;
+    ASSERT_TRUE(cache.Open(dir));
+    sim::RunnerOptions first = o;
+    AttachCache(cache, first);
+    sim::BatchRunner runner(first);
+    stored_key = runner.Submit(wl, RunMode::kDsa, SystemConfig{});
+    ASSERT_TRUE(runner.Finish().ok());
+    ASSERT_EQ(cache.stats().stores, 1u);
+  }
+
+  ResultCache cache;
+  ASSERT_TRUE(cache.Open(dir));
+  AttachCache(cache, o);
+  sim::BatchRunner runner(o);
+  const std::string key = runner.Submit(wl, RunMode::kDsa, slow);
+  EXPECT_EQ(key, stored_key);
+  const sim::BatchReport report = runner.Finish();
+  EXPECT_EQ(report.restored_cells, 0u);
+  EXPECT_EQ(report.executed_runs, 1u);
+  EXPECT_EQ(runner.outcomes().at(key).result().cycles, fresh_slow.cycles);
+  EXPECT_EQ(runner.outcomes().at(key).result().output_digest,
+            fresh_slow.output_digest);
+}
+
+// The daemon stores single runs; a CLI sweep asking for two re-executes
+// such a cell (and stores it again) rather than reporting one run where
+// its --repeats promised two.
+TEST(Resume, CellStoredWithAnotherRunCountIsReexecuted) {
+  const std::string dir = TempPath("run_count");
+  const Workload wl = workloads::MakeVecAdd(256);
+  const auto sweep = [&](int repeats) {
+    ResultCache cache;
+    EXPECT_TRUE(cache.Open(dir));
+    sim::RunnerOptions o;
+    o.jobs = 1;
+    o.repeats = repeats;
+    AttachCache(cache, o);
+    sim::BatchRunner runner(o);
+    const std::string key = runner.Submit(wl, RunMode::kScalar, {});
+    const sim::BatchReport report = runner.Finish();
+    EXPECT_EQ(runner.outcomes().at(key).runs.size(),
+              static_cast<std::size_t>(repeats));
+    return report.restored_cells;
+  };
+  EXPECT_EQ(sweep(1), 0u);
+  EXPECT_EQ(sweep(2), 0u);  // one stored run is not two
+  EXPECT_EQ(sweep(2), 1u);  // the re-stored cell now restores
+}
+
+// Store failures in a CLI sweep are typed, not silent: under a plan that
+// refuses every fsync the cells still complete "ok", and the bench JSON's
+// `cache` block counts the refusals and carries an [io-fault] warning.
+TEST(CacheBenchJson, FsyncRefusalsSurfaceAsATypedWarning) {
+  IoFaultPlanGuard guard;
+  ResultCache cache;
+  ASSERT_TRUE(cache.Open(TempPath("bench_json_fsync")));
+  sim::RunnerOptions o;
+  o.jobs = 1;
+  o.repeats = 1;
+  AttachCache(cache, o);
+  resilience::InstallIoFaultPlan(resilience::ParseIoFaultPlan("fsync-fail@0+"));
+  sim::BatchRunner runner(o);
+  (void)runner.SubmitMatrix(workloads::MakeVecAdd(256));
+  const sim::BatchReport report = runner.Finish();
+  resilience::ClearIoFaultPlan();
+
+  sim::BenchJsonExtras extras;
+  ReportCache(cache, extras);
+  const std::string path = TempPath("bench_json_fsync") + ".json";
+  ASSERT_TRUE(sim::WriteBenchJson(path, "cache_fsync", runner, report,
+                                  &extras));
+  resilience::JsonValue doc;
+  ASSERT_TRUE(resilience::ParseJson(Slurp(path), doc));
+  const resilience::JsonValue* results = doc.Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->array.size(), 4u);
+  for (const resilience::JsonValue& r : results->array) {
+    EXPECT_EQ(r.Find("cell_status")->AsString(), "ok");
+  }
+  const resilience::JsonValue* block = doc.Find("cache");
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(block->Find("stores")->AsU64(), 0u);
+  EXPECT_GE(block->Find("fsync_failures")->AsU64(), 1u);
+  const resilience::JsonValue* warning = block->Find("warning");
+  ASSERT_NE(warning, nullptr);
+  EXPECT_NE(warning->AsString().find("[io-fault]"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
