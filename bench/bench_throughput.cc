@@ -4,18 +4,20 @@
 // slices) and reports how fast the simulator itself executes — millions
 // of simulated instructions per host second (MIPS), per job and in
 // aggregate. Tracks the interpreter hot-path work documented in
-// docs/PERF.md; --reference forces the pre-optimization code paths and
-// --dispatch switch the PR-3 decode-switch core (docs/DISPATCH.md), so
-// fast-vs-reference and threaded-vs-switch throughput are one-flag A/Bs.
-// The differential oracle still gates the exit code, so a throughput run
-// doubles as a correctness sweep.
+// docs/PERF.md; --reference forces the reference twin (per-step core and
+// pre-optimization code paths, docs/DISPATCH.md), so the threaded core's
+// throughput over its twin is a one-flag A/B. The differential oracle
+// still gates the exit code, so a throughput run doubles as a
+// correctness sweep.
 //
 // --interleave N replaces the batch run with a load-immune A/B loop: per
 // cell, N back-to-back fast/--reference pairs on the same binary, median
 // of the per-pair MIPS ratios reported (and gated by --assert-ratio).
 // Both arms of a pair see the same host load, so the ratio is stable
 // where absolute MIPS swing ±30% with machine load; it is the
-// measurement the perf numbers in docs/PERF.md are quoted from.
+// measurement the perf numbers in docs/PERF.md are quoted from, and the
+// scripts/check.sh perf gates (DispatchMicro, MM 64x64) run it with
+// --assert-ratio.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -169,9 +171,8 @@ int main(int argc, char** argv) {
   SystemConfig orig_cfg = cfg;
   orig_cfg.dsa = dsa::engine::DsaConfig::Original();
   dsa::bench::PrintSetupHeader(cfg);
-  std::printf("simulator path: %s | dispatch: %s\n\n",
-              cfg.reference_path ? "reference (pre-optimization)" : "fast",
-              std::string(dsa::cpu::ToString(cfg.dispatch)).c_str());
+  std::printf("simulator path: %s\n\n",
+              cfg.reference_path ? "reference (pre-optimization)" : "fast");
 
   // VecAdd and DispatchMicro first: the cheap microbenchmarks that
   // `--filter VecAdd` / `--filter DispatchMicro` select as the CI smoke

@@ -6,9 +6,9 @@
 // consistency oracle: a driver exits non-zero if any output-equivalence,
 // determinism or invariant check fails, instead of silently printing a
 // wrong table. Common CLI: --jobs N, --json PATH, --filter SUBSTR,
-// --repeats K, --no-oracle, --dispatch switch|threaded, the cell store
-// --cache DIR, plus the resilience flags --isolate, --deadline-ms,
-// --mem-limit-mb and --breaker (docs/RESILIENCE.md).
+// --repeats K, --no-oracle, --reference, the cell store --cache DIR,
+// plus the resilience flags --isolate, --deadline-ms, --mem-limit-mb and
+// --breaker (docs/RESILIENCE.md).
 #pragma once
 
 #include <cctype>
@@ -66,10 +66,6 @@ struct BenchOptions {
   // --assert-ratio X: with --interleave, exit non-zero unless every cell's
   // median fast/reference ratio is >= X (the scripts/check.sh perf gate).
   double assert_ratio = 0.0;
-  // --dispatch switch|threaded: interpreter core for the batched run
-  // loops (docs/DISPATCH.md). Bit-identical simulated results either way;
-  // only host MIPS differs.
-  cpu::DispatchMode dispatch = cpu::DispatchMode::kThreaded;
   // Seeded loop-nest generator (workloads/gen): --gen-seed is the base
   // seed of the sweep, --gen-count the number of generated programs
   // (0 = the driver's default population).
@@ -206,13 +202,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       o.compare = true;
     } else if (arg == "--reference") {
       o.reference = true;
-    } else if (arg == "--dispatch") {
-      const char* mode = value();
-      if (!cpu::ParseDispatchMode(mode, o.dispatch)) {
-        std::fprintf(stderr, "--dispatch expects switch|threaded, got \"%s\"\n",
-                     mode);
-        std::exit(2);
-      }
     } else if (arg == "--isolate") {
       o.resilience.isolate = true;
     } else if (arg == "--cache") {
@@ -232,7 +221,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                    "[--filter SUBSTR] [--trace PATH] [--faults SPEC] "
                    "[--no-oracle] [--serial] [--compare] [--reference] "
                    "[--interleave N] [--assert-ratio X] "
-                   "[--dispatch switch|threaded] "
                    "[--gen-seed S] [--gen-count N] "
                    "[--cache DIR] [--isolate] "
                    "[--deadline-ms N] [--mem-limit-mb N] [--breaker N]\n",
@@ -355,7 +343,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   sim::SystemConfig cfg;
   cfg.trace.enabled = !o.trace_path.empty();
   cfg.reference_path = o.reference;
-  cfg.dispatch = o.dispatch;
   cfg.faults = o.faults;
   return cfg;
 }

@@ -140,6 +140,15 @@ echo "== perf smoke (fast vs reference, load-immune) =="
 # flaky under CI load. Digest+cycle equality is enforced on every pair.
 build/bench/bench_throughput --filter DispatchMicro \
     --interleave 3 --assert-ratio 3.0
+# Fused-nest takeovers — MM's inner/outer-loop coverage — run on the
+# threaded covered loop with per-retire glue accounting. Every MM 64x64
+# cell must stay at >= 2.85x its reference twin: the DSA cells measure
+# 4.4-5.5x, and the floor cell is neon-autovec (2.89-3.66x over 40 runs
+# on a 4-vCPU host, bound by out-of-line NEON lane ops in both twins).
+# While nests still ran on the decode-switch covered loop, the lowest
+# cell (a neon-dsa one) never read above 2.79x in 40 runs: the gate failed.
+build/bench/bench_throughput --filter "MM 64x64" \
+    --interleave 3 --assert-ratio 2.85
 
 echo "== serving daemon smoke (kill -9, restart, cache bit-identity) =="
 # The daemon's whole crash-tolerance story, end to end (docs/SERVING.md):

@@ -22,11 +22,10 @@ src/sim/runner.cc) honours the contract in docs/BENCH_SCHEMA.md:
     faulted cells appear with a minimal payload (status, attempts, error)
     instead of being silently dropped,
   * has a host throughput block per completed result with mips > 0
-    whenever the run executed at least one interpreter step, and an
-    optional host.dispatch naming the interpreter core that ran
-    ("switch" or "threaded", docs/DISPATCH.md), plus a host.phases
-    block (new in /6) whose non-negative dispatch/observe/mem/neon
-    millisecond buckets sum to at most host.wall_ms,
+    whenever the run executed at least one interpreter step, plus a
+    host.phases block (new in /6) whose non-negative
+    dispatch/observe/mem/neon millisecond buckets sum to at most
+    host.wall_ms,
   * cross-checks the `faults` block (fault-injected runs only): the
     per-kind fired counters must sum to total_fired,
   * validates the optional `stream` block (bytes > 0; gbps must be
@@ -58,9 +57,6 @@ REQUIRED_HOST = ["mips", "wall_ms", "steps"]
 # host.phases (new in /6): disjoint host-time buckets attributing the wall
 # time of the run loop -- each non-negative, summing to at most wall_ms.
 REQUIRED_PHASES = ["dispatch_ms", "observe_ms", "mem_ms", "neon_ms"]
-# host.dispatch is optional (added in a later /5 revision): the
-# interpreter core the batched run loops actually executed on.
-DISPATCH_MODES = {"switch", "threaded"}
 REQUIRED_STREAM = ["bytes", "gbps"]
 REQUIRED_GEN = ["seed", "class", "count"]
 GEN_CLASSES = {"counted", "sentinel", "conditional", "nested",
@@ -205,9 +201,6 @@ def main() -> None:
         if host["steps"] > 0 and not host["mips"] > 0:
             fail(f"result {job}: {host['steps']} steps but "
                  f"mips={host['mips']}")
-        if "dispatch" in host and host["dispatch"] not in DISPATCH_MODES:
-            fail(f"result {job}: host.dispatch {host['dispatch']!r} not in "
-                 f"{sorted(DISPATCH_MODES)}")
         if "phases" not in host:
             fail(f"result {job}: host block missing 'phases' (new in /6)")
         phases = host["phases"]

@@ -25,9 +25,9 @@ bool CpuState::CondHolds(Cond c) const {
 
 Cpu::Cpu(const prog::Program& program, mem::Memory& memory,
          mem::Hierarchy& hierarchy, const TimingConfig& cfg,
-         bool reference_path, DispatchMode dispatch)
+         bool reference_path)
     : program_(program), memory_(memory), hierarchy_(hierarchy), cfg_(cfg),
-      reference_path_(reference_path), dispatch_(dispatch) {
+      reference_path_(reference_path) {
   l1_ = &hierarchy_.l1_runs();
   l1_shift_ = l1_->line_shift();
   l1_mask_ = hierarchy_.l1_line_mask();
@@ -50,11 +50,9 @@ Cpu::Cpu(const prog::Program& program, mem::Memory& memory,
           static_cast<std::uint16_t>(cfg_.neon.LatencyOf(ins.op) - 1);
     }
   }
-  // The reference twin always runs the per-step switch core, so the
-  // threaded stream would be dead weight there.
-  if (dispatch_ == DispatchMode::kThreaded && !reference_path_) {
-    BuildThreaded();
-  }
+  // The reference twin only ever steps, so the threaded stream would be
+  // dead weight there.
+  if (!reference_path_) BuildThreaded();
 }
 
 std::uint64_t Cpu::Cycles() const {
@@ -123,16 +121,14 @@ std::uint32_t AsBits(float f) {
 
 }  // namespace
 
-template <bool kObserve, bool kRef>
+template <bool kRef>
 std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
                             const StepCtx& ctx) {
   const DecodedInstr& dec = ctx.dtab[pc];
   const Instruction& ins = kRef ? program_.at(pc) : dec.ins;
   const bool is_vector = kRef ? isa::IsVector(ins.op) : dec.is_vector;
-  if constexpr (kObserve) {
-    r.pc = pc;
-    r.instr = dec.src;  // == &program_[pc], stable beyond this step
-  }
+  r.pc = pc;
+  r.instr = dec.src;  // == &program_[pc], stable beyond this step
 
   auto& regs = state_.regs;
   std::uint32_t next_pc = pc + 1;
@@ -173,11 +169,9 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       }
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, bytes);
-      if constexpr (kObserve) {
-        r.has_mem = true;
-        r.mem_addr = addr;
-        r.mem_bytes = bytes;
-      }
+      r.has_mem = true;
+      r.mem_addr = addr;
+      r.mem_bytes = bytes;
       ++a.mem_reads;
       break;
     }
@@ -212,12 +206,10 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       }
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, bytes);
-      if constexpr (kObserve) {
-        r.has_mem = true;
-        r.mem_addr = addr;
-        r.mem_bytes = bytes;
-        r.mem_is_write = true;
-      }
+      r.has_mem = true;
+      r.mem_addr = addr;
+      r.mem_bytes = bytes;
+      r.mem_is_write = true;
       ++a.mem_writes;
       break;
     }
@@ -330,19 +322,19 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
           --ctr;
         }
       }
-      if constexpr (kObserve) r.branch_taken = taken;
+      r.branch_taken = taken;
       ++a.branches;
       break;
     }
     case Opcode::kBl:
       regs[isa::kLr] = pc + 1;
       next_pc = static_cast<std::uint32_t>(ins.imm);
-      if constexpr (kObserve) r.branch_taken = true;
+      r.branch_taken = true;
       ++a.branches;
       break;
     case Opcode::kRet:
       next_pc = regs[isa::kLr];
-      if constexpr (kObserve) r.branch_taken = true;
+      r.branch_taken = true;
       ++a.branches;
       break;
     case Opcode::kNop: break;
@@ -365,11 +357,9 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, 16);
       stall += kRef ? cfg_.neon.LatencyOf(ins.op) - 1 : dec.neon_extra;
-      if constexpr (kObserve) {
-        r.has_mem = true;
-        r.mem_addr = addr;
-        r.mem_bytes = 16;
-      }
+      r.has_mem = true;
+      r.mem_addr = addr;
+      r.mem_bytes = 16;
       ++a.mem_reads;
       break;
     }
@@ -387,12 +377,10 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, 16);
       stall += kRef ? cfg_.neon.LatencyOf(ins.op) - 1 : dec.neon_extra;
-      if constexpr (kObserve) {
-        r.has_mem = true;
-        r.mem_addr = addr;
-        r.mem_bytes = 16;
-        r.mem_is_write = true;
-      }
+      r.has_mem = true;
+      r.mem_addr = addr;
+      r.mem_bytes = 16;
+      r.mem_is_write = true;
       ++a.mem_writes;
       break;
     }
@@ -421,11 +409,9 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       state_.vregs.q(ins.rd).SetLane(ins.vt, ins.imm, v);
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, bytes);
-      if constexpr (kObserve) {
-        r.has_mem = true;
-        r.mem_addr = addr;
-        r.mem_bytes = bytes;
-      }
+      r.has_mem = true;
+      r.mem_addr = addr;
+      r.mem_bytes = bytes;
       ++a.mem_reads;
       break;
     }
@@ -455,12 +441,10 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       }
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, bytes);
-      if constexpr (kObserve) {
-        r.has_mem = true;
-        r.mem_addr = addr;
-        r.mem_bytes = bytes;
-        r.mem_is_write = true;
-      }
+      r.has_mem = true;
+      r.mem_addr = addr;
+      r.mem_bytes = bytes;
+      r.mem_is_write = true;
       ++a.mem_writes;
       break;
     }
@@ -502,7 +486,7 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
   a.mem_stall += mem_stall;
   a.other_stall += stall;
 
-  if constexpr (kObserve) r.next_pc = next_pc;
+  r.next_pc = next_pc;
   if (next_pc >= ctx.psize && !state_.halted) state_.halted = true;
   return next_pc;
 }
@@ -521,161 +505,18 @@ void Cpu::FlushAccum(const StepAccum& a) {
   stats_.mispredicts += a.mispredicts;
 }
 
-template <bool kObserve>
-void Cpu::StepImpl(Retired& r) {
-  if (state_.halted) return;
-  if (state_.pc >= program_.size()) {
-    state_.halted = true;
-    return;
-  }
-  const StepCtx ctx = MakeCtx();
-  BatchScope b(*this);
-  if (reference_path_) {
-    b.pc = StepBody<kObserve, true>(b.pc, r, b.a, ctx);
-  } else {
-    b.pc = StepBody<kObserve, false>(b.pc, r, b.a, ctx);
-  }
-}
-
 Retired Cpu::Step() {
   Retired r;
-  StepImpl<true>(r);
+  if (state_.halted) return r;
+  if (state_.pc >= program_.size()) {
+    state_.halted = true;
+    return r;
+  }
+  const StepCtx ctx = MakeCtx();
+  BatchScope b(*this);
+  b.pc = reference_path_ ? StepBody<true>(b.pc, r, b.a, ctx)
+                         : StepBody<false>(b.pc, r, b.a, ctx);
   return r;
-}
-
-// The threaded engine (dispatch.cc) retires each interesting instruction
-// of a skip batch on this shared per-step core; instantiate it here where
-// the definition lives.
-template void Cpu::StepImpl<true>(Retired& r);
-
-template <bool kRef>
-void Cpu::RunFreeImpl(std::uint64_t max_steps, std::uint64_t& steps) {
-  Retired r;
-  const StepCtx ctx = MakeCtx();
-  BatchScope b(*this);
-  while (!state_.halted) {
-    if (++steps > max_steps) return;
-    if (b.pc >= ctx.psize) {
-      state_.halted = true;
-      return;
-    }
-    b.pc = StepBody<false, kRef>(b.pc, r, b.a, ctx);
-  }
-}
-
-void Cpu::RunFree(std::uint64_t max_steps, std::uint64_t& steps) {
-  if (reference_path_) {
-    RunFreeImpl<true>(max_steps, steps);
-  } else if (dispatch_ == DispatchMode::kThreaded) {
-    RunFreeThreaded(max_steps, steps);
-  } else {
-    RunFreeImpl<false>(max_steps, steps);
-  }
-}
-
-template <bool kRef>
-Retired Cpu::RunToInterestingImpl(bool watch_window, std::uint32_t window_lo,
-                                  std::uint32_t window_hi,
-                                  std::uint64_t max_steps,
-                                  std::uint64_t& steps,
-                                  std::uint64_t& skipped) {
-  Retired r;
-  const StepCtx ctx = MakeCtx();
-  BatchScope b(*this);
-  while (!state_.halted) {
-    if (++steps > max_steps) return Retired{};
-    const std::uint32_t pc = b.pc;
-    if (pc >= ctx.psize) {
-      state_.halted = true;
-      return Retired{};
-    }
-    if (ctx.dtab[pc].latch_candidate ||
-        (watch_window && (pc < window_lo || pc >= window_hi))) {
-      b.pc = StepBody<true, kRef>(b.pc, r, b.a, ctx);
-      return r;
-    }
-    b.pc = StepBody<false, kRef>(b.pc, r, b.a, ctx);
-    ++skipped;
-  }
-  return Retired{};
-}
-
-Retired Cpu::RunToInteresting(bool watch_window, std::uint32_t window_lo,
-                              std::uint32_t window_hi,
-                              std::uint64_t max_steps, std::uint64_t& steps,
-                              std::uint64_t& skipped) {
-  if (reference_path_) {
-    return RunToInterestingImpl<true>(watch_window, window_lo, window_hi,
-                                      max_steps, steps, skipped);
-  }
-  if (dispatch_ == DispatchMode::kThreaded) {
-    return RunToInterestingThreaded(watch_window, window_lo, window_hi,
-                                    max_steps, steps, skipped);
-  }
-  return RunToInterestingImpl<false>(watch_window, window_lo, window_hi,
-                                     max_steps, steps, skipped);
-}
-
-template <bool kRef>
-Cpu::CoveredOutcome Cpu::RunCoveredImpl(std::uint32_t coverage_start,
-                                        std::uint32_t coverage_latch,
-                                        std::uint32_t inner_start,
-                                        std::uint32_t inner_latch,
-                                        std::uint32_t count_latch,
-                                        std::uint64_t max_iterations) {
-  const bool fused =
-      coverage_start != inner_start || coverage_latch != inner_latch;
-  const CpuStats before = stats_;
-  CoveredOutcome d;
-  {
-    const StepCtx ctx = MakeCtx();
-    BatchScope b(*this);
-    int depth = 0;
-    Retired r;  // never written: covered steps run unobserved
-    while (!state_.halted) {
-      // Peek: stop when control has left the covered region (function
-      // calls inside the body keep the coverage alive through `depth`).
-      const std::uint32_t pc = b.pc;
-      if (depth == 0 && (pc < coverage_start || pc > coverage_latch)) break;
-      if (pc >= ctx.psize) {
-        state_.halted = true;
-        break;
-      }
-
-      // Everything the loop needs from a retire is derivable from the
-      // decode table and the pc transition, so no Retired record is
-      // materialized: opcode and store-ness are static, and a latch kB's
-      // taken-ness is `next != pc + 1` (its target is backward, so a
-      // taken branch can never land on the fall-through).
-      const Opcode op = ctx.dtab[pc].ins.op;
-      const bool store = ctx.dtab[pc].is_store;
-      b.pc = StepBody<false, kRef>(pc, r, b.a, ctx);
-      if (op == Opcode::kBl) ++depth;
-      if (op == Opcode::kRet) --depth;
-
-      if (fused && (pc < inner_start || pc > inner_latch)) {
-        ++d.glue_instrs;
-        if (store) {
-          // A store between the loops: the Fig. 17 "nothing but glue"
-          // assumption does not hold after all. End the fused coverage
-          // and let the engine demote the fusion record.
-          d.fused_glue_store = true;
-          break;
-        }
-      }
-
-      if (pc == count_latch && op == Opcode::kB) {
-        ++d.iterations;
-        if (pc == coverage_latch && b.pc == pc + 1) break;  // fell through
-        if (max_iterations != 0 && d.iterations >= max_iterations) {
-          break;  // sentinel: speculated range exhausted, back to scalar
-        }
-      }
-    }
-  }  // publish pc + stat deltas before the timing replacement below
-
-  RewindCoveredStats(before, d);
-  return d;
 }
 
 void Cpu::RewindCoveredStats(const CpuStats& before, CoveredOutcome& d) {
@@ -696,30 +537,6 @@ void Cpu::RewindCoveredStats(const CpuStats& before, CoveredOutcome& d) {
   stats_.mispredicts -= d_mispred;
 
   d.retired = d_retired;
-}
-
-Cpu::CoveredOutcome Cpu::RunCovered(std::uint32_t coverage_start,
-                                    std::uint32_t coverage_latch,
-                                    std::uint32_t inner_start,
-                                    std::uint32_t inner_latch,
-                                    std::uint32_t count_latch,
-                                    std::uint64_t max_iterations) {
-  if (reference_path_) {
-    return RunCoveredImpl<true>(coverage_start, coverage_latch, inner_start,
-                                inner_latch, count_latch, max_iterations);
-  }
-  // Fused-nest takeovers (outer coverage around a vectorized inner loop)
-  // need the per-retire glue accounting, which only the switch core
-  // implements; both dispatch modes route them there, so the modes stay
-  // bit-identical by construction (docs/DISPATCH.md).
-  const bool fused_nest =
-      coverage_start != inner_start || coverage_latch != inner_latch;
-  if (dispatch_ == DispatchMode::kThreaded && !fused_nest) {
-    return RunCoveredThreaded(coverage_start, coverage_latch, count_latch,
-                              max_iterations);
-  }
-  return RunCoveredImpl<false>(coverage_start, coverage_latch, inner_start,
-                               inner_latch, count_latch, max_iterations);
 }
 
 }  // namespace dsa::cpu

@@ -4,6 +4,10 @@
 // pipeline). Timing is trace-level: each retired instruction charges issue
 // bandwidth and stall cycles; the DSA observes the retired stream exactly as
 // in Figure 31 of the dissertation (analysis hooked at fetch/retire).
+// Two interpreter cores execute it (docs/DISPATCH.md): the threaded core
+// (dispatch.cc) runs every batched loop, the per-step core (StepBody)
+// runs Step() — single observed retires, tracker windows, traced and
+// reference runs.
 #pragma once
 
 #include <array>
@@ -12,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cpu/dispatch.h"
 #include "isa/instruction.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
@@ -77,18 +80,18 @@ struct CpuStats {
 
 class Cpu {
  public:
-  // `reference_path` forces the pre-optimization code paths (per-step
-  // opcode re-derivation, unordered_map branch predictor); simulated
-  // results are bit-identical either way (tests/test_reference_path.cc).
-  // `dispatch` selects the batched-loop interpreter core: the predecoded
-  // threaded-code engine (default) or the PR-3 decode-switch twin; both
-  // produce bit-identical results (tests/test_dispatch.cc). The reference
-  // path always runs on the per-step switch core, so `dispatch` has no
-  // effect when `reference_path` is set.
+  // Two interpreter cores (docs/DISPATCH.md): the batched loops below run
+  // on the predecoded threaded-code engine, and Step() runs the per-step
+  // core (StepBody, one decode switch per instruction). `reference_path`
+  // makes this a reference twin: it forces the pre-optimization code
+  // paths (per-step opcode re-derivation, unordered_map branch
+  // predictor), builds no threaded stream and is driven through Step()
+  // only; the batched loops throw std::logic_error on it. Simulated
+  // results are bit-identical either way (tests/test_reference_path.cc,
+  // tests/test_dispatch.cc).
   Cpu(const prog::Program& program, mem::Memory& memory,
       mem::Hierarchy& hierarchy, const TimingConfig& cfg = {},
-      bool reference_path = false,
-      DispatchMode dispatch = DispatchMode::kThreaded);
+      bool reference_path = false);
 
   // Executes one instruction; returns the retire record. No-op when halted.
   Retired Step();
@@ -103,17 +106,15 @@ class Cpu {
   void RunFree(std::uint64_t max_steps, std::uint64_t& steps);
 
   // DSA-idle batch: executes instructions without observation until one
-  // matches the engine's interest filter — a backward conditional branch
-  // (latch candidate), or, when `watch_window`, any pc outside
-  // [window_lo, window_hi) (the cooldown-maintenance window). The matching
-  // instruction is executed with full observation and its retire record
-  // returned; `skipped` counts the unobserved instructions executed before
-  // it (the caller credits them via DsaEngine::ObserveSkipped). Returns a
-  // null-instr record when the CPU halts or the step budget runs out
-  // first.
-  Retired RunToInteresting(bool watch_window, std::uint32_t window_lo,
-                           std::uint32_t window_hi, std::uint64_t max_steps,
-                           std::uint64_t& steps, std::uint64_t& skipped);
+  // matches the engine's interest filter — the observation-relevance
+  // class of its pc (ObsClass below; every latch candidate until the
+  // engine fills the classes). The matching instruction is executed with
+  // full observation and its retire record returned; `skipped` counts the
+  // unobserved instructions executed before it (the caller credits them
+  // via DsaEngine::ObserveSkipped). Returns a null-instr record when the
+  // CPU halts or the step budget runs out first.
+  Retired RunToInteresting(std::uint64_t max_steps, std::uint64_t& steps,
+                           std::uint64_t& skipped);
 
   // Outcome of a covered-region run (DSA takeover, Scenario 2).
   struct CoveredOutcome {
@@ -129,7 +130,11 @@ class Cpu {
   // bandwidth and non-memory stalls are removed from the timing (the
   // engine retro-charges them as vector execution in FinishTakeover).
   // Covered instructions are not counted against the run loop's step
-  // budget, matching the per-step reference loop.
+  // budget, matching the per-step reference loop. The inner loop
+  // [inner_start, inner_latch] lies within the coverage region; for a
+  // fused nest (the two ranges differ) the run also counts the glue —
+  // retires outside the inner loop — and ends at the first glue store,
+  // which still retires and sets fused_glue_store.
   CoveredOutcome RunCovered(std::uint32_t coverage_start,
                             std::uint32_t coverage_latch,
                             std::uint32_t inner_start,
@@ -167,10 +172,8 @@ class Cpu {
   // a simulated stat and never compared by the oracle).
   [[nodiscard]] std::uint64_t host_steps() const { return host_steps_; }
 
-  // Which interpreter core the batched loops run on (docs/DISPATCH.md).
-  [[nodiscard]] DispatchMode dispatch() const { return dispatch_; }
   // Superinstruction pairs the lowering pass fused for this program
-  // (0 when the threaded engine is not active). Test/introspection only.
+  // (0 on a reference Cpu, which never lowers). Test/introspection only.
   [[nodiscard]] std::uint32_t fused_pairs() const { return fused_pairs_; }
 
   // Observation-relevance class of a pc, written by
@@ -181,7 +184,7 @@ class Cpu {
   // materializes the retire for the engine only when the branch is taken.
   // Lowering defaults every latch candidate to kExit, so a Cpu whose
   // classes were never filled behaves exactly like the pre-relevance skip
-  // loop. No-op in switch/reference mode (no threaded stream to annotate).
+  // loop. No-op on a reference Cpu (no threaded stream to annotate).
   enum class ObsClass : std::uint8_t { kInert, kExit, kLatchExec };
   void SetObserveClass(std::uint32_t pc, ObsClass c) {
     if (pc >= tslots_.size()) return;
@@ -272,37 +275,16 @@ class Cpu {
   }
 
   // Executes exactly one instruction at `pc` (caller guarantees !halted
-  // and pc < ctx.psize) and returns the follow-on pc. Architectural side
-  // effects apply immediately; stat deltas go to `a`. Always inlined into
-  // the stepping loops so pc and the accumulators stay in registers.
-  // kObserve fills the caller's Retired record; !kObserve compiles the
-  // record writes out. kRef selects the pre-optimization code paths
-  // (per-step opcode re-derivation, map predictor). State, stats and
-  // memory effects are identical across all four instantiations.
-  template <bool kObserve, bool kRef>
+  // and pc < ctx.psize), fills the caller's Retired record and returns the
+  // follow-on pc. Architectural side effects apply immediately; stat
+  // deltas go to `a`. kRef selects the pre-optimization code paths
+  // (per-step opcode re-derivation, map predictor); state, stats and
+  // memory effects are identical across both instantiations.
+  template <bool kRef>
   [[gnu::always_inline]] inline std::uint32_t StepBody(std::uint32_t pc,
                                                        Retired& r,
                                                        StepAccum& a,
                                                        const StepCtx& ctx);
-
-  // One-instruction wrapper around StepBody (the Step() slow path).
-  template <bool kObserve>
-  void StepImpl(Retired& r);
-
-  template <bool kRef>
-  void RunFreeImpl(std::uint64_t max_steps, std::uint64_t& steps);
-  template <bool kRef>
-  Retired RunToInterestingImpl(bool watch_window, std::uint32_t window_lo,
-                               std::uint32_t window_hi,
-                               std::uint64_t max_steps, std::uint64_t& steps,
-                               std::uint64_t& skipped);
-  template <bool kRef>
-  CoveredOutcome RunCoveredImpl(std::uint32_t coverage_start,
-                                std::uint32_t coverage_latch,
-                                std::uint32_t inner_start,
-                                std::uint32_t inner_latch,
-                                std::uint32_t count_latch,
-                                std::uint64_t max_iterations);
 
   // ---- threaded-code dispatch engine (src/cpu/dispatch.cc) -------------
   //
@@ -339,54 +321,54 @@ class Cpu {
     POp a;
     POp b;
   };
-  // Slot flags. kSlotLatch is the immutable predecode fact (latch
-  // candidate); the two observation bits are the *mutable* relevance class
-  // (ObsClass) the skip loop dispatches on, rewritten whenever the engine's
-  // cooldown/blacklist state changes (SetObserveClass). Neither bit set
-  // means kInert.
+  // Slot flags. kSlotLatch and kSlotStore are immutable predecode facts
+  // (latch candidate; opcode that sets Retired::mem_is_write — the covered
+  // loop's glue-store test); the two observation bits are the *mutable*
+  // relevance class (ObsClass) the skip loop dispatches on, rewritten
+  // whenever the engine's cooldown/blacklist state changes
+  // (SetObserveClass). Neither observation bit set means kInert.
   static constexpr std::uint8_t kSlotLatch = 1;
   static constexpr std::uint8_t kSlotObsExit = 2;      // ObsClass::kExit
   static constexpr std::uint8_t kSlotObsExecExit = 4;  // ObsClass::kLatchExec
+  static constexpr std::uint8_t kSlotStore = 8;
 
   // The three batched-loop shapes share one threaded body template.
   enum class TKind { kFree, kSkip, kCovered };
   // kInterestExec: a kLatchExec latch was executed inline and taken — the
   // materialized retire record is already filled; the caller must NOT step.
-  enum class TExit { kHalt, kBudget, kInterest, kInterestExec, kRegion };
+  // kGlueStore: a fused nest reached a store in its glue; the store is NOT
+  // executed — the caller retires it per-step and ends the coverage.
+  enum class TExit {
+    kHalt, kBudget, kInterest, kInterestExec, kRegion, kGlueStore
+  };
 
   // Parameters of one threaded batch; unused fields ignored per TKind.
   struct TRun {
     std::uint64_t max_steps = 0;       // kFree/kSkip budget
-    bool watch_window = false;         // kSkip interest filter
-    std::uint32_t window_lo = 0;
-    std::uint32_t window_hi = 0;
     std::uint32_t cov_start = 0;       // kCovered region + latch logic
     std::uint32_t cov_latch = 0;
     std::uint32_t count_latch = 0;
     std::uint64_t max_iterations = 0;
+    std::uint32_t inner_start = 0;     // kCovered fused-nest glue rule
+    std::uint32_t inner_latch = 0;
+    bool nest = false;
   };
 
   void BuildThreaded();  // lowering + superinstruction selection
 
+  // `cov` receives the iteration and glue counts of a kCovered batch
+  // (nullptr for the other kinds).
   template <TKind K>
   TExit ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
                      std::uint64_t& steps, std::uint64_t& skipped,
-                     std::uint64_t& iterations, Retired* obs);
+                     CoveredOutcome* cov, Retired* obs);
 
-  void RunFreeThreaded(std::uint64_t max_steps, std::uint64_t& steps);
-  Retired RunToInterestingThreaded(bool watch_window, std::uint32_t window_lo,
-                                   std::uint32_t window_hi,
-                                   std::uint64_t max_steps,
-                                   std::uint64_t& steps,
-                                   std::uint64_t& skipped);
-  CoveredOutcome RunCoveredThreaded(std::uint32_t coverage_start,
-                                    std::uint32_t coverage_latch,
-                                    std::uint32_t count_latch,
-                                    std::uint64_t max_iterations);
+  // The batched loops need the threaded stream a reference Cpu never
+  // builds; they refuse to run on one.
+  void RequireThreaded() const;
 
   // Removes the scalar cost of a covered run from the stats (issue slots,
-  // non-memory stalls, retires, branch counters) — shared by the switch
-  // and threaded covered loops.
+  // non-memory stalls, retires, branch counters).
   void RewindCoveredStats(const CpuStats& before, CoveredOutcome& d);
 
   // Simple 2-bit saturating-counter branch predictor, indexed by pc.
@@ -419,7 +401,7 @@ class Cpu {
 
   // Run-miss slow path: closes the pending run, then either opens a new
   // run on a resident single-line access (a hit — 0 stall, exactly like
-  // the switch core's hit-latency clamp) or falls through to the full
+  // the per-step core's hit-latency clamp) or falls through to the full
   // hierarchy access and re-probes so the *next* access can open a run.
   std::uint32_t MemRunSlow(std::uint32_t addr, std::uint32_t bytes,
                            std::uint64_t line, MemRun& run);
@@ -431,7 +413,6 @@ class Cpu {
   CpuState state_;
   CpuStats stats_;
   bool reference_path_;
-  DispatchMode dispatch_;
   std::uint64_t host_steps_ = 0;
   // L1 geometry hoisted at construction for the threaded memory fast path
   // (members so MemRunSlow sees them; the hot loop re-hoists into locals).
@@ -440,7 +421,7 @@ class Cpu {
   std::uint32_t l1_mask_ = 0;
   std::uint32_t l1_hit_ = 0;
   std::vector<DecodedInstr> decoded_;
-  // Threaded-code stream: one slot per pc (empty in switch/reference mode).
+  // Threaded-code stream: one slot per pc (empty on a reference Cpu).
   std::vector<TSlot> tslots_;
   std::uint32_t fused_pairs_ = 0;
   // Fast-path predictor: one counter per PC, kUntrained until the first

@@ -15,17 +15,19 @@
 // compare+branch latch pairs, then loop-body pairs) into single
 // handlers. Fusion only rewrites the *head* slot's fused handler id: the
 // tail slots keep their plain handlers, so branches into the middle of a
-// fused group and the per-instruction skip loop (which dispatches
-// through TSlot::hp) execute the group unfused.
+// fused group, the per-instruction skip loop and a fused nest's glue
+// (which dispatch through TSlot::hp) execute the group unfused.
 //
 // Bit-identity contract: every simulated stat and architectural effect is
-// identical to the decode-switch core (StepBody) — same check order at
-// the loop head (free/skip: halted, budget, out-of-range, interest;
-// covered: halted, region peek, out-of-range), same budget semantics (a
-// pair straddling budget exhaustion retires only its head), same
-// predictor update sequence, same exception points with exact state
-// published by the BatchScope on unwind. tests/test_dispatch.cc and the
-// differential oracle gate this for every workload family.
+// identical to stepping the same instructions through Step() (StepBody)
+// under sim::Run's per-step loops — same check order at the loop head
+// (free/skip: halted, budget, out-of-range, interest; covered: halted,
+// region peek, out-of-range), same budget semantics (a pair straddling
+// budget exhaustion retires only its head), same predictor update
+// sequence, same fused-nest glue count, same exception points with exact
+// state published by the BatchScope on unwind. tests/test_dispatch.cc,
+// tests/test_reference_path.cc and the differential oracle gate this
+// against the reference twin for every workload family.
 
 #include "cpu/cpu.h"
 
@@ -218,6 +220,7 @@ void Cpu::BuildThreaded() {
     // callers, tests) batches exactly like the pre-relevance skip loop.
     // DsaEngine::FillObserveClasses rewrites the two obs bits at run time.
     if (d.latch_candidate) s.flags |= kSlotLatch | kSlotObsExit;
+    if (d.is_store) s.flags |= kSlotStore;
 
     POp& p = s.a;
     p.imm = ins.imm;
@@ -304,7 +307,7 @@ void Cpu::BuildThreaded() {
 
 // Memory latency through the batch-local way-predicted run (MemRun,
 // cpu.h): while consecutive accesses stay in the run's resident L1 line,
-// each hit is counted locally and stalls 0 cycles — exactly the switch
+// each hit is counted locally and stalls 0 cycles — exactly the per-step
 // core's hit-latency clamp — and the cache is charged once when the run
 // closes (MemRunSlow / the writeback lambda). Anything else (line change,
 // straddling access, non-resident line) takes the slow path.
@@ -464,7 +467,8 @@ void Cpu::BuildThreaded() {
   } while (0)
 
 // Covered-mode latch bookkeeping after a branch at `bpc_` resolved to
-// `nextv_` (RunCoveredImpl's iteration counting, verbatim).
+// `nextv_` (the iteration counting of the reference covered loop in
+// sim/system.cc, verbatim).
 #define DSA_C_LATCH(bpc_, nextv_)                                         \
   if constexpr (K == TKind::kCovered) {                                   \
     if ((bpc_) == count_latch) {                                          \
@@ -489,8 +493,8 @@ void Cpu::BuildThreaded() {
 
 // Retire boundary: advance to `np_` and re-enter the dispatch head. The
 // out-of-range halt is checked before the next instruction consumes
-// budget (matching the switch loops, where StepBody halts on fall-off
-// and the `while (!halted)` head exits before `++steps`).
+// budget (matching the per-step run loop, where StepBody halts on
+// fall-off and the `while (!halted)` head exits before `++steps`).
 #define DSA_NEXT(np_)                                                     \
   do {                                                                    \
     if constexpr (K == TKind::kSkip) ++lskipped;                          \
@@ -506,7 +510,7 @@ void Cpu::BuildThreaded() {
 // the skip loop never dispatches fused, covered steps are budget-exempt).
 // When the budget dies mid-group only the first `off_` members have
 // retired, so control rests on the next member's own (plain) slot —
-// identical to the switch loop retiring them and stopping.
+// identical to stepping them one at a time and stopping.
 #define DSA_FUSE_MID(off_)                                                \
   if constexpr (K == TKind::kFree) {                                      \
     if (++bsteps > max_steps) {                                           \
@@ -519,7 +523,7 @@ void Cpu::BuildThreaded() {
 template <Cpu::TKind K>
 Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
                              std::uint64_t& steps, std::uint64_t& skipped,
-                             std::uint64_t& iterations, Retired* obs) {
+                             CoveredOutcome* cov, Retired* obs) {
   const TSlot* const tab = tslots_.data();
   std::uint8_t* const ptab = ctx.ptab;
   std::uint8_t* const mbase = ctx.mbase;
@@ -533,18 +537,18 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
   // Mode parameters copied out of `p`: it lives behind a reference the
   // interpreter's byte stores could alias, locals are load-once.
   [[maybe_unused]] const std::uint64_t max_steps = p.max_steps;
-  [[maybe_unused]] const bool watch = p.watch_window;
-  [[maybe_unused]] const std::uint32_t wlo = p.window_lo;
-  [[maybe_unused]] const std::uint32_t whi = p.window_hi;
   [[maybe_unused]] const std::uint32_t cov_start = p.cov_start;
   [[maybe_unused]] const std::uint32_t cov_latch = p.cov_latch;
   [[maybe_unused]] const std::uint32_t count_latch = p.count_latch;
   [[maybe_unused]] const std::uint64_t max_iter = p.max_iterations;
+  [[maybe_unused]] const std::uint32_t inner_start = p.inner_start;
+  [[maybe_unused]] const std::uint32_t inner_latch = p.inner_latch;
+  [[maybe_unused]] const bool nest = p.nest;
 
   // Batch-local architectural state: written back on every exit path,
   // including exceptions (FailRange / kHBad), so the BatchScope publishes
-  // exact state wherever control leaves — same guarantee as the switch
-  // loops, which mutate state_ in place.
+  // exact state wherever control leaves — same guarantee as Step(),
+  // which mutates state_ in place.
   std::uint32_t lr[isa::kNumScalarRegs];
   std::memcpy(lr, state_.regs.data(), sizeof(lr));
   std::int64_t cmp_diff = state_.cmp_diff;
@@ -552,7 +556,8 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
   StepAccum acc = b.a;
   std::uint64_t bsteps = steps;
   std::uint64_t lskipped = skipped;
-  std::uint64_t iters = iterations;
+  std::uint64_t iters = 0;  // kCovered: count-latch retires
+  std::uint64_t glue = 0;   // kCovered nests: retires outside the inner loop
   [[maybe_unused]] int depth = 0;  // kBl/kRet nesting inside a covered region
   const TSlot* s = nullptr;
   TExit ex = TExit::kHalt;
@@ -569,7 +574,10 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     b.a = acc;
     steps = bsteps;
     skipped = lskipped;
-    iterations = iters;
+    if constexpr (K == TKind::kCovered) {
+      cov->iterations = iters;
+      cov->glue_instrs = glue;
+    }
   };
 
   try {
@@ -583,7 +591,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     static_assert(sizeof(htab) / sizeof(htab[0]) == kHCount,
                   "label table out of sync with handler ids");
 
-    // Entry replicates the switch loops' head order exactly: free/skip
+    // Entry replicates the per-step loops' head order exactly: free/skip
     // consume budget before the out-of-range check; covered peeks the
     // region first and is budget-exempt.
     if (state_.halted) goto done;
@@ -602,10 +610,10 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
       state_.halted = true;
       goto done;
     }
+    if constexpr (K == TKind::kCovered) goto next_dispatch;
     s = tab + pc;
     if constexpr (K == TKind::kSkip) {
-      if ((s->flags & kSlotObsExit) != 0 ||
-          (watch && (pc < wlo || pc >= whi))) {
+      if ((s->flags & kSlotObsExit) != 0) {
         ex = TExit::kInterest;
         goto done;
       }
@@ -620,28 +628,48 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
         ex = TExit::kBudget;
         goto done;
       }
-    } else {
-      if (depth == 0 && (pc < cov_start || pc > cov_latch)) {
-        ex = TExit::kRegion;
-        goto done;
-      }
     }
     s = tab + pc;
     if constexpr (K == TKind::kSkip) {
       // Interest filter on the observation-relevance class: kExit pcs end
       // the batch with the instruction NOT executed — the wrapper retires
-      // it observed on the shared switch core, with the budget for it
-      // already consumed above. (Unfilled classes default every latch
-      // candidate to kExit; the window check serves direct callers that
-      // never fill.) kLatchExec latches carry kSlotObsExecExit instead and
+      // it observed on the per-step core, with the budget for it already
+      // consumed above. (Unfilled classes default every latch candidate
+      // to kExit.) kLatchExec latches carry kSlotObsExecExit instead and
       // fall through to their own handler, which exits with a materialized
       // record only when the branch is taken. Inert pcs just execute.
-      if ((s->flags & kSlotObsExit) != 0 ||
-          (watch && (pc < wlo || pc >= whi))) {
+      if ((s->flags & kSlotObsExit) != 0) {
         ex = TExit::kInterest;
         goto done;
       }
       goto *htab[s->hp];
+    } else if constexpr (K == TKind::kCovered) {
+      // Inside the inner loop (for a plain loop: the coverage region),
+      // which lies within the coverage: nothing to check, dispatch fused.
+      // A group headed here never leaves the range — its last member is
+      // at most the inner latch, because a branch is never a group's
+      // head or middle.
+      if (pc >= inner_start && pc <= inner_latch) goto *htab[s->h];
+      // Region peek: calls inside the body keep the coverage alive
+      // through `depth`.
+      if (depth == 0 && (pc < cov_start || pc > cov_latch)) {
+        ex = TExit::kRegion;
+        goto done;
+      }
+      if (nest) {
+        // Fused-nest glue, one retire per head pass: dispatched unfused
+        // (hp) so a group straddling into the inner loop cannot hide its
+        // inner members inside one glue retire. A store here breaks the
+        // Fig. 17 "nothing but glue" assumption: stop before it executes;
+        // the wrapper retires it and ends the coverage.
+        ++glue;
+        if ((s->flags & kSlotStore) != 0) {
+          ex = TExit::kGlueStore;
+          goto done;
+        }
+        goto *htab[s->hp];
+      }
+      goto *htab[s->h];
     } else {
       goto *htab[s->h];
     }
@@ -808,7 +836,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     DSA_NEXT(pc + 1);
   LHalt:
     // next_pc = pc, halted: the skip loop still counts the retire as
-    // skipped (the switch loop increments after StepBody returns).
+    // skipped (it retired unobserved; the caller credits it).
     state_.halted = true;
     ++acc.steps;
     if constexpr (K == TKind::kSkip) ++lskipped;
@@ -1119,24 +1147,29 @@ std::uint32_t Cpu::MemRunSlow(std::uint32_t addr, std::uint32_t bytes,
   return lat > l1_hit_ ? lat - l1_hit_ : 0;
 }
 
-// ---- batched-loop wrappers -----------------------------------------------
+// ---- batched-loop entry points --------------------------------------------
 
-void Cpu::RunFreeThreaded(std::uint64_t max_steps, std::uint64_t& steps) {
+void Cpu::RequireThreaded() const {
+  if (reference_path_) {
+    throw std::logic_error(
+        "batched interpreter loops run on the threaded core; a reference "
+        "Cpu is driven through Step()");
+  }
+}
+
+void Cpu::RunFree(std::uint64_t max_steps, std::uint64_t& steps) {
+  RequireThreaded();
   const StepCtx ctx = MakeCtx();
   BatchScope b(*this);
   TRun p;
   p.max_steps = max_steps;
   std::uint64_t skipped = 0;
-  std::uint64_t iterations = 0;
-  ThreadedBody<TKind::kFree>(b, ctx, p, steps, skipped, iterations, nullptr);
+  ThreadedBody<TKind::kFree>(b, ctx, p, steps, skipped, nullptr, nullptr);
 }
 
-Retired Cpu::RunToInterestingThreaded(bool watch_window,
-                                      std::uint32_t window_lo,
-                                      std::uint32_t window_hi,
-                                      std::uint64_t max_steps,
-                                      std::uint64_t& steps,
-                                      std::uint64_t& skipped) {
+Retired Cpu::RunToInteresting(std::uint64_t max_steps, std::uint64_t& steps,
+                              std::uint64_t& skipped) {
+  RequireThreaded();
   TExit e;
   Retired r{};
   {
@@ -1144,30 +1177,29 @@ Retired Cpu::RunToInterestingThreaded(bool watch_window,
     BatchScope b(*this);
     TRun p;
     p.max_steps = max_steps;
-    p.watch_window = watch_window;
-    p.window_lo = window_lo;
-    p.window_hi = window_hi;
-    std::uint64_t iterations = 0;
-    e = ThreadedBody<TKind::kSkip>(b, ctx, p, steps, skipped, iterations, &r);
+    e = ThreadedBody<TKind::kSkip>(b, ctx, p, steps, skipped, nullptr, &r);
   }  // scope closed: pc and stat deltas published before the observed step
   // kInterestExec: a kLatchExec latch already executed inline and filled
-  // `r` with the exact record the switch core produces for a taken kB
-  // (its accounting went through the batch accumulator above).
+  // `r` with the exact record Step() produces for a taken kB (its
+  // accounting went through the batch accumulator above).
   if (e == TExit::kInterestExec) return r;
   if (e != TExit::kInterest) return Retired{};
-  // The interesting instruction retires on the shared per-step switch
-  // core with observation on, so the engine sees the exact record the
-  // switch twin produces. Its budget was already consumed above.
-  StepImpl<true>(r);
-  return r;
+  // The interesting instruction retires on the per-step core with
+  // observation on, so the engine sees the exact record the reference
+  // twin produces. Its budget was already consumed above.
+  return Step();
 }
 
-Cpu::CoveredOutcome Cpu::RunCoveredThreaded(std::uint32_t coverage_start,
-                                            std::uint32_t coverage_latch,
-                                            std::uint32_t count_latch,
-                                            std::uint64_t max_iterations) {
+Cpu::CoveredOutcome Cpu::RunCovered(std::uint32_t coverage_start,
+                                    std::uint32_t coverage_latch,
+                                    std::uint32_t inner_start,
+                                    std::uint32_t inner_latch,
+                                    std::uint32_t count_latch,
+                                    std::uint64_t max_iterations) {
+  RequireThreaded();
   const CpuStats before = stats_;
   CoveredOutcome d;
+  TExit e;
   {
     const StepCtx ctx = MakeCtx();
     BatchScope b(*this);
@@ -1176,11 +1208,20 @@ Cpu::CoveredOutcome Cpu::RunCoveredThreaded(std::uint32_t coverage_start,
     p.cov_latch = coverage_latch;
     p.count_latch = count_latch;
     p.max_iterations = max_iterations;
+    p.inner_start = inner_start;
+    p.inner_latch = inner_latch;
+    p.nest = coverage_start != inner_start || coverage_latch != inner_latch;
     std::uint64_t steps = 0;
     std::uint64_t skipped = 0;
-    ThreadedBody<TKind::kCovered>(b, ctx, p, steps, skipped, d.iterations,
-                                  nullptr);
-  }  // publish pc + stat deltas before the timing replacement below
+    e = ThreadedBody<TKind::kCovered>(b, ctx, p, steps, skipped, &d, nullptr);
+  }  // publish pc + stat deltas before the glue store and the rewind
+  if (e == TExit::kGlueStore) {
+    // The glue store retires on the per-step core (already counted as
+    // glue) and ends the fused coverage; the engine demotes the fusion
+    // record. Its cost is rewound below with the rest of the region.
+    Step();
+    d.fused_glue_store = true;
+  }
   RewindCoveredStats(before, d);
   return d;
 }

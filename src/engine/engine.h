@@ -5,9 +5,11 @@
 // NEON execution of the remaining iterations (Scenario 2).
 //
 // Functional execution of covered iterations stays on the scalar
-// interpreter — exactly the paper's trace-level methodology, where "the
-// timing model replaces the scalar vectorizable instructions by vector
-// instructions". FinishTakeover() performs that replacement.
+// interpreter (Cpu::RunCovered on the threaded core; the reference twin's
+// per-step covered loop in sim/system.cc) — exactly the paper's
+// trace-level methodology, where "the timing model replaces the scalar
+// vectorizable instructions by vector instructions". FinishTakeover()
+// performs that replacement; no NEON lanes execute for a takeover.
 #pragma once
 
 #include <cstdint>
@@ -119,19 +121,11 @@ class DsaEngine {
   }
 
   // Batched-observation interface (sim::Run's DSA fast loop). While idle()
-  // — no tracker in flight — the only retires Observe() can react to are
-  // backward conditional branches, plus, when has_cooldowns(), any pc
-  // outside [cooldown_window_lo, cooldown_window_hi). Every other retire
-  // is provably inert and may be executed unobserved, credited afterwards
-  // through ObserveSkipped() so observed_instructions stays exact.
+  // — no tracker in flight — most retires are provably inert to Observe()
+  // (FillObserveClasses below says which) and may be executed unobserved,
+  // credited afterwards through ObserveSkipped() so observed_instructions
+  // stays exact.
   [[nodiscard]] bool idle() const { return trackers_.empty(); }
-  [[nodiscard]] bool has_cooldowns() const { return !cooldowns_.empty(); }
-  [[nodiscard]] std::uint32_t cooldown_window_lo() const {
-    return cd_skip_lo_;
-  }
-  [[nodiscard]] std::uint32_t cooldown_window_hi() const {
-    return cd_skip_hi_;
-  }
   void ObserveSkipped(std::uint64_t n) { stats_.observed_instructions += n; }
 
   // Lowering-time observation relevance (docs/DISPATCH.md): writes one

@@ -261,7 +261,6 @@ std::uint64_t ConfigDigest(const sim::SystemConfig& cfg) {
   // harness knobs
   f.U64(cfg.max_steps);
   f.U64(cfg.reference_path ? 1 : 0);
-  f.I64(static_cast<std::int64_t>(cfg.dispatch));
   return f.h;
 }
 

@@ -43,8 +43,8 @@ inline constexpr std::string_view kCacheEntrySchema = "dsa-serve-cache/1";
 
 // FNV-1a 64-bit digest over every SystemConfig field the simulation
 // reads (timing, memory hierarchy, DSA structures/features/latencies,
-// energy parameters, fault plan, step budget, reference path, dispatch
-// engine, trace enablement).
+// energy parameters, fault plan, step budget, reference path, trace
+// enablement).
 [[nodiscard]] std::uint64_t ConfigDigest(const sim::SystemConfig& cfg);
 
 struct CacheKey {

@@ -498,13 +498,11 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
     w.U64("runs", static_cast<std::uint64_t>(out.runs.size()));
 
     // Host simulation throughput of the canonical run (schema /2;
-    // `dispatch` — the interpreter core that actually ran — added in /5;
     // `phases` — where the host milliseconds went — added in /6).
     w.Open("host", '{');
     w.Dbl("mips", r.host_mips());
     w.Dbl("wall_ms", r.host_wall_ms);
     w.U64("steps", r.host_steps);
-    w.Str("dispatch", std::string(cpu::ToString(r.host_dispatch)));
     w.Open("phases", '{');
     w.Dbl("dispatch_ms", r.host_phases.dispatch_ms);
     w.Dbl("observe_ms", r.host_phases.observe_ms);

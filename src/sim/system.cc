@@ -65,15 +65,7 @@ std::uint64_t DigestOutputs(const Workload& wl, const mem::Memory& memory) {
 // DsaEngine::FinishTakeover (the paper's timing-model replacement).
 // Reference-path twin of cpu::Cpu::RunCovered (which the fast DSA loop
 // uses); kept verbatim so --reference exercises the pre-optimization code.
-struct CoveredDelta {
-  std::uint64_t iterations = 0;
-  std::uint64_t retired = 0;
-  std::uint64_t glue_instrs = 0;  // fused nests: scalar glue around the
-                                  // vectorized inner loop
-  bool fused_glue_store = false;  // fusion assumption violated mid-run
-};
-
-CoveredDelta RunCovered(cpu::Cpu& cpu, const TakeoverPlan& plan) {
+cpu::Cpu::CoveredOutcome RunCovered(cpu::Cpu& cpu, const TakeoverPlan& plan) {
   const std::uint32_t start = plan.coverage_start;
   const std::uint32_t latch = plan.coverage_latch;
   const std::uint32_t inner_start = plan.record.body.start_pc;
@@ -81,7 +73,7 @@ CoveredDelta RunCovered(cpu::Cpu& cpu, const TakeoverPlan& plan) {
 
   const bool fused = start != inner_start || latch != inner_latch;
   const cpu::CpuStats before = cpu.stats();
-  CoveredDelta d;
+  cpu::Cpu::CoveredOutcome d;
   int depth = 0;
   while (!cpu.halted()) {
     // Peek: stop when control has left the covered region (function calls
@@ -208,8 +200,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
   // reference path: its per-access walks would pay one tsc read each,
   // and reference runs report their whole loop under dispatch anyway.
   hierarchy.set_time_walks(!cfg.reference_path);
-  cpu::Cpu cpu(*program, memory, hierarchy, cfg.timing, cfg.reference_path,
-               cfg.dispatch);
+  cpu::Cpu cpu(*program, memory, hierarchy, cfg.timing, cfg.reference_path);
 
   std::optional<engine::DsaEngine> engine;
   std::optional<fault::FaultInjector> injector;
@@ -270,21 +261,14 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
     } else if (!per_step) {
       // DSA fast loop: while the engine is idle, run unobserved up to the
       // next retire its filter cares about; per-step only while a tracker
-      // is analyzing a loop body.
-      //
-      // On the threaded core the engine's observation-relevance classes —
-      // re-filled lazily whenever its epoch moves — replace the coarse
-      // pc-window watch entirely (watch=false): the per-slot classes are
-      // strictly finer, and the window would force an exit at every cooled
-      // latch the classes prove inert. The switch core has no slot stream
-      // to hold classes, so it keeps the window filter.
-      const bool threaded_fast =
-          cpu.dispatch() == cpu::DispatchMode::kThreaded;
+      // is analyzing a loop body. The filter is the engine's
+      // observation-relevance classes, re-filled lazily whenever its epoch
+      // moves.
       std::uint64_t obs_epoch = 0;  // engine epochs start at 1: always fill
       while (!cpu.halted()) {
         cpu::Retired r;
         if (engine->idle()) {
-          if (threaded_fast && engine->observe_epoch() != obs_epoch) {
+          if (engine->observe_epoch() != obs_epoch) {
             const std::uint64_t t0 = mem::HostTsc();
             engine->FillObserveClasses(cpu);
             obs_epoch = engine->observe_epoch();
@@ -293,10 +277,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
           std::uint64_t skipped = 0;
           const std::uint64_t w0 = hierarchy.walk_tsc();
           const std::uint64_t t0 = mem::HostTsc();
-          r = cpu.RunToInteresting(!threaded_fast && engine->has_cooldowns(),
-                                   engine->cooldown_window_lo(),
-                                   engine->cooldown_window_hi(), cfg.max_steps,
-                                   steps, skipped);
+          r = cpu.RunToInteresting(cfg.max_steps, steps, skipped);
           ChargePhase(tsc_dispatch, t0, w0, hierarchy);
           if (skipped != 0) engine->ObserveSkipped(skipped);
           if (steps > cfg.max_steps) ThrowStepLimit(wl, cpu, steps);
@@ -364,7 +345,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
                            plan->max_iterations);
             }
             if (guard.has_value()) guard->Arm(*plan, cpu);
-            const CoveredDelta d = RunCovered(cpu, *plan);
+            const cpu::Cpu::CoveredOutcome d = RunCovered(cpu, *plan);
             if (tracer.has_value()) tracer->SetNow(cpu.Cycles());
             if (guard.has_value() &&
                 guard->CheckAfterCovered(*plan, cpu, d.iterations)) {
@@ -423,12 +404,6 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
         static_cast<double>(hierarchy.walk_tsc()) * ms_per_tick;
   }
   res.host_steps = cpu.host_steps();
-  // Report what actually ran: reference and traced runs execute the
-  // per-step switch core regardless of the configured dispatch mode.
-  res.host_dispatch = (!cfg.reference_path && !tracer.has_value() &&
-                       cpu.dispatch() == cpu::DispatchMode::kThreaded)
-                          ? cpu::DispatchMode::kThreaded
-                          : cpu::DispatchMode::kSwitch;
   res.cycles = cpu.Cycles();
   res.cpu = cpu.stats();
   res.l1 = hierarchy.l1().stats();

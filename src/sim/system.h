@@ -1,7 +1,11 @@
 // System harness: wires memory, cache hierarchy, the scalar CPU, the NEON
 // engine and (in DSA mode) the Dynamic SIMD Assembler; runs one workload
 // variant to completion and reports cycles, instruction mix, cache stats,
-// DSA stats, and energy (Table 4 system setups).
+// DSA stats, and energy (Table 4 system setups). The fast run loops drive
+// the Cpu's threaded batched loops (free run, DSA-idle skip, covered
+// takeovers including fused nests) and step per retire only while a
+// tracker analyzes a loop; reference and traced runs step every retire
+// and cover takeovers with their own per-step loop (docs/DISPATCH.md).
 #pragma once
 
 #include <cstdint>
@@ -62,10 +66,6 @@ struct RunResult {
   // determinism oracle and never part of FormatReport.
   std::uint64_t host_steps = 0;
   double host_wall_ms = 0.0;
-  // Interpreter core the batched loops actually ran on ("threaded" or
-  // "switch"; reference runs always report "switch"). Host metadata like
-  // host_steps: surfaced in the bench JSON host block, never compared.
-  cpu::DispatchMode host_dispatch = cpu::DispatchMode::kSwitch;
   // Millions of simulated instructions per host second.
   [[nodiscard]] double host_mips() const;
 
@@ -74,7 +74,9 @@ struct RunResult {
   // batched interpreter loops; observe = engine observation (Observe
   // calls, relevance-class fills, per-step spans while a tracker is in
   // flight); mem = cache set walks at either level; neon = covered
-  // takeover execution + timing replacement. Buckets are disjoint tsc
+  // takeovers — scalar interpretation of the covered region (Cpu::
+  // RunCovered) plus FinishTakeover's vector timing replacement, not NEON
+  // lane execution (the name predates that). Buckets are disjoint tsc
   // spans of the run, so their sum never exceeds host_wall_ms. Per-step
   // runs (reference/traced) attribute the whole loop to dispatch (mem
   // stays 0 on the reference path, whose walks are untimed). Host
@@ -120,14 +122,11 @@ struct SystemConfig {
   std::uint64_t max_steps = 400'000'000;
   // Forces the pre-optimization code paths throughout the stack (CPU
   // predecode/predictor, cache MRU + range fast paths, engine observation
-  // gating). Every simulated stat is bit-identical to the default fast
-  // path; tests/test_reference_path.cc asserts it on every workload.
+  // gating) and the per-step run loop with its own covered-region loop —
+  // the reference twin of the threaded core. Every simulated stat is
+  // bit-identical to the default fast path; tests/test_reference_path.cc
+  // asserts it on every workload.
   bool reference_path = false;
-  // Interpreter core for the batched run loops: the predecoded
-  // threaded-code engine (default) or the PR-3 decode-switch twin.
-  // Simulated results are bit-identical either way (docs/DISPATCH.md,
-  // tests/test_dispatch.cc); ignored when reference_path is set.
-  cpu::DispatchMode dispatch = cpu::DispatchMode::kThreaded;
 };
 
 // Runs one workload variant end to end.

@@ -1,21 +1,24 @@
-// Switch vs threaded dispatch twins: SystemConfig::dispatch selects the
-// batched-loop interpreter core — the PR-3 decode-switch or the predecoded
-// threaded-code engine (docs/DISPATCH.md). Every simulated stat must be
-// bit-identical across the twins; only host wall time may differ. This
-// suite is the fine-grained companion to the bench oracle's differential
-// gate: full workload x mode matrix, streaming and generated programs,
-// faulted and traced runs, plus direct-Cpu superinstruction tests (fused
-// pair semantics == the unfused sequence, including budget exhaustion at
-// a pair midpoint and branches into a pair's second member).
+// Threaded core vs reference twin (docs/DISPATCH.md): every batched loop
+// runs on the predecoded threaded-code engine, and SystemConfig::
+// reference_path swaps in the per-step twin (StepBody<kRef>, sim::Run's
+// per-step loops and its own covered-region loop). Every simulated stat
+// must be bit-identical across the twins; only host wall time may differ.
+// This suite is the fine-grained companion to the bench oracle's
+// differential gate: streaming and generated programs, faulted runs,
+// fused-nest glue accounting, plus direct-Cpu superinstruction tests
+// (fused group semantics == stepping the members one by one, including
+// budget exhaustion at a group midpoint and branches into a group's
+// later members). The workload x mode matrix and the Original-DSA config
+// live in test_reference_path.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "cpu/cpu.h"
-#include "engine/config.h"
 #include "fault/fault.h"
+#include "nest_programs.h"
 #include "prog/assembler.h"
 #include "sim/report.h"
 #include "sim/system.h"
@@ -26,69 +29,37 @@
 namespace dsa::sim {
 namespace {
 
-using cpu::DispatchMode;
 using isa::Cond;
 using isa::Opcode;
 using prog::Assembler;
-using workloads::MakeBitCount;
-using workloads::MakeDijkstra;
-using workloads::MakeGaussian;
 using workloads::MakeMatMul;
-using workloads::MakeQSort;
-using workloads::MakeRgbGray;
-using workloads::MakeShiftAdd;
-using workloads::MakeStrCopy;
-using workloads::MakeSusanE;
 using workloads::MakeVecAdd;
 
 // ---- system-level identity -----------------------------------------------
 
-void ExpectTwinsIdentical(const Workload& wl, RunMode mode,
-                          const SystemConfig& base_cfg = {}) {
-  SystemConfig sw_cfg = base_cfg;
-  sw_cfg.dispatch = DispatchMode::kSwitch;
-  SystemConfig th_cfg = base_cfg;
-  th_cfg.dispatch = DispatchMode::kThreaded;
+// Runs `wl` on the fast path and on the reference twin, asserts they are
+// bit-identical and returns the fast result for further checks.
+RunResult ExpectTwinsIdentical(const Workload& wl, RunMode mode,
+                               const SystemConfig& base_cfg = {}) {
+  SystemConfig fast_cfg = base_cfg;
+  fast_cfg.reference_path = false;
+  SystemConfig ref_cfg = base_cfg;
+  ref_cfg.reference_path = true;
 
-  const RunResult sw = Run(wl, mode, sw_cfg);
-  const RunResult th = Run(wl, mode, th_cfg);
+  const RunResult fast = Run(wl, mode, fast_cfg);
+  const RunResult ref = Run(wl, mode, ref_cfg);
 
   const std::string tag = wl.name + " in " + std::string(ToString(mode));
-  EXPECT_EQ(sw.output_ok, th.output_ok) << tag;
-  EXPECT_EQ(sw.cycles, th.cycles) << tag;
-  EXPECT_EQ(sw.output_digest, th.output_digest) << tag;
+  EXPECT_EQ(fast.output_ok, ref.output_ok) << tag;
+  EXPECT_EQ(fast.cycles, ref.cycles) << tag;
+  EXPECT_EQ(fast.output_digest, ref.output_digest) << tag;
   // Same instruction stream => same interpreter step count, even though
   // host_steps is host metadata outside the oracle's comparison set.
-  EXPECT_EQ(sw.host_steps, th.host_steps) << tag;
+  EXPECT_EQ(fast.host_steps, ref.host_steps) << tag;
   // FormatReport covers every simulated stat the report surfaces (CPU
   // counters, cache hits/misses, DRAM, DSA, energy) in one comparison.
-  EXPECT_EQ(FormatReport(sw), FormatReport(th)) << tag;
-}
-
-std::vector<Workload> SmallMatrix() {
-  // Same small sizes as test_reference_path.cc: cheap doubled runs that
-  // still exercise vector leftovers, takeovers and cooldowns.
-  std::vector<Workload> wls;
-  wls.push_back(MakeVecAdd(257));
-  wls.push_back(MakeMatMul(16));
-  wls.push_back(MakeRgbGray(1000));
-  wls.push_back(MakeGaussian(32, 24));
-  wls.push_back(MakeSusanE(2048));
-  wls.push_back(MakeQSort(512));
-  wls.push_back(MakeDijkstra(24));
-  wls.push_back(MakeBitCount(1024));
-  wls.push_back(MakeStrCopy(500));
-  wls.push_back(MakeShiftAdd(512, 4));
-  return wls;
-}
-
-TEST(Dispatch, AllWorkloadsAllModesBitIdentical) {
-  for (const Workload& wl : SmallMatrix()) {
-    for (const RunMode m : {RunMode::kScalar, RunMode::kAutoVec,
-                            RunMode::kHandVec, RunMode::kDsa}) {
-      ExpectTwinsIdentical(wl, m);
-    }
-  }
+  EXPECT_EQ(FormatReport(fast), FormatReport(ref)) << tag;
+  return fast;
 }
 
 TEST(Dispatch, StreamingWorkloadsBitIdentical) {
@@ -98,18 +69,9 @@ TEST(Dispatch, StreamingWorkloadsBitIdentical) {
   }
 }
 
-TEST(Dispatch, DsaOriginalConfigBitIdentical) {
-  SystemConfig cfg;
-  cfg.dsa = engine::DsaConfig::Original();
-  for (const Workload& wl :
-       {MakeVecAdd(257), MakeMatMul(16), MakeRgbGray(1000)}) {
-    ExpectTwinsIdentical(wl, RunMode::kDsa, cfg);
-  }
-}
-
 TEST(Dispatch, FaultedRunsBitIdentical) {
   // The guard's rollback/blacklist recovery must take the same decisions
-  // on both cores: injected divergences are detected at the same retire
+  // on both twins: injected divergences are detected at the same retire
   // boundaries either way.
   SystemConfig cfg;
   cfg.faults = fault::ParseFaultPlan("cidp@0+2,mem@1,lane@0;seed=7");
@@ -120,108 +82,83 @@ TEST(Dispatch, FaultedRunsBitIdentical) {
 
 TEST(Dispatch, GeneratorSweep64SeedsBitIdentical) {
   // 64-seed sweep over the loop-nest generator's grammar classes, DSA
-  // mode: the randomized companion to the hand-written matrix above.
+  // mode: the randomized companion to the hand-written programs.
   for (const Workload& wl : workloads::gen::GeneratedSet(9000, 64)) {
     ExpectTwinsIdentical(wl, RunMode::kDsa);
   }
 }
 
-TEST(Dispatch, TraceEventStreamsIdentical) {
-  // Traced runs execute the per-step switch core regardless of the
-  // configured mode (docs/DISPATCH.md carve-outs), so the event streams
-  // must match field for field — and both results must report the core
-  // that actually ran.
-  SystemConfig sw_cfg;
-  sw_cfg.trace.enabled = true;
-  sw_cfg.dispatch = DispatchMode::kSwitch;
-  SystemConfig th_cfg = sw_cfg;
-  th_cfg.dispatch = DispatchMode::kThreaded;
-
-  const RunResult sw = sim::Run(MakeVecAdd(257), RunMode::kDsa, sw_cfg);
-  const RunResult th = sim::Run(MakeVecAdd(257), RunMode::kDsa, th_cfg);
-  EXPECT_EQ(sw.host_dispatch, DispatchMode::kSwitch);
-  EXPECT_EQ(th.host_dispatch, DispatchMode::kSwitch);
-
-  ASSERT_NE(sw.trace, nullptr);
-  ASSERT_NE(th.trace, nullptr);
-  EXPECT_EQ(sw.trace->emitted, th.trace->emitted);
-  EXPECT_EQ(sw.trace->dropped, th.trace->dropped);
-  EXPECT_EQ(sw.trace->kind_counts, th.trace->kind_counts);
-  EXPECT_EQ(sw.trace->stage_counts, th.trace->stage_counts);
-  ASSERT_EQ(sw.trace->events.size(), th.trace->events.size());
-  for (std::size_t i = 0; i < sw.trace->events.size(); ++i) {
-    const trace::Event& a = sw.trace->events[i];
-    const trace::Event& b = th.trace->events[i];
-    EXPECT_EQ(a.ts, b.ts) << "event " << i;
-    EXPECT_EQ(a.dur, b.dur) << "event " << i;
-    EXPECT_EQ(a.loop_id, b.loop_id) << "event " << i;
-    EXPECT_EQ(a.kind, b.kind) << "event " << i;
-    EXPECT_EQ(a.arg0, b.arg0) << "event " << i;
-    EXPECT_EQ(a.arg1, b.arg1) << "event " << i;
-  }
+TEST(Dispatch, FusedNestGlueStoreMatchesReference) {
+  // The threaded covered loop stops before the glue store, the store
+  // retires per-step, and the run demotes the fusion exactly once — with
+  // the same glue count, retires and cycles as the reference loop.
+  const RunResult r = ExpectTwinsIdentical(nests::GlueStoreNest(),
+                                           RunMode::kDsa);
+  ASSERT_TRUE(r.dsa.has_value());
+  EXPECT_TRUE(r.output_ok);
+  EXPECT_GE(r.dsa->fusions_formed, 1u);
+  EXPECT_EQ(r.dsa->fusion_demotions, 1u);
 }
 
-TEST(Dispatch, HostDispatchReportsWhatRan) {
-  const Workload wl = MakeVecAdd(257);
-
-  SystemConfig th_cfg;
-  th_cfg.dispatch = DispatchMode::kThreaded;
-  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, th_cfg).host_dispatch,
-            DispatchMode::kThreaded);
-
-  SystemConfig sw_cfg;
-  sw_cfg.dispatch = DispatchMode::kSwitch;
-  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, sw_cfg).host_dispatch,
-            DispatchMode::kSwitch);
-
-  // Reference runs always execute the per-step switch core, whatever the
-  // configured dispatch mode says.
-  SystemConfig ref_cfg = th_cfg;
-  ref_cfg.reference_path = true;
-  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, ref_cfg).host_dispatch,
-            DispatchMode::kSwitch);
+TEST(Dispatch, FusedNestGlueLdrStraddlingInnerStartMatchesReference) {
+  // A fused ldr+ldr group spans the last glue instruction and the inner
+  // loop's first: glue must be counted per retire, not per group head.
+  const RunResult r = ExpectTwinsIdentical(nests::LdrStraddleNest(),
+                                           RunMode::kDsa);
+  ASSERT_TRUE(r.dsa.has_value());
+  EXPECT_TRUE(r.output_ok);
+  EXPECT_GE(r.dsa->fusions_formed, 1u);
+  EXPECT_EQ(r.dsa->fusion_demotions, 0u);
 }
 
 // ---- superinstruction fusion, direct Cpu ---------------------------------
 
 // Two CPUs over the same program with separate (identically seeded)
-// memories: one per dispatch twin. Comparisons cover architectural state,
-// every CpuStats counter, the cycle model, and memory contents.
+// memories: the threaded core and a reference twin. Comparisons cover
+// architectural state, every CpuStats counter, the cycle model, and
+// memory contents.
 struct TwinRig {
   explicit TwinRig(prog::Program p, std::size_t mem = 1 << 16)
       : program(std::move(p)),
-        mem_sw(mem),
+        mem_ref(mem),
         mem_th(mem),
-        hier_sw(mem::Hierarchy::Config{}),
+        hier_ref(mem::Hierarchy::Config{}),
         hier_th(mem::Hierarchy::Config{}),
-        sw(program, mem_sw, hier_sw, {}, false, DispatchMode::kSwitch),
-        th(program, mem_th, hier_th, {}, false, DispatchMode::kThreaded) {}
+        ref(program, mem_ref, hier_ref, {}, /*reference_path=*/true),
+        th(program, mem_th, hier_th) {
+    hier_ref.set_reference_path(true);
+  }
 
   void Seed32(std::uint32_t addr, std::uint32_t v) {
-    mem_sw.Write32(addr, v);
+    mem_ref.Write32(addr, v);
     mem_th.Write32(addr, v);
   }
 
-  // Runs both twins through the free-running batch loop with the same
-  // budget and asserts bit-identical outcomes.
+  // Runs the threaded twin through the free-running batch loop and steps
+  // the reference twin under the same budget rule (`++steps > max_steps`
+  // before each step, so exhaustion leaves steps == max_steps + 1), then
+  // asserts bit-identical outcomes.
   void RunFreeBoth(std::uint64_t max_steps, const std::string& tag) {
-    std::uint64_t steps_sw = 0;
+    std::uint64_t steps_ref = 0;
     std::uint64_t steps_th = 0;
-    sw.RunFree(max_steps, steps_sw);
+    while (!ref.halted()) {
+      if (++steps_ref > max_steps) break;
+      ref.Step();
+    }
     th.RunFree(max_steps, steps_th);
-    EXPECT_EQ(steps_sw, steps_th) << tag;
+    EXPECT_EQ(steps_ref, steps_th) << tag;
     ExpectEqual(tag);
   }
 
   void ExpectEqual(const std::string& tag) {
-    EXPECT_EQ(sw.state().halted, th.state().halted) << tag;
-    EXPECT_EQ(sw.state().pc, th.state().pc) << tag;
-    EXPECT_EQ(sw.state().cmp_diff, th.state().cmp_diff) << tag;
+    EXPECT_EQ(ref.state().halted, th.state().halted) << tag;
+    EXPECT_EQ(ref.state().pc, th.state().pc) << tag;
+    EXPECT_EQ(ref.state().cmp_diff, th.state().cmp_diff) << tag;
     for (int r = 0; r < isa::kNumScalarRegs; ++r) {
-      EXPECT_EQ(sw.state().regs[r], th.state().regs[r])
+      EXPECT_EQ(ref.state().regs[r], th.state().regs[r])
           << tag << ": r" << r;
     }
-    const cpu::CpuStats& a = sw.stats();
+    const cpu::CpuStats& a = ref.stats();
     const cpu::CpuStats& b = th.stats();
     EXPECT_EQ(a.retired_total, b.retired_total) << tag;
     EXPECT_EQ(a.retired_scalar, b.retired_scalar) << tag;
@@ -235,10 +172,10 @@ struct TwinRig {
     EXPECT_EQ(a.other_stall_cycles, b.other_stall_cycles) << tag;
     EXPECT_EQ(a.neon_busy_cycles, b.neon_busy_cycles) << tag;
     EXPECT_EQ(a.dsa_overhead_cycles, b.dsa_overhead_cycles) << tag;
-    EXPECT_EQ(sw.Cycles(), th.Cycles()) << tag;
-    ASSERT_EQ(mem_sw.size(), mem_th.size());
-    for (std::uint32_t addr = 0; addr < mem_sw.size(); ++addr) {
-      if (mem_sw.Read8(addr) != mem_th.Read8(addr)) {
+    EXPECT_EQ(ref.Cycles(), th.Cycles()) << tag;
+    ASSERT_EQ(mem_ref.size(), mem_th.size());
+    for (std::uint32_t addr = 0; addr < mem_ref.size(); ++addr) {
+      if (mem_ref.Read8(addr) != mem_th.Read8(addr)) {
         ADD_FAILURE() << tag << ": memory differs at " << addr;
         break;
       }
@@ -246,11 +183,11 @@ struct TwinRig {
   }
 
   prog::Program program;
-  mem::Memory mem_sw;
+  mem::Memory mem_ref;
   mem::Memory mem_th;
-  mem::Hierarchy hier_sw;
+  mem::Hierarchy hier_ref;
   mem::Hierarchy hier_th;
-  cpu::Cpu sw;
+  cpu::Cpu ref;
   cpu::Cpu th;
 };
 
@@ -276,7 +213,7 @@ prog::Program AluPairProgram() {
 
 TEST(DispatchFusion, AluPairsFuseAndMatchUnfusedSemantics) {
   TwinRig rig(AluPairProgram());
-  EXPECT_EQ(rig.sw.fused_pairs(), 0u);
+  EXPECT_EQ(rig.ref.fused_pairs(), 0u);
   EXPECT_EQ(rig.th.fused_pairs(), 5u);
   rig.RunFreeBoth(10000, "alu pairs");
   EXPECT_TRUE(rig.th.state().halted);
@@ -405,7 +342,8 @@ TEST(DispatchFusion, BudgetExhaustionSweepStopsAtSamePoint) {
   // exhaustion at every position of the stream, including between the
   // members of a fused pair or triple (the leading members retire,
   // control rests on the next member's plain slot). pc, registers, stats
-  // and cycles must agree with the switch core at every cut point.
+  // and cycles must agree with the stepped reference twin at every cut
+  // point.
   for (std::uint64_t budget = 0; budget <= 40; ++budget) {
     TwinRig rig(LatchLoopProgram());
     rig.RunFreeBoth(budget, "budget=" + std::to_string(budget));
@@ -446,14 +384,19 @@ TEST(DispatchFusion, BranchIntoPairMiddleExecutesPlainSecondMember) {
   }
 }
 
-TEST(DispatchFusion, SwitchAndReferenceModesNeverLower) {
+TEST(DispatchFusion, ReferenceCpuNeverLowersAndOnlySteps) {
   prog::Program p = AluPairProgram();
   mem::Memory m(1 << 16);
   mem::Hierarchy h(mem::Hierarchy::Config{});
-  const cpu::Cpu sw(p, m, h, {}, false, DispatchMode::kSwitch);
-  EXPECT_EQ(sw.fused_pairs(), 0u);
-  const cpu::Cpu ref(p, m, h, {}, true, DispatchMode::kThreaded);
+  cpu::Cpu ref(p, m, h, {}, /*reference_path=*/true);
   EXPECT_EQ(ref.fused_pairs(), 0u);
+  // No threaded stream to run the batched loops on.
+  std::uint64_t steps = 0;
+  std::uint64_t skipped = 0;
+  EXPECT_THROW(ref.RunFree(100, steps), std::logic_error);
+  EXPECT_THROW(ref.RunToInteresting(100, steps, skipped), std::logic_error);
+  EXPECT_THROW(ref.RunCovered(2, 4, 2, 4, 4, 0), std::logic_error);
+  EXPECT_EQ(ref.stats().retired_total, 0u);
 }
 
 }  // namespace

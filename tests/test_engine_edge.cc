@@ -3,6 +3,7 @@
 // eviction pressure and unusual loop shapes.
 #include <gtest/gtest.h>
 
+#include "nest_programs.h"
 #include "prog/assembler.h"
 #include "sim/system.h"
 
@@ -11,21 +12,10 @@ namespace {
 
 using isa::Cond;
 using isa::Opcode;
+using nests::Mini;
 using prog::Assembler;
 using sim::RunMode;
 using sim::RunResult;
-
-sim::Workload Mini(prog::Program p,
-                   std::function<void(mem::Memory&)> init = nullptr,
-                   std::function<bool(const mem::Memory&)> check = nullptr) {
-  sim::Workload wl;
-  wl.name = "mini";
-  wl.mem_bytes = 1 << 19;
-  wl.scalar = std::move(p);
-  wl.init = std::move(init);
-  wl.check = std::move(check);
-  return wl;
-}
 
 RunResult RunDsa(const sim::Workload& wl, DsaConfig cfg = {}) {
   sim::SystemConfig sc;
@@ -296,43 +286,7 @@ TEST(EngineEdge, RejectedLoopAnalyzedOnlyOnce) {
 // The fused coverage must catch the store mid-run, end the takeover and
 // demote the fusion record; per-inner cache-hit takeovers resume after.
 TEST(EngineEdge, FusedNestDemotedAfterGlueStore) {
-  Assembler as;
-  as.Movi(10, 16);  // outer counter, counts down 16..1
-  as.Movi(11, 0x40000);
-  const auto outer = as.NewLabel();
-  as.Bind(outer);
-  as.Movi(0, 0x1000);
-  as.Movi(2, 0x10000);
-  as.Movi(3, 64);
-  const auto inner = as.NewLabel();
-  as.Bind(inner);
-  as.Ldr(4, 0, 4);
-  as.Str(4, 2, 4);
-  as.AluImm(Opcode::kSubi, 3, 3, 1);
-  as.Cmpi(3, 0);
-  as.B(Cond::kGt, inner);
-  // Glue: a progress marker stored only when the counter hits 4 — never
-  // during the analysis iterations, so the nest looks fusable.
-  const auto skip = as.NewLabel();
-  as.Cmpi(10, 4);
-  as.B(Cond::kNe, skip);
-  as.Str(10, 11);
-  as.Bind(skip);
-  as.AluImm(Opcode::kSubi, 10, 10, 1);
-  as.Cmpi(10, 0);
-  as.B(Cond::kGt, outer);
-  as.Halt();
-  auto init = [](mem::Memory& m) {
-    for (int i = 0; i < 64; ++i) m.Write32(0x1000 + 4 * i, 0x100 + i);
-  };
-  auto check = [](const mem::Memory& m) {
-    for (int i = 0; i < 64; ++i) {
-      if (m.Read32(0x10000 + 4 * i) != static_cast<std::uint32_t>(0x100 + i))
-        return false;
-    }
-    return m.Read32(0x40000) == 4u;  // the marker store really executed
-  };
-  const RunResult r = RunDsa(Mini(as.Finish(), init, check));
+  const RunResult r = RunDsa(nests::GlueStoreNest());
   ASSERT_TRUE(r.dsa.has_value());
   EXPECT_TRUE(r.output_ok);
   EXPECT_GE(r.dsa->fusions_formed, 1u);

@@ -4,10 +4,9 @@
 // exist, and the way-predicted cache path batches same-line hit runs.
 // These tests pin the contract that makes that legal: every simulated
 // counter, not just the digest, is bit-identical to the pre-optimization
-// reference path and to the decode-switch twin, and the Q Sort
-// loop-detection activation count — the statistic most sensitive to a
-// latch observation being wrongly skipped — stays at its long-standing
-// value.
+// reference path, and the Q Sort loop-detection activation count — the
+// statistic most sensitive to a latch observation being wrongly skipped —
+// stays at its long-standing value.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -82,51 +81,34 @@ TEST(ObsRelevance, QSortLoopDetectionActivationsPinned) {
   // Q Sort is the stress case for latch relevance: thousands of cooled,
   // non-vectorizable backward branches that the fast path may batch as
   // inert but must still count exactly once per fresh-latch encounter.
-  // The pin is the same on the fast threaded path, the switch twin and
-  // the reference path; 2021 is the value every PR since the detector
-  // landed has reproduced.
+  // The pin is the same on the fast threaded path and the reference path;
+  // 2021 is the value every PR since the detector landed has reproduced.
   const Workload wl = workloads::MakeQSort();
-  for (const cpu::DispatchMode d :
-       {cpu::DispatchMode::kThreaded, cpu::DispatchMode::kSwitch}) {
-    for (const bool ref : {false, true}) {
-      SystemConfig cfg;
-      cfg.dispatch = d;
-      cfg.reference_path = ref;
-      const RunResult r = sim::Run(wl, RunMode::kDsa, cfg);
-      ASSERT_TRUE(r.dsa.has_value());
-      EXPECT_EQ(r.dsa->stage_activations[static_cast<int>(
-                    engine::Stage::kLoopDetection)],
-                2021u)
-          << "dispatch=" << std::string(cpu::ToString(d)) << " ref=" << ref;
-    }
+  for (const bool ref : {false, true}) {
+    SystemConfig cfg;
+    cfg.reference_path = ref;
+    const RunResult r = sim::Run(wl, RunMode::kDsa, cfg);
+    ASSERT_TRUE(r.dsa.has_value());
+    EXPECT_EQ(r.dsa->stage_activations[static_cast<int>(
+                  engine::Stage::kLoopDetection)],
+              2021u)
+        << "ref=" << ref;
   }
 }
 
 TEST(ObsRelevance, EqualitySweepFastVsReferenceAllWorkloadsAllModes) {
   SystemConfig ref_cfg;
   ref_cfg.reference_path = true;
-  for (const Workload& wl : workloads::AllNamedWorkloads()) {
+  std::vector<Workload> wls = workloads::AllNamedWorkloads();
+  // The pure-ALU dispatch microloop: no memory traffic, so the relevance
+  // classes and the threaded dispatch carry the whole run.
+  wls.push_back(workloads::MakeDispatchMicro(20000));
+  for (const Workload& wl : wls) {
     for (const RunMode m : {RunMode::kScalar, RunMode::kAutoVec,
                             RunMode::kHandVec, RunMode::kDsa}) {
       const std::string tag = wl.name + "@" + std::string(ToString(m));
       ExpectCountersIdentical(tag, sim::Run(wl, m, {}), sim::Run(wl, m, ref_cfg));
     }
-  }
-}
-
-TEST(ObsRelevance, EqualitySweepThreadedVsSwitchWithGatingOn) {
-  // The switch twin has no slot stream, so it runs the pc-window filter
-  // while the threaded core runs the relevance classes — the two gating
-  // schemes must be observationally indistinguishable.
-  SystemConfig sw_cfg;
-  sw_cfg.dispatch = cpu::DispatchMode::kSwitch;
-  for (const Workload& wl :
-       {workloads::MakeQSort(), workloads::MakeRgbGray(),
-        workloads::MakeStrCopy(), workloads::MakeDijkstra(),
-        workloads::MakeDispatchMicro(20000)}) {
-    const std::string tag = wl.name + " threaded-vs-switch";
-    ExpectCountersIdentical(tag, sim::Run(wl, RunMode::kDsa, {}),
-                            sim::Run(wl, RunMode::kDsa, sw_cfg));
   }
 }
 
