@@ -10,6 +10,7 @@
 
 #include "energy/energy_model.h"
 #include "engine/config.h"
+#include "mem/json.h"
 
 int main(int argc, char** argv) {
   std::string json_path;
@@ -47,19 +48,25 @@ int main(int argc, char** argv) {
   // The area model is closed-form (no simulation runs), so this driver
   // emits its own flat JSON rather than going through the BatchRunner.
   if (!json_path.empty()) {
+    dsa::mem::JsonBuilder w(dsa::mem::JsonBuilder::Style::kSpaced);
+    w.Object();
+    w.Key("schema").Str("dsa-bench-json/1");
+    w.Key("bench").Str("a1_tab3_area");
+    w.Key("area_um2").Object();
+    w.Key("arm_core").Num(r.arm_core, "%.1f");
+    w.Key("dsa_logic").Num(r.dsa_logic, "%.1f");
+    w.Key("arm_with_caches").Num(r.arm_with_caches, "%.1f");
+    w.Key("dsa_with_caches").Num(r.dsa_with_caches, "%.1f");
+    w.End();
+    w.Key("logic_overhead_pct").Num(r.logic_overhead_pct, "%.4f");
+    w.Key("total_overhead_pct").Num(r.total_overhead_pct, "%.4f");
+    w.End().Whitespace("\n");
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (!f) {
       std::fprintf(stderr, "could not write %s\n", json_path.c_str());
       return 1;
     }
-    std::fprintf(f,
-                 "{\"schema\": \"dsa-bench-json/1\", \"bench\": "
-                 "\"a1_tab3_area\", \"area_um2\": {\"arm_core\": %.1f, "
-                 "\"dsa_logic\": %.1f, \"arm_with_caches\": %.1f, "
-                 "\"dsa_with_caches\": %.1f}, \"logic_overhead_pct\": %.4f, "
-                 "\"total_overhead_pct\": %.4f}\n",
-                 r.arm_core, r.dsa_logic, r.arm_with_caches, r.dsa_with_caches,
-                 r.logic_overhead_pct, r.total_overhead_pct);
+    std::fputs(w.str().c_str(), f);
     std::fclose(f);
     std::printf("\n[a1_tab3_area] wrote %s\n", json_path.c_str());
   }

@@ -31,14 +31,16 @@ struct ComparePair {
   std::string key_b;
 };
 
-ComparePair SubmitCompare(BatchRunner& runner, const char* title,
-                          const Workload& wl, const SystemConfig& a,
-                          const char* name_a, const SystemConfig& b,
-                          const char* name_b) {
-  ComparePair p{title, name_a, name_b, {}, {}};
-  p.key_a = runner.Submit(wl, RunMode::kDsa, a, name_a);
-  p.key_b = runner.Submit(wl, RunMode::kDsa, b, name_b);
-  return p;
+// Submits both sides of one comparison, unless --filter drops `wl`.
+void SubmitCompare(BatchRunner& runner, const dsa::bench::BenchOptions& opts,
+                   std::vector<ComparePair>& pairs, const char* title,
+                   const Workload& wl, const SystemConfig& a,
+                   const char* name_a, const SystemConfig& b,
+                   const char* name_b) {
+  if (!dsa::bench::KeepWorkload(opts, wl.name)) return;
+  pairs.push_back(ComparePair{title, name_a, name_b,
+                              runner.Submit(wl, RunMode::kDsa, a, name_a),
+                              runner.Submit(wl, RunMode::kDsa, b, name_b)});
 }
 
 void PrintCompare(BatchRunner& runner, const ComparePair& p) {
@@ -63,37 +65,36 @@ int main(int argc, char** argv) {
   {
     SystemConfig no_cidp = base;
     no_cidp.dsa.enable_cidp = false;
-    pairs.push_back(SubmitCompare(runner, "CIDP off (VecAdd, no dependency)",
-                                  dsa::workloads::MakeVecAdd(), base, "cidp",
-                                  no_cidp, "no-cidp"));
+    SubmitCompare(runner, opts, pairs, "CIDP off (VecAdd, no dependency)",
+                  dsa::workloads::MakeVecAdd(), base, "cidp", no_cidp,
+                  "no-cidp");
     // On ShiftAdd the prediction is what *finds* the distance-8 dependency:
     // without it the exact-match check sees no conflict in iterations 2-3
     // and would vectorize the whole loop — fast but unsafe on real
     // hardware. The simulator stays functionally correct (scalar covered
     // execution), so this row quantifies how much performance the unsafe
     // full vectorization would claim vs. the safe partial one.
-    pairs.push_back(SubmitCompare(
-        runner, "CIDP off (ShiftAdd, hidden dependency)",
-        dsa::workloads::MakeShiftAdd(), base, "cidp(safe)", no_cidp,
-        "no-cidp(!)"));
+    SubmitCompare(runner, opts, pairs,
+                  "CIDP off (ShiftAdd, hidden dependency)",
+                  dsa::workloads::MakeShiftAdd(), base, "cidp(safe)", no_cidp,
+                  "no-cidp(!)");
   }
   {
     SystemConfig no_partial = base;
     no_partial.dsa.enable_partial_vectorization = false;
-    pairs.push_back(SubmitCompare(runner,
-                                  "partial vectorization off (ShiftAdd)",
-                                  dsa::workloads::MakeShiftAdd(), base,
-                                  "partial", no_partial, "scalar"));
+    SubmitCompare(runner, opts, pairs, "partial vectorization off (ShiftAdd)",
+                  dsa::workloads::MakeShiftAdd(), base, "partial", no_partial,
+                  "scalar");
   }
   {
     SystemConfig no_fusion = base;
     no_fusion.dsa.enable_loop_fusion = false;
-    pairs.push_back(SubmitCompare(runner, "loop fusion off (MM 64x64)",
-                                  dsa::workloads::MakeMatMul(), base, "fused",
-                                  no_fusion, "per-entry"));
-    pairs.push_back(SubmitCompare(runner, "loop fusion off (Gaussian)",
-                                  dsa::workloads::MakeGaussian(), base,
-                                  "fused", no_fusion, "per-entry"));
+    SubmitCompare(runner, opts, pairs, "loop fusion off (MM 64x64)",
+                  dsa::workloads::MakeMatMul(), base, "fused", no_fusion,
+                  "per-entry");
+    SubmitCompare(runner, opts, pairs, "loop fusion off (Gaussian)",
+                  dsa::workloads::MakeGaussian(), base, "fused", no_fusion,
+                  "per-entry");
   }
 
   struct SweepCell {
@@ -102,23 +103,27 @@ int main(int argc, char** argv) {
     std::string key;
   };
   std::vector<SweepCell> sweep;
-  for (const std::uint32_t bytes : {64u, 256u, 8192u}) {
-    SystemConfig cfg = base;
-    cfg.dsa.dsa_cache_bytes = bytes;
-    sweep.push_back(SweepCell{
-        bytes, cfg.dsa.dsa_cache_entries(),
-        runner.Submit(dsa::workloads::MakeMatMul(), RunMode::kDsa, cfg,
-                      "cache" + std::to_string(bytes))});
+  if (const Workload mm = dsa::workloads::MakeMatMul();
+      dsa::bench::KeepWorkload(opts, mm.name)) {
+    for (const std::uint32_t bytes : {64u, 256u, 8192u}) {
+      SystemConfig cfg = base;
+      cfg.dsa.dsa_cache_bytes = bytes;
+      sweep.push_back(SweepCell{
+          bytes, cfg.dsa.dsa_cache_entries(),
+          runner.Submit(mm, RunMode::kDsa, cfg,
+                        "cache" + std::to_string(bytes))});
+    }
   }
 
   // 8191 elements: 1023 full i16 chunks + 7 leftovers per entry. The
   // non-default size gets a workload tag so it cannot be memo-merged with
   // the default RGB-Gray cells.
   const Workload rgb_odd = dsa::workloads::MakeRgbGray(8191);
+  const bool odd = dsa::bench::KeepWorkload(opts, rgb_odd.name);
   const std::string odd_scalar =
-      runner.Submit(rgb_odd, RunMode::kScalar, base, "", "n8191");
+      odd ? runner.Submit(rgb_odd, RunMode::kScalar, base, "", "n8191") : "";
   const std::string odd_dsa =
-      runner.Submit(rgb_odd, RunMode::kDsa, base, "", "n8191");
+      odd ? runner.Submit(rgb_odd, RunMode::kDsa, base, "", "n8191") : "";
 
   SystemConfig no_pf = base;
   no_pf.memory.next_line_prefetch = false;
@@ -128,8 +133,8 @@ int main(int argc, char** argv) {
     std::string dsa_key;
   };
   std::vector<PfCell> pf_cells;
-  {
-    const Workload wl = dsa::workloads::MakeRgbGray();
+  if (const Workload wl = dsa::workloads::MakeRgbGray();
+      dsa::bench::KeepWorkload(opts, wl.name)) {
     for (const auto& [name, cfg] :
          std::initializer_list<std::pair<const char*, SystemConfig>>{
              {"prefetch", base}, {"no-prefetch", no_pf}}) {
@@ -141,7 +146,7 @@ int main(int argc, char** argv) {
 
   for (const ComparePair& p : pairs) PrintCompare(runner, p);
 
-  std::printf("\nDSA cache size sweep (MM 64x64):\n");
+  if (!sweep.empty()) std::printf("\nDSA cache size sweep (MM 64x64):\n");
   for (const SweepCell& cell : sweep) {
     const RunResult& r = dsa::bench::ResultOrEmpty(runner, cell.key);
     std::printf("  %5u B (%3u entries): %10llu cycles, %llu cache-hit "
@@ -151,8 +156,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.dsa->cache_hit_takeovers));
   }
 
-  std::printf("\nleftover handling (RGB-Gray with a non-multiple size):\n");
-  {
+  if (odd) {
+    std::printf("\nleftover handling (RGB-Gray with a non-multiple size):\n");
     const RunResult& scalar = dsa::bench::ResultOrEmpty(runner, odd_scalar);
     const RunResult& ds = dsa::bench::ResultOrEmpty(runner, odd_dsa);
     std::printf("  scalar %llu cycles, DSA %llu cycles (x%.2f), outputs %s\n",
@@ -161,7 +166,7 @@ int main(int argc, char** argv) {
                 SpeedupOver(scalar, ds), ds.output_ok ? "OK" : "MISMATCH");
   }
 
-  std::printf("\nstream prefetch off (RGB-Gray):\n");
+  if (!pf_cells.empty()) std::printf("\nstream prefetch off (RGB-Gray):\n");
   for (const PfCell& cell : pf_cells) {
     const RunResult& s = dsa::bench::ResultOrEmpty(runner, cell.scalar_key);
     const RunResult& d = dsa::bench::ResultOrEmpty(runner, cell.dsa_key);

@@ -17,6 +17,7 @@
 
 namespace {
 
+using dsa::bench::KeepWorkloads;
 using dsa::sim::BatchRunner;
 using dsa::sim::RunMode;
 using dsa::sim::RunResult;
@@ -135,12 +136,16 @@ struct TableRun {
   std::uint64_t executions = 0;  // serial path: actual sim::Run calls
 };
 
-TableRun RenderAllTables(const Getter& get, const SystemConfig& cfg,
+TableRun RenderAllTables(const dsa::bench::BenchOptions& opts,
+                         const Getter& get, const SystemConfig& cfg,
                          const SystemConfig& orig_cfg) {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<Workload> a3 = dsa::workloads::Article3Set();
-  const std::vector<Workload> a2 = dsa::workloads::Article2Set();
-  const std::vector<Workload> stream = dsa::workloads::StreamingSet();
+  const std::vector<Workload> a3 =
+      KeepWorkloads(opts, dsa::workloads::Article3Set());
+  const std::vector<Workload> a2 =
+      KeepWorkloads(opts, dsa::workloads::Article2Set());
+  const std::vector<Workload> stream =
+      KeepWorkloads(opts, dsa::workloads::StreamingSet());
   PrintPerf(a3, cfg, get);
   PrintEnergy(a3, cfg, get);
   PrintLatency(a3, cfg, get);
@@ -176,7 +181,7 @@ int main(int argc, char** argv) {
       ++serial_runs;
       return Run(wl, mode, c);
     };
-    TableRun tr = RenderAllTables(serial_get, cfg, orig_cfg);
+    TableRun tr = RenderAllTables(opts, serial_get, cfg, orig_cfg);
     serial_ms = tr.wall_ms;
     std::printf("[matrix/serial] %llu sim runs in %.0f ms\n",
                 static_cast<unsigned long long>(serial_runs), serial_ms);
@@ -188,13 +193,16 @@ int main(int argc, char** argv) {
   BatchRunner runner(opts.runner);
   // Submit the whole matrix up front so the workers stream through it;
   // rendering then reads every cell from the memo.
-  for (const Workload& wl : dsa::workloads::Article3Set()) {
+  for (const Workload& wl :
+       KeepWorkloads(opts, dsa::workloads::Article3Set())) {
     runner.SubmitMatrix(wl, cfg);
   }
-  for (const Workload& wl : dsa::workloads::Article2Set()) {
+  for (const Workload& wl :
+       KeepWorkloads(opts, dsa::workloads::Article2Set())) {
     runner.Submit(wl, RunMode::kDsa, orig_cfg, "orig");
   }
-  for (const Workload& wl : dsa::workloads::StreamingSet()) {
+  for (const Workload& wl :
+       KeepWorkloads(opts, dsa::workloads::StreamingSet())) {
     runner.Submit(wl, RunMode::kScalar, cfg);
     runner.Submit(wl, RunMode::kDsa, cfg);
   }
@@ -203,7 +211,7 @@ int main(int argc, char** argv) {
                                     const std::string& ctag) {
     return dsa::bench::ResultOrEmpty(runner, runner.Submit(wl, mode, c, ctag));
   };
-  RenderAllTables(memo_get, cfg, orig_cfg);
+  RenderAllTables(opts, memo_get, cfg, orig_cfg);
   const int rc = dsa::bench::FinishBench(runner, opts, "matrix");
   if (opts.compare && rc == 0) {
     const double runner_ms = std::chrono::duration<double, std::milli>(

@@ -26,6 +26,7 @@
 #include "fault/fault.h"
 #include "resilience/supervisor.h"
 #include "serve/cache.h"
+#include "serve/flags.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/system.h"
@@ -73,54 +74,31 @@ struct BenchOptions {
   int gen_count = 0;
 };
 
-// Strict numeric flag parsing: the whole token must be a decimal number,
-// so `--jobs 4x` or `--jobs ""` is a usage error instead of whatever
-// atoi() would silently make of it. Out-of-range values are refused too —
-// strtol saturates silently on ERANGE, which would turn an overflowed
-// `--deadline-ms 99999999999999999999` into LONG_MAX instead of an error.
+// Strict numeric flag parsing, with the daemon's rules (serve/flags.h):
+// the whole token must be a decimal number, so `--jobs 4x` or `--jobs ""`
+// is a usage error instead of whatever atoi() would silently make of it,
+// and an out-of-range value is refused instead of saturated or wrapped.
+// Prints `<flag> <reason>` and exits 2 on a bad token.
 inline long ParseCountArg(const std::string& flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "%s expects a decimal number, got \"%s\"\n",
-                 flag.c_str(), text);
-    std::exit(2);
-  }
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "%s value \"%s\" is out of range\n", flag.c_str(),
-                 text);
+  long v = 0;
+  std::string error;
+  if (!serve::ParseCountText(text, v, &error)) {
+    std::fprintf(stderr, "%s %s\n", flag.c_str(), error.c_str());
     std::exit(2);
   }
   return v;
 }
 
-// Strict uint64 flag parsing for `--gen-seed`: any 64-bit seed is legal,
-// but a leading '-' or an overflowing token is refused instead of letting
-// strtoull wrap it around into a different (silently valid) seed.
+// The unsigned twin for `--gen-seed`: any 64-bit seed is legal, but a
+// sign or an overflowing token is refused.
 inline std::uint64_t ParseU64Arg(const std::string& flag, const char* text) {
-  const char* p = text;
-  while (std::isspace(static_cast<unsigned char>(*p))) ++p;
-  if (*p == '-' || *p == '+') {
-    std::fprintf(stderr, "%s expects an unsigned decimal number, got \"%s\"\n",
-                 flag.c_str(), text);
+  std::uint64_t v = 0;
+  std::string error;
+  if (!serve::ParseU64Text(text, v, &error)) {
+    std::fprintf(stderr, "%s %s\n", flag.c_str(), error.c_str());
     std::exit(2);
   }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "%s expects an unsigned decimal number, got \"%s\"\n",
-                 flag.c_str(), text);
-    std::exit(2);
-  }
-  if (errno == ERANGE) {
-    std::fprintf(stderr,
-                 "%s value \"%s\" overflows 64 bits; refusing to wrap it\n",
-                 flag.c_str(), text);
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(v);
+  return v;
 }
 
 // Strict double parsing for `--assert-ratio`: whole token must be a
@@ -355,6 +333,15 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     return s;
   };
   return lower(name).find(lower(o.filter)) != std::string::npos;
+}
+
+// The members of `set` that --filter keeps.
+[[nodiscard]] inline std::vector<sim::Workload> KeepWorkloads(
+    const BenchOptions& o, std::vector<sim::Workload> set) {
+  std::erase_if(set, [&o](const sim::Workload& wl) {
+    return !KeepWorkload(o, wl.name);
+  });
+  return set;
 }
 
 // Rendering accessor used by the table loops instead of the throwing

@@ -35,6 +35,18 @@ echo "== oracle-gated mini bench =="
     --json "$BUILD"/BENCH_check.json
 grep -q '"ok": true' "$BUILD"/BENCH_check.json
 
+echo "== UTF-8 report gate (cell-store path with byte 0xff) =="
+# Every string a report carries goes through the one JSON writer
+# (src/mem/json.h), which escapes any byte that is not well-formed UTF-8
+# as \u00XX. A --cache directory whose name holds byte 0xff must still
+# yield a report that validate_bench.py (a strict UTF-8 reader) accepts.
+UTF8_CACHE="$BUILD"/utf8_cache_$'\xff'
+rm -rf "$UTF8_CACHE"
+"$BUILD"/bench/bench_a3_fig8_perf --filter VecAdd --jobs "$JOBS" \
+    --cache "$UTF8_CACHE" --json "$BUILD"/BENCH_utf8_check.json
+python3 scripts/validate_bench.py "$BUILD"/BENCH_utf8_check.json
+rm -rf "$UTF8_CACHE"
+
 echo "== chaos smoke (fault injection + guard recovery) =="
 # The chaos driver injects every fault kind into the VecAdd slice and
 # exits non-zero unless every injected run recovers bit-identically to

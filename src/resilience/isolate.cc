@@ -5,6 +5,7 @@
 #include <cstring>
 #include <new>
 
+#include "mem/json.h"
 #include "resilience/journal.h"
 #include "resilience/mini_json.h"
 #include "sim/error.h"
@@ -46,12 +47,9 @@ void SendFrame(int fd, char type, const std::string& json) {
 }
 
 std::string ErrorJson(sim::DsaErrorCode code, const std::string& what) {
-  std::string s = "{\"code\":";
-  s += std::to_string(static_cast<int>(code));
-  s += ",\"what\":\"";
-  s += JsonEscape(what);
-  s += "\"}";
-  return s;
+  mem::JsonBuilder w;
+  w.Object().Key("code").I64(static_cast<int>(code)).Key("what").Str(what);
+  return w.End().Take();
 }
 
 // Child side: run the cell, ship one frame, _exit without running any

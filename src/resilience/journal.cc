@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "mem/json.h"
 #include "resilience/mini_json.h"
 
 namespace dsa::resilience {
@@ -24,114 +25,62 @@ std::uint32_t GetU32(const unsigned char* p) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization helpers (append-to-string writers; the reader side is
-// mini_json).
+// Serialization (the reader side is mini_json). Arrays keep the records
+// compact; %.17g round-trips an IEEE double exactly through strtod.
 
-void PutU64(std::string& s, const char* key, std::uint64_t v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%" PRIu64 ",", key, v);
-  s += buf;
-}
-
-void PutDbl(std::string& s, const char* key, double v) {
-  // %.17g round-trips an IEEE double exactly through strtod.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.17g,", key, v);
-  s += buf;
-}
-
-void PutStr(std::string& s, const char* key, const std::string& v) {
-  s += '"';
-  s += key;
-  s += "\":\"";
-  s += JsonEscape(v);
-  s += "\",";
-}
-
-void PutBool(std::string& s, const char* key, bool v) {
-  s += '"';
-  s += key;
-  s += v ? "\":true," : "\":false,";
-}
-
-void CloseObj(std::string& s) {
-  if (!s.empty() && s.back() == ',') s.back() = '}';
-  else s += '}';
-}
+constexpr const char* kExact = "%.17g";
 
 template <typename Array>
-void PutU64Array(std::string& s, const char* key, const Array& a) {
-  s += '"';
-  s += key;
-  s += "\":[";
-  bool first = true;
-  for (const std::uint64_t v : a) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%s%" PRIu64, first ? "" : ",", v);
-    s += buf;
-    first = false;
-  }
-  s += "],";
+void WriteU64s(mem::JsonBuilder& w, const char* key, const Array& a) {
+  w.Key(key).Array();
+  for (const std::uint64_t v : a) w.U64(v);
+  w.End();
 }
 
+// Enum-keyed counters as [[numeric_key, count], ...] so the reader never
+// needs per-enum string parsers.
 template <typename Map>
-void PutEnumMap(std::string& s, const char* key, const Map& m) {
-  // Enum-keyed counters as [[numeric_key, count], ...] so the reader
-  // never needs per-enum string parsers.
-  s += '"';
-  s += key;
-  s += "\":[";
-  bool first = true;
+void WriteEnumCounts(mem::JsonBuilder& w, const char* key, const Map& m) {
+  w.Key(key).Array();
   for (const auto& [k, v] : m) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%s[%d,%" PRIu64 "]", first ? "" : ",",
-                  static_cast<int>(k), v);
-    s += buf;
-    first = false;
+    w.Array().I64(static_cast<int>(k)).U64(v).End();
   }
-  s += "],";
+  w.End();
 }
 
-void SerializeResult(std::string& s, const sim::RunResult& r) {
-  s += '{';
-  PutStr(s, "workload", r.workload);
-  PutU64(s, "mode", static_cast<std::uint64_t>(r.mode));
-  PutBool(s, "output_ok", r.output_ok);
-  PutU64(s, "cycles", r.cycles);
+void WriteResult(mem::JsonBuilder& w, const sim::RunResult& r) {
+  w.Object();
+  w.Key("workload").Str(r.workload);
+  w.Key("mode").U64(static_cast<std::uint64_t>(r.mode));
+  w.Key("output_ok").Bool(r.output_ok);
+  w.Key("cycles").U64(r.cycles);
   const std::uint64_t cpu[] = {
       r.cpu.retired_total,    r.cpu.retired_scalar, r.cpu.retired_vector,
       r.cpu.mem_reads,        r.cpu.mem_writes,     r.cpu.branches,
       r.cpu.mispredicts,      r.cpu.issue_slots,    r.cpu.mem_stall_cycles,
       r.cpu.other_stall_cycles, r.cpu.neon_busy_cycles,
       r.cpu.dsa_overhead_cycles};
-  PutU64Array(s, "cpu", cpu);
+  WriteU64s(w, "cpu", cpu);
   const std::uint64_t l1[] = {r.l1.hits, r.l1.misses};
   const std::uint64_t l2[] = {r.l2.hits, r.l2.misses};
-  PutU64Array(s, "l1", l1);
-  PutU64Array(s, "l2", l2);
-  PutU64(s, "dram", r.dram_accesses);
+  WriteU64s(w, "l1", l1);
+  WriteU64s(w, "l2", l2);
+  w.Key("dram").U64(r.dram_accesses);
   const double energy[] = {r.energy.core_dynamic, r.energy.core_static,
                            r.energy.neon_dynamic, r.energy.neon_static,
                            r.energy.cache_dram,   r.energy.dsa_dynamic,
                            r.energy.dsa_static};
-  s += "\"energy\":[";
-  for (int i = 0; i < 7; ++i) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%s%.17g", i == 0 ? "" : ",", energy[i]);
-    s += buf;
-  }
-  s += "],";
-  {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "\"digest\":\"0x%016" PRIx64 "\",",
-                  r.output_digest);
-    s += buf;
-  }
-  PutU64(s, "host_steps", r.host_steps);
-  PutDbl(s, "host_wall_ms", r.host_wall_ms);
+  w.Key("energy").Array();
+  for (const double e : energy) w.Num(e, kExact);
+  w.End();
+  char digest[24];
+  std::snprintf(digest, sizeof(digest), "0x%016" PRIx64, r.output_digest);
+  w.Key("digest").Str(digest);
+  w.Key("host_steps").U64(r.host_steps);
+  w.Key("host_wall_ms").Num(r.host_wall_ms, kExact);
   if (r.dsa.has_value()) {
     const engine::DsaStats& d = *r.dsa;
-    s += "\"dsa\":{";
+    w.Key("dsa").Object();
     const std::uint64_t counters[] = {
         d.analysis_cycles,        d.observed_instructions,
         d.takeovers,              d.cache_hit_takeovers,
@@ -141,24 +90,22 @@ void SerializeResult(std::string& s, const sim::RunResult& r) {
         d.array_map_accesses,     d.vc_accesses,
         d.dsa_cache_accesses,     d.rollbacks,
         d.blacklisted_loops,      d.cache_corruptions_detected};
-    PutU64Array(s, "counters", counters);
-    PutU64Array(s, "stages", d.stage_activations);
-    PutEnumMap(s, "loops", d.loops_by_class);
-    PutEnumMap(s, "entries", d.entries_by_class);
-    PutEnumMap(s, "rejects", d.rejects_by_reason);
-    CloseObj(s);
-    s += ',';
+    WriteU64s(w, "counters", counters);
+    WriteU64s(w, "stages", d.stage_activations);
+    WriteEnumCounts(w, "loops", d.loops_by_class);
+    WriteEnumCounts(w, "entries", d.entries_by_class);
+    WriteEnumCounts(w, "rejects", d.rejects_by_reason);
+    w.End();
   }
   if (r.faults.has_value()) {
     const fault::FaultReport& fr = *r.faults;
-    s += "\"faults\":{";
-    PutStr(s, "plan", fault::FormatFaultPlan(fr.plan));
-    PutU64Array(s, "opportunities", fr.opportunities);
-    PutU64Array(s, "fired", fr.fired);
-    CloseObj(s);
-    s += ',';
+    w.Key("faults").Object();
+    w.Key("plan").Str(fault::FormatFaultPlan(fr.plan));
+    WriteU64s(w, "opportunities", fr.opportunities);
+    WriteU64s(w, "fired", fr.fired);
+    w.End();
   }
-  CloseObj(s);
+  w.End();
 }
 
 template <typename Array>
@@ -359,9 +306,9 @@ bool DecodeFrame(std::string_view frame, std::string_view magic, char& type,
 }
 
 std::string SerializeRunResult(const sim::RunResult& r) {
-  std::string s;
-  SerializeResult(s, r);
-  return s;
+  mem::JsonBuilder w;
+  WriteResult(w, r);
+  return w.Take();
 }
 
 bool ParseRunResult(const std::string& payload, sim::RunResult& r) {
@@ -372,20 +319,20 @@ bool ParseRunResult(const std::string& payload, sim::RunResult& r) {
 }
 
 std::string SerializeOutcome(const sim::JobOutcome& out) {
-  std::string s = "{";
-  PutStr(s, "kind", "cell");
-  PutStr(s, "key", out.key);
-  PutStr(s, "status", out.cell_status);
-  PutU64(s, "attempts", out.attempts);
-  PutDbl(s, "wall_ms", out.wall_ms);
-  PutU64(s, "runs", out.runs.size());
+  mem::JsonBuilder w;
+  w.Object();
+  w.Key("kind").Str("cell");
+  w.Key("key").Str(out.key);
+  w.Key("status").Str(out.cell_status);
+  w.Key("attempts").U64(out.attempts);
+  w.Key("wall_ms").Num(out.wall_ms, kExact);
+  w.Key("runs").U64(out.runs.size());
   if (!out.runs.empty()) {
-    s += "\"result\":";
-    SerializeResult(s, out.result());
-    s += ',';
+    w.Key("result");
+    WriteResult(w, out.result());
   }
-  CloseObj(s);
-  return s;
+  w.End();
+  return w.Take();
 }
 
 bool ParseOutcome(const JsonValue& j, sim::JobOutcome& out) {

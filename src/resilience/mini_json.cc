@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "mem/json.h"
+
 namespace dsa::resilience {
 
 namespace {
@@ -167,7 +169,7 @@ class Parser {
             else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
             else return false;
           }
-          // Our writers (JsonEscape) \u00XX-escape control characters and
+          // The writer (mem/json.h) \u00XX-escapes control characters and
           // any byte that is not part of a well-formed UTF-8 sequence.
           // Decode everything below 0x100 back to the single original
           // byte so escape -> parse is a byte-exact round trip even for
@@ -219,41 +221,26 @@ class Parser {
   std::string error_;
 };
 
-void DumpTo(const JsonValue& v, std::string& out) {  // NOLINT(misc-no-recursion)
+// NOLINTNEXTLINE(misc-no-recursion)
+void DumpTo(const JsonValue& v, mem::JsonBuilder& w) {
   switch (v.type) {
-    case JsonValue::Type::kNull: out += "null"; break;
-    case JsonValue::Type::kBool: out += v.boolean ? "true" : "false"; break;
-    case JsonValue::Type::kNumber: out += v.raw; break;
-    case JsonValue::Type::kString:
-      out.push_back('"');
-      out += JsonEscape(v.raw);
-      out.push_back('"');
+    case JsonValue::Type::kNull: w.Encoded("null"); break;
+    case JsonValue::Type::kBool: w.Bool(v.boolean); break;
+    case JsonValue::Type::kNumber: w.Encoded(v.raw); break;
+    case JsonValue::Type::kString: w.Str(v.raw); break;
+    case JsonValue::Type::kArray:
+      w.Array();
+      for (const JsonValue& e : v.array) DumpTo(e, w);
+      w.End();
       break;
-    case JsonValue::Type::kArray: {
-      out.push_back('[');
-      bool first = true;
-      for (const JsonValue& e : v.array) {
-        if (!first) out.push_back(',');
-        first = false;
-        DumpTo(e, out);
-      }
-      out.push_back(']');
-      break;
-    }
-    case JsonValue::Type::kObject: {
-      out.push_back('{');
-      bool first = true;
+    case JsonValue::Type::kObject:
+      w.Object();
       for (const auto& [key, value] : v.object) {
-        if (!first) out.push_back(',');
-        first = false;
-        out.push_back('"');
-        out += JsonEscape(key);
-        out += "\":";
-        DumpTo(value, out);
+        w.Key(key);
+        DumpTo(value, w);
       }
-      out.push_back('}');
+      w.End();
       break;
-    }
   }
 }
 
@@ -299,77 +286,14 @@ bool ParseJson(std::string_view text, JsonValue& out, std::string* error) {
 }
 
 std::string DumpJson(const JsonValue& v) {
-  std::string out;
-  DumpTo(v, out);
-  return out;
+  mem::JsonBuilder w;
+  DumpTo(v, w);
+  return w.Take();
 }
-
-namespace {
-
-// Length (2..4) of the well-formed UTF-8 sequence starting at s[i], or 0
-// when the bytes do not form one. Strict per RFC 3629: no overlong
-// encodings, no surrogate code points, nothing above U+10FFFF — exactly
-// the sequences a JSON consumer must accept as text.
-std::size_t Utf8SequenceLength(std::string_view s, std::size_t i) {
-  const auto byte = [&](std::size_t k) -> unsigned {
-    return k < s.size() ? static_cast<unsigned char>(s[k]) : 0u;
-  };
-  const auto cont = [](unsigned c) { return c >= 0x80 && c <= 0xBF; };
-  const unsigned c0 = byte(i), c1 = byte(i + 1), c2 = byte(i + 2),
-                 c3 = byte(i + 3);
-  if (c0 >= 0xC2 && c0 <= 0xDF) return cont(c1) ? 2 : 0;
-  if (c0 == 0xE0) return (c1 >= 0xA0 && c1 <= 0xBF && cont(c2)) ? 3 : 0;
-  if (c0 >= 0xE1 && c0 <= 0xEC) return (cont(c1) && cont(c2)) ? 3 : 0;
-  if (c0 == 0xED) return (c1 >= 0x80 && c1 <= 0x9F && cont(c2)) ? 3 : 0;
-  if (c0 >= 0xEE && c0 <= 0xEF) return (cont(c1) && cont(c2)) ? 3 : 0;
-  if (c0 == 0xF0) {
-    return (c1 >= 0x90 && c1 <= 0xBF && cont(c2) && cont(c3)) ? 4 : 0;
-  }
-  if (c0 >= 0xF1 && c0 <= 0xF3) {
-    return (cont(c1) && cont(c2) && cont(c3)) ? 4 : 0;
-  }
-  if (c0 == 0xF4) {
-    return (c1 >= 0x80 && c1 <= 0x8F && cont(c2) && cont(c3)) ? 4 : 0;
-  }
-  return 0;  // 0x80-0xC1 and 0xF5-0xFF are never lead bytes
-}
-
-}  // namespace
 
 std::string JsonEscape(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  const auto escape_byte = [&out](unsigned char b) {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "\\u%04x", b);
-    out += buf;
-  };
-  std::size_t i = 0;
-  while (i < s.size()) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(static_cast<char>(c));
-      ++i;
-    } else if (c < 0x20) {
-      escape_byte(c);
-      ++i;
-    } else if (c < 0x80) {
-      out.push_back(static_cast<char>(c));
-      ++i;
-    } else if (const std::size_t len = Utf8SequenceLength(s, i); len > 0) {
-      // A complete, well-formed UTF-8 sequence passes through verbatim.
-      out.append(s.substr(i, len));
-      i += len;
-    } else {
-      // Stray continuation byte, overlong form, surrogate, truncated
-      // tail: escape the byte as \u00XX so the emitted document is
-      // always valid JSON text, whatever bytes land in an error string
-      // (the parser decodes \u00XX back to the identical byte).
-      escape_byte(c);
-      ++i;
-    }
-  }
+  mem::AppendJsonEscaped(out, s);
   return out;
 }
 

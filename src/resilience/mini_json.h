@@ -58,12 +58,11 @@ class JsonValue {
 // what makes the canonical bench-report comparison in bench_soak exact.
 [[nodiscard]] std::string DumpJson(const JsonValue& v);
 
-// Escapes `s` as the contents of a JSON string literal (no quotes).
-// Arbitrary byte strings are safe: control characters and any byte that
-// is not part of a well-formed UTF-8 sequence are emitted as \u00XX, so
-// the output is always valid JSON text, and ParseJson decodes \u00XX
-// back to the identical byte (escape -> parse is byte-exact even for
-// binary input — the serving daemon's responses rely on this).
+// Escapes `s` as the contents of a JSON string literal (no quotes), with
+// the one escaper every writer uses (mem::AppendJsonEscaped): control
+// characters and any byte that is not part of a well-formed UTF-8
+// sequence become \u00XX, and ParseJson decodes them back to the
+// identical byte.
 [[nodiscard]] std::string JsonEscape(std::string_view s);
 
 }  // namespace dsa::resilience

@@ -10,10 +10,12 @@
 #include <memory>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mem/fnv.h"
+#include "mem/json.h"
 #include "mem/memory.h"
 #include "resilience/iofault.h"
 #include "resilience/journal.h"
@@ -45,6 +47,24 @@ struct KeyHasher : mem::Fnv1a {
   void Str(std::string_view s) {
     U64(s.size());
     Bytes(s.data(), s.size());
+  }
+  // Hashes each argument by its type: a double by its bits, an enum by
+  // its value, an integer or bool widened to 64 bits.
+  template <typename... Ts>
+  void Fields(const Ts&... v) {
+    (Field(v), ...);
+  }
+
+ private:
+  template <typename T>
+  void Field(T v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      F64(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      I64(static_cast<std::int64_t>(v));
+    } else {
+      U64(static_cast<std::uint64_t>(v));
+    }
   }
 };
 
@@ -184,83 +204,62 @@ std::uint64_t WorkloadDigest(const sim::Workload& wl) {
 }
 
 std::uint64_t ConfigDigest(const sim::SystemConfig& cfg) {
+  // Every config struct is destructured with a binding of its exact
+  // arity, so a field added to any of them fails to compile here until
+  // the walk hashes it. The order is the digest's: it must not change.
   KeyHasher f;
-  // cpu::TimingConfig
-  f.U64(cfg.timing.superscalar_width);
-  f.U64(cfg.timing.branch_mispredict_penalty);
-  f.U64(cfg.timing.int_mul_extra);
-  f.U64(cfg.timing.int_div_extra);
-  f.U64(cfg.timing.fp_extra);
-  f.U64(cfg.timing.fp_div_extra);
-  f.U64(cfg.timing.neon.alu_latency);
-  f.U64(cfg.timing.neon.mul_latency);
-  f.U64(cfg.timing.neon.mem_latency);
-  f.U64(cfg.timing.neon.lane_move);
-  f.U64(cfg.timing.neon.pipeline_fill);
-  // mem::Hierarchy::Config
-  for (const auto& c : {cfg.memory.l1, cfg.memory.l2}) {
-    f.U64(c.size_bytes);
-    f.U64(c.line_bytes);
-    f.U64(c.ways);
-    f.U64(c.hit_latency);
+  const auto& [timing, memory, dsa_cfg, energy_cfg, trace_cfg, faults,
+               max_steps, reference_path] = cfg;
+  {  // cpu::TimingConfig, neon::NeonTiming
+    const auto& [width, mispredict, mul, div, fp, fp_div, neon] = timing;
+    f.Fields(width, mispredict, mul, div, fp, fp_div);
+    const auto& [alu, vmul, vmem, lane_move, pipeline_fill] = neon;
+    f.Fields(alu, vmul, vmem, lane_move, pipeline_fill);
   }
-  f.U64(cfg.memory.dram_latency);
-  f.U64(cfg.memory.next_line_prefetch ? 1 : 0);
-  // engine::DsaConfig
-  f.U64(cfg.dsa.dsa_cache_bytes);
-  f.U64(cfg.dsa.dsa_cache_entry_bytes);
-  f.U64(cfg.dsa.verification_cache_bytes);
-  f.U64(cfg.dsa.verification_entry_bytes);
-  f.U64(cfg.dsa.array_maps);
-  f.U64(cfg.dsa.neon_regs);
-  f.U64(cfg.dsa.trace_capacity);
-  f.U64(cfg.dsa.enable_conditional_loops ? 1 : 0);
-  f.U64(cfg.dsa.enable_sentinel_loops ? 1 : 0);
-  f.U64(cfg.dsa.enable_dynamic_range_loops ? 1 : 0);
-  f.U64(cfg.dsa.enable_partial_vectorization ? 1 : 0);
-  f.U64(cfg.dsa.enable_loop_fusion ? 1 : 0);
-  f.U64(cfg.dsa.enable_cidp ? 1 : 0);
-  f.U64(cfg.dsa.pipeline_flush_latency);
-  f.U64(cfg.dsa.dsa_cache_access_latency);
-  f.U64(cfg.dsa.verification_cache_access_latency);
-  f.U64(cfg.dsa.array_map_access_latency);
-  f.U64(cfg.dsa.partial_window_resync_latency);
-  f.U64(cfg.dsa.speculative_select_latency);
-  f.U64(cfg.dsa.blacklist_strikes);
-  f.U64(cfg.dsa.rollback_penalty);
-  f.U64(cfg.dsa.guard_margin_iterations);
-  // energy::EnergyParams
-  f.F64(cfg.energy.scalar_instr);
-  f.F64(cfg.energy.mem_instr_extra);
-  f.F64(cfg.energy.branch_extra);
-  f.F64(cfg.energy.mispredict_flush);
-  f.F64(cfg.energy.vector_instr);
-  f.F64(cfg.energy.l1_access);
-  f.F64(cfg.energy.l2_access);
-  f.F64(cfg.energy.dram_access);
-  f.F64(cfg.energy.core_static);
-  f.F64(cfg.energy.neon_static);
-  f.F64(cfg.energy.dsa_static);
-  f.F64(cfg.energy.dsa_analysis_per_instr);
-  f.F64(cfg.energy.dsa_cache_access);
-  f.F64(cfg.energy.vc_access);
-  f.F64(cfg.energy.array_map_access);
-  // trace::TraceConfig — enabled changes the RunResult payload (trace
-  // aggregates), so traced and untraced cells never alias.
-  f.U64(cfg.trace.enabled ? 1 : 0);
-  f.U64(cfg.trace.capacity);
-  // fault::FaultPlan
-  f.U64(cfg.faults.specs.size());
-  for (const auto& spec : cfg.faults.specs) {
-    f.I64(static_cast<std::int64_t>(spec.kind));
-    f.U64(spec.trigger);
-    f.U64(spec.count);
+  {  // mem::Hierarchy::Config, mem::CacheConfig
+    const auto& [l1, l2, dram_latency, next_line_prefetch] = memory;
+    for (const mem::CacheConfig& c : {l1, l2}) {
+      const auto& [size_bytes, line_bytes, ways, hit_latency] = c;
+      f.Fields(size_bytes, line_bytes, ways, hit_latency);
+    }
+    f.Fields(dram_latency, next_line_prefetch);
   }
-  f.U64(cfg.faults.seed);
-  f.U64(cfg.faults.seed_explicit ? 1 : 0);
+  {  // engine::DsaConfig
+    const auto& [cache_bytes, cache_entry_bytes, vc_bytes, vc_entry_bytes,
+                 array_maps, neon_regs, trace_capacity, conditional,
+                 sentinel, dynamic_range, partial, fusion, cidp, flush,
+                 cache_access, vc_access, map_access, resync, select,
+                 strikes, rollback, margin] = dsa_cfg;
+    f.Fields(cache_bytes, cache_entry_bytes, vc_bytes, vc_entry_bytes,
+             array_maps, neon_regs, trace_capacity, conditional, sentinel,
+             dynamic_range, partial, fusion, cidp, flush, cache_access,
+             vc_access, map_access, resync, select, strikes, rollback,
+             margin);
+  }
+  {  // energy::EnergyParams
+    const auto& [scalar, mem_extra, branch, mispredict, vector, l1, l2, dram,
+                 core_static, neon_static, dsa_static, analysis, cache_access,
+                 vc_access, map_access] = energy_cfg;
+    f.Fields(scalar, mem_extra, branch, mispredict, vector, l1, l2, dram,
+             core_static, neon_static, dsa_static, analysis, cache_access,
+             vc_access, map_access);
+  }
+  {  // trace::TraceConfig — enabled changes the RunResult payload (trace
+     // aggregates), so traced and untraced cells never alias.
+    const auto& [enabled, capacity] = trace_cfg;
+    f.Fields(enabled, capacity);
+  }
+  {  // fault::FaultPlan, fault::FaultSpec
+    const auto& [specs, seed, seed_explicit] = faults;
+    f.U64(specs.size());
+    for (const fault::FaultSpec& spec : specs) {
+      const auto& [kind, trigger, count] = spec;
+      f.Fields(kind, trigger, count);
+    }
+    f.Fields(seed, seed_explicit);
+  }
   // harness knobs
-  f.U64(cfg.max_steps);
-  f.U64(cfg.reference_path ? 1 : 0);
+  f.Fields(max_steps, reference_path);
   return f.h;
 }
 
@@ -331,21 +330,16 @@ bool ResultCache::Load(const CacheKey& key, sim::JobOutcome& out) {
 bool ResultCache::Store(const CacheKey& key, const sim::JobOutcome& out) {
 #if DSA_HAVE_CACHE_FS
   if (!open()) return false;
-  std::string payload = "{\"schema\":\"";
-  payload += kCacheEntrySchema;
-  payload += "\",\"key\":\"";
-  payload += resilience::JsonEscape(key.job_key);
-  payload += "\",\"workload_digest\":\"";
-  payload += Hex0x(key.workload_digest);
-  payload += "\",\"config_digest\":\"";
-  payload += Hex0x(key.config_digest);
-  payload += "\",\"engine\":\"";
-  payload += resilience::JsonEscape(key.engine_version);
-  payload += "\",\"bench_schema\":\"";
-  payload += resilience::JsonEscape(key.bench_schema);
-  payload += "\",\"cell\":";
-  payload += resilience::SerializeOutcome(out);
-  payload += "}";
+  mem::JsonBuilder w;
+  w.Object();
+  w.Key("schema").Str(kCacheEntrySchema);
+  w.Key("key").Str(key.job_key);
+  w.Key("workload_digest").Str(Hex0x(key.workload_digest));
+  w.Key("config_digest").Str(Hex0x(key.config_digest));
+  w.Key("engine").Str(key.engine_version);
+  w.Key("bench_schema").Str(key.bench_schema);
+  w.Key("cell").Encoded(resilience::SerializeOutcome(out));
+  const std::string payload = w.End().Take();
   char crc[12];
   std::snprintf(crc, sizeof(crc), "%08x",
                 resilience::Crc32(payload.data(), payload.size()));

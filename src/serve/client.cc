@@ -7,6 +7,7 @@
 #include <fstream>
 #include <thread>
 
+#include "mem/json.h"
 #include "resilience/mini_json.h"
 #include "serve/proto.h"
 
@@ -24,23 +25,14 @@ namespace dsa::serve {
 namespace {
 
 std::string BuildRequest(const ClientOptions& opts) {
-  using resilience::JsonEscape;
-  std::string req = "{\"schema\":\"dsa-serve/1\",\"kind\":\"";
-  req += opts.health ? "health" : (opts.ping ? "ping" : "sweep");
-  req += "\",\"client\":\"";
-  req += JsonEscape(opts.client_name);
-  req += "\"";
-  if (!opts.filter.empty()) {
-    req += ",\"filter\":\"";
-    req += JsonEscape(opts.filter);
-    req += "\"";
-  }
-  if (opts.deadline_ms > 0) {
-    req += ",\"deadline_ms\":";
-    req += std::to_string(opts.deadline_ms);
-  }
-  req += "}";
-  return req;
+  mem::JsonBuilder w;
+  w.Object();
+  w.Key("schema").Str("dsa-serve/1");
+  w.Key("kind").Str(opts.health ? "health" : (opts.ping ? "ping" : "sweep"));
+  w.Key("client").Str(opts.client_name);
+  if (!opts.filter.empty()) w.Key("filter").Str(opts.filter);
+  if (opts.deadline_ms > 0) w.Key("deadline_ms").U64(opts.deadline_ms);
+  return w.End().Take();
 }
 
 std::string Field(const resilience::JsonValue& obj, std::string_view name) {

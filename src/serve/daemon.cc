@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "mem/json.h"
 #include "resilience/iofault.h"
 #include "resilience/isolate.h"
 #include "resilience/journal.h"
@@ -607,17 +608,16 @@ std::string Daemon::BuildResponse(const std::string& status,
                                   const std::vector<sim::JobOutcome>& cells,
                                   const std::vector<bool>& cached,
                                   bool health) {
-  using resilience::JsonEscape;
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;
   std::uint64_t from_cache = 0;
-  std::string body = "{\"schema\":\"dsa-serve/1\",\"status\":\"";
-  body += JsonEscape(status);
-  body += "\",\"error\":\"";
-  body += JsonEscape(error);
-  body += "\",\"engine\":\"";
-  body += kEngineVersion;
-  body += "\",\"cells\":[";
+  mem::JsonBuilder w;
+  w.Object();
+  w.Key("schema").Str("dsa-serve/1");
+  w.Key("status").Str(status);
+  w.Key("error").Str(error);
+  w.Key("engine").Str(kEngineVersion);
+  w.Key("cells").Array();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const sim::JobOutcome& c = cells[i];
     const bool hit = i < cached.size() && cached[i];
@@ -627,136 +627,99 @@ std::string Daemon::BuildResponse(const std::string& status,
       ++failed;
     }
     if (hit) ++from_cache;
-    if (i > 0) body += ',';
-    body += "{\"job\":\"";
-    body += JsonEscape(c.key);
-    body += "\",\"workload\":\"";
-    body += JsonEscape(c.workload_key);
-    body += "\",\"mode\":\"";
-    body += ToString(c.mode);
-    body += "\",\"config_tag\":\"";
-    body += JsonEscape(c.config_tag);
-    body += "\",\"cell_status\":\"";
-    body += JsonEscape(c.cell_status);
-    body += "\",\"cached\":";
-    body += hit ? "true" : "false";
-    body += ",\"attempts\":";
-    body += std::to_string(c.attempts);
-    body += ",\"error\":\"";
-    body += JsonEscape(c.error);
-    body += "\"";
+    w.Object();
+    w.Key("job").Str(c.key);
+    w.Key("workload").Str(c.workload_key);
+    w.Key("mode").Str(ToString(c.mode));
+    w.Key("config_tag").Str(c.config_tag);
+    w.Key("cell_status").Str(c.cell_status);
+    w.Key("cached").Bool(hit);
+    w.Key("attempts").U64(c.attempts);
+    w.Key("error").Str(c.error);
     if (c.cell_status == "ok" && !c.runs.empty()) {
-      char digest[32];
+      char digest[24];
       std::snprintf(digest, sizeof(digest), "0x%016" PRIx64,
                     c.result().output_digest);
-      body += ",\"cycles\":";
-      body += std::to_string(c.result().cycles);
-      body += ",\"output_digest\":\"";
-      body += digest;
-      body += "\"";
+      w.Key("cycles").U64(c.result().cycles);
+      w.Key("output_digest").Str(digest);
     }
-    body += "}";
+    w.End();
   }
-  body += "],\"cells_ok\":";
-  body += std::to_string(ok);
-  body += ",\"cells_failed\":";
-  body += std::to_string(failed);
-  body += ",\"cells_cached\":";
-  body += std::to_string(from_cache);
+  w.End();
+  w.Key("cells_ok").U64(ok);
+  w.Key("cells_failed").U64(failed);
+  w.Key("cells_cached").U64(from_cache);
 
   const CacheStats cs = cache_.stats();
-  body += ",\"cache\":{\"enabled\":";
-  body += cache_.open() ? "true" : "false";
-  body += ",\"hits\":";
-  body += std::to_string(cs.hits);
-  body += ",\"misses\":";
-  body += std::to_string(cs.misses);
-  body += ",\"stores\":";
-  body += std::to_string(cs.stores);
-  body += ",\"quarantined\":";
-  body += std::to_string(cs.quarantined);
-  body += ",\"store_failures\":";
-  body += std::to_string(cs.store_failures);
-  body += ",\"fsync_failures\":";
-  body += std::to_string(cs.fsync_failures);
-  body += "}";
+  w.Key("cache").Object();
+  w.Key("enabled").Bool(cache_.open());
+  w.Key("hits").U64(cs.hits);
+  w.Key("misses").U64(cs.misses);
+  w.Key("stores").U64(cs.stores);
+  w.Key("quarantined").U64(cs.quarantined);
+  w.Key("store_failures").U64(cs.store_failures);
+  w.Key("fsync_failures").U64(cs.fsync_failures);
+  w.End();
 
   if (pool_ != nullptr) {
     const PoolStats ps = pool_->stats();
-    body += ",\"pool\":{\"executed\":";
-    body += std::to_string(ps.executed);
-    body += ",\"escaped\":";
-    body += std::to_string(ps.escaped);
-    body += ",\"respawns\":";
-    body += std::to_string(ps.respawns);
-    body += ",\"discarded\":";
-    body += std::to_string(ps.discarded);
-    body += ",\"live_workers\":";
-    body += std::to_string(ps.live_workers);
-    body += "}";
+    w.Key("pool").Object();
+    w.Key("executed").U64(ps.executed);
+    w.Key("escaped").U64(ps.escaped);
+    w.Key("respawns").U64(ps.respawns);
+    w.Key("discarded").U64(ps.discarded);
+    w.Key("live_workers").U64(ps.live_workers);
+    w.End();
   }
 
-  body += ",\"breaker\":[";
-  bool first = true;
+  w.Key("breaker").Array();
   for (const sim::BreakerCensusEntry& e : breaker_.Census()) {
-    if (!first) body += ',';
-    first = false;
-    body += "{\"workload\":\"";
-    body += JsonEscape(e.workload);
-    body += "\",\"state\":\"";
-    body += JsonEscape(e.state);
-    body += "\",\"failures\":";
-    body += std::to_string(e.failures);
-    body += ",\"trips\":";
-    body += std::to_string(e.trips);
-    body += ",\"skipped\":";
-    body += std::to_string(e.skipped);
-    body += "}";
+    w.Object();
+    w.Key("workload").Str(e.workload);
+    w.Key("state").Str(e.state);
+    w.Key("failures").U64(e.failures);
+    w.Key("trips").U64(e.trips);
+    w.Key("skipped").U64(e.skipped);
+    w.End();
   }
-  body += "]";
+  w.End();
 
   if (health) {
     // kHealth census (docs/SERVING.md): hostile-client counters, the
     // boot scrub verdict and the installed io-fault plan with its
     // per-kind opportunity/fired tallies.
     const ScrubStats ss = cache_.scrub_stats();
-    body += ",\"health\":{\"requests_served\":";
-    body += std::to_string(requests_served_.load(std::memory_order_relaxed));
-    body += ",\"corrupt_frames\":";
-    body += std::to_string(corrupt_frames_.load(std::memory_order_relaxed));
-    body += ",\"read_timeouts\":";
-    body += std::to_string(read_timeouts_.load(std::memory_order_relaxed));
-    body += ",\"refused_connections\":";
-    body +=
-        std::to_string(refused_connections_.load(std::memory_order_relaxed));
-    body += ",\"scrub\":{\"checked\":";
-    body += std::to_string(ss.checked);
-    body += ",\"ok\":";
-    body += std::to_string(ss.ok);
-    body += ",\"quarantined\":";
-    body += std::to_string(ss.quarantined);
-    body += "},\"io_faults\":{\"active\":";
-    body += resilience::IoFaultsActive() ? "true" : "false";
-    body += ",\"plan\":\"";
-    body += JsonEscape(resilience::FormatIoFaultPlan(
-        resilience::CurrentIoFaultPlan()));
-    body += "\",\"census\":{";
+    w.Key("health").Object();
+    w.Key("requests_served")
+        .U64(requests_served_.load(std::memory_order_relaxed));
+    w.Key("corrupt_frames")
+        .U64(corrupt_frames_.load(std::memory_order_relaxed));
+    w.Key("read_timeouts").U64(read_timeouts_.load(std::memory_order_relaxed));
+    w.Key("refused_connections")
+        .U64(refused_connections_.load(std::memory_order_relaxed));
+    w.Key("scrub").Object();
+    w.Key("checked").U64(ss.checked);
+    w.Key("ok").U64(ss.ok);
+    w.Key("quarantined").U64(ss.quarantined);
+    w.End();
+    w.Key("io_faults").Object();
+    w.Key("active").Bool(resilience::IoFaultsActive());
+    w.Key("plan").Str(
+        resilience::FormatIoFaultPlan(resilience::CurrentIoFaultPlan()));
+    w.Key("census").Object();
     const resilience::IoFaultCensus census = resilience::GetIoFaultCensus();
     for (int k = 0; k < resilience::kNumIoFaultKinds; ++k) {
-      if (k > 0) body += ',';
-      body += "\"";
-      body += resilience::ToString(static_cast<resilience::IoFaultKind>(k));
-      body += "\":{\"opportunities\":";
-      body += std::to_string(census.opportunities[static_cast<std::size_t>(k)]);
-      body += ",\"fired\":";
-      body += std::to_string(census.fired[static_cast<std::size_t>(k)]);
-      body += "}";
+      const auto i = static_cast<std::size_t>(k);
+      w.Key(resilience::ToString(static_cast<resilience::IoFaultKind>(k)))
+          .Object();
+      w.Key("opportunities").U64(census.opportunities[i]);
+      w.Key("fired").U64(census.fired[i]);
+      w.End();
     }
-    body += "}}}";
+    w.End().End().End();
   }
 
-  body += "}";
-  return body;
+  return w.End().Take();
 }
 
 }  // namespace dsa::serve

@@ -1,9 +1,9 @@
-// Strict flag-value parsing for the serving daemon and its client —
-// the same grammar as bench/bench_util.h's ParseCountArg/ParseU64Arg
-// (whole token must parse, no wrap-around, no silent fallback), but
-// returning bool + error text instead of exiting, so the negative paths
-// are unit-testable (tests/test_serve.cc) and the mains stay in charge
-// of the usage message + exit code 2.
+// Strict flag-value parsing, the one implementation of the rules every
+// numeric flag follows: the whole token must parse, no wrap-around, no
+// silent fallback. Returns bool + error text instead of exiting, so the
+// negative paths are unit-testable (tests/test_serve.cc); the daemon and
+// client mains, and the bench drivers' exit-on-error wrappers
+// (bench/bench_util.h), print the text and exit 2.
 #pragma once
 
 #include <cctype>

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "mem/json.h"
 #include "sim/error.h"
 
 namespace dsa::sim {
@@ -307,82 +308,10 @@ BatchReport BatchRunner::Finish() {
 // ---------------------------------------------------------------------------
 // JSON emission.
 
-namespace {
-
-class JsonWriter {
- public:
-  explicit JsonWriter(std::FILE* f) : f_(f) {}
-
-  void Raw(const char* s) { std::fputs(s, f_); }
-  void Key(const char* name) {
-    Comma();
-    std::fprintf(f_, "\"%s\": ", name);
-    fresh_ = true;
-  }
-  void Str(const char* name, const std::string& value) {
-    Key(name);
-    std::fputc('"', f_);
-    for (const char c : value) {
-      if (c == '"' || c == '\\') std::fputc('\\', f_);
-      if (static_cast<unsigned char>(c) < 0x20) {
-        std::fprintf(f_, "\\u%04x", c);
-      } else {
-        std::fputc(c, f_);
-      }
-    }
-    std::fputc('"', f_);
-    fresh_ = false;
-  }
-  void U64(const char* name, std::uint64_t v) {
-    Key(name);
-    std::fprintf(f_, "%" PRIu64, v);
-    fresh_ = false;
-  }
-  void Dbl(const char* name, double v) {
-    Key(name);
-    std::fprintf(f_, "%.6g", v);
-    fresh_ = false;
-  }
-  void Bool(const char* name, bool v) {
-    Key(name);
-    std::fputs(v ? "true" : "false", f_);
-    fresh_ = false;
-  }
-  void Open(const char* name, char bracket) {
-    if (name != nullptr) {
-      Key(name);
-    } else {
-      Comma();
-    }
-    std::fputc(bracket, f_);
-    fresh_ = true;
-  }
-  void Close(char bracket) {
-    std::fputc(bracket, f_);
-    fresh_ = false;
-  }
-
- private:
-  void Comma() {
-    if (!fresh_) std::fputs(", ", f_);
-    fresh_ = false;
-  }
-
-  std::FILE* f_;
-  bool fresh_ = true;
-};
-
-}  // namespace
-
 bool WriteBenchJson(const std::string& path, const std::string& bench_name,
                     const BatchRunner& runner, const BatchReport& report,
                     const BenchJsonExtras* extras) {
-  // Write-then-rename so a reader (or a kill signal) can never observe a
-  // half-written report at `path`.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  JsonWriter w(f);
+  constexpr const char* kNum = "%.6g";
 
   // Scalar baseline cycles per workload group, for the speedup column.
   std::map<std::string, std::uint64_t> baseline;
@@ -392,242 +321,236 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
     }
   }
 
-  w.Open(nullptr, '{');
-  w.Str("schema", "dsa-bench-json/6");
-  w.Str("bench", bench_name);
-  w.U64("jobs", static_cast<std::uint64_t>(runner.options().jobs));
-  w.U64("repeats", static_cast<std::uint64_t>(runner.options().repeats));
-  w.Dbl("wall_ms", report.wall_ms);
-  w.U64("distinct_jobs", report.distinct_jobs);
-  w.U64("executed_runs", report.executed_runs);
-  w.U64("faulted_cells", report.faulted_cells);
-  w.U64("memo_hits", report.memo_hits);
-  w.U64("restored_cells", report.restored_cells);
-  w.U64("cancelled_cells", report.cancelled_cells);
-  w.Str("run_status", extras != nullptr ? extras->run_status
-                                        : (report.interrupted ? "interrupted"
-                                                              : "complete"));
+  mem::JsonBuilder w(mem::JsonBuilder::Style::kSpaced);
+  w.Object();
+  w.Key("schema").Str("dsa-bench-json/6");
+  w.Key("bench").Str(bench_name);
+  w.Key("jobs").U64(static_cast<std::uint64_t>(runner.options().jobs));
+  w.Key("repeats").U64(static_cast<std::uint64_t>(runner.options().repeats));
+  w.Key("wall_ms").Num(report.wall_ms, kNum);
+  w.Key("distinct_jobs").U64(report.distinct_jobs);
+  w.Key("executed_runs").U64(report.executed_runs);
+  w.Key("faulted_cells").U64(report.faulted_cells);
+  w.Key("memo_hits").U64(report.memo_hits);
+  w.Key("restored_cells").U64(report.restored_cells);
+  w.Key("cancelled_cells").U64(report.cancelled_cells);
+  w.Key("run_status").Str(extras != nullptr ? extras->run_status
+                          : report.interrupted ? "interrupted"
+                                               : "complete");
   if (extras != nullptr && !extras->cache_dir.empty()) {
-    w.Open("cache", '{');
-    w.Str("dir", extras->cache_dir);
-    w.U64("restored", report.restored_cells);
-    w.U64("stores", extras->cache_stores);
-    w.U64("store_failures", extras->cache_store_failures);
-    w.U64("fsync_failures", extras->cache_fsync_failures);
+    w.Key("cache").Object();
+    w.Key("dir").Str(extras->cache_dir);
+    w.Key("restored").U64(report.restored_cells);
+    w.Key("stores").U64(extras->cache_stores);
+    w.Key("store_failures").U64(extras->cache_store_failures);
+    w.Key("fsync_failures").U64(extras->cache_fsync_failures);
     if (extras->cache_store_failures > 0 || extras->cache_fsync_failures > 0) {
       // Typed degradation instead of silent success: the store hit the
       // host's disk limits and some cells may not be durable.
-      w.Str("warning",
-            "[io-fault] " + std::to_string(extras->cache_store_failures) +
-                " store failure(s), " +
-                std::to_string(extras->cache_fsync_failures) +
-                " fsync failure(s): cell-store durability not guaranteed");
+      w.Key("warning").Str(
+          "[io-fault] " + std::to_string(extras->cache_store_failures) +
+          " store failure(s), " +
+          std::to_string(extras->cache_fsync_failures) +
+          " fsync failure(s): cell-store durability not guaranteed");
     }
-    w.Close('}');
+    w.End();
   }
   if (extras != nullptr && extras->breaker_enabled) {
-    w.Open("breaker", '{');
-    w.Bool("enabled", true);
-    w.Open("workloads", '[');
+    w.Key("breaker").Object();
+    w.Key("enabled").Bool(true);
+    w.Key("workloads").Array();
     for (const BreakerCensusEntry& b : extras->breaker) {
-      w.Open(nullptr, '{');
-      w.Str("workload", b.workload);
-      w.Str("state", b.state);
-      w.U64("failures", b.failures);
-      w.U64("trips", b.trips);
-      w.U64("skipped", b.skipped);
-      w.Close('}');
+      w.Object();
+      w.Key("workload").Str(b.workload);
+      w.Key("state").Str(b.state);
+      w.Key("failures").U64(b.failures);
+      w.Key("trips").U64(b.trips);
+      w.Key("skipped").U64(b.skipped);
+      w.End();
     }
-    w.Close(']');
-    w.Close('}');
+    w.End().End();
   }
 
-  w.Open("oracle", '{');
-  w.Bool("enabled", runner.options().oracle);
-  w.Bool("ok", report.ok());
-  w.Open("violations", '[');
+  w.Key("oracle").Object();
+  w.Key("enabled").Bool(runner.options().oracle);
+  w.Key("ok").Bool(report.ok());
+  w.Key("violations").Array();
   for (const oracle::Violation& v : report.violations) {
-    w.Open(nullptr, '{');
-    w.Str("job", v.job);
-    w.Str("check", v.check);
-    w.Str("detail", v.detail);
-    w.Close('}');
+    w.Object();
+    w.Key("job").Str(v.job);
+    w.Key("check").Str(v.check);
+    w.Key("detail").Str(v.detail);
+    w.End();
   }
-  w.Close(']');
-  w.Close('}');
+  w.End().End();
 
-  w.Open("results", '[');
+  w.Key("results").Array();
   for (const auto& [key, out] : runner.outcomes()) {
+    w.Whitespace("\n  ").Object();
     if (out.runs.empty()) {
       // A poisoned cell still shows up — minimal payload, no stats.
-      w.Raw("\n  ");
-      w.Open(nullptr, '{');
-      w.Str("job", key);
-      w.Str("workload", out.workload_key);
-      w.Str("mode", ModeSlug(out.mode));
-      w.Str("config", out.config_tag);
-      w.Str("cell_status", out.cell_status);
-      w.U64("attempts", out.attempts);
-      w.U64("runs", 0);
-      if (!out.error.empty()) w.Str("error", out.error);
-      w.Close('}');
+      w.Key("job").Str(key);
+      w.Key("workload").Str(out.workload_key);
+      w.Key("mode").Str(ModeSlug(out.mode));
+      w.Key("config").Str(out.config_tag);
+      w.Key("cell_status").Str(out.cell_status);
+      w.Key("attempts").U64(out.attempts);
+      w.Key("runs").U64(0);
+      if (!out.error.empty()) w.Key("error").Str(out.error);
+      w.End();
       continue;
     }
     const RunResult& r = out.result();
-    w.Raw("\n  ");
-    w.Open(nullptr, '{');
-    w.Str("job", key);
-    w.Str("workload", r.workload);
-    w.Str("mode", ModeSlug(out.mode));
-    w.Str("config", out.config_tag);
-    w.Str("cell_status", out.cell_status);
-    w.U64("attempts", out.attempts);
-    if (out.restored) w.Bool("restored", true);
-    if (!out.error.empty()) w.Str("error", out.error);
-    w.U64("cycles", r.cycles);
+    w.Key("job").Str(key);
+    w.Key("workload").Str(r.workload);
+    w.Key("mode").Str(ModeSlug(out.mode));
+    w.Key("config").Str(out.config_tag);
+    w.Key("cell_status").Str(out.cell_status);
+    w.Key("attempts").U64(out.attempts);
+    if (out.restored) w.Key("restored").Bool(true);
+    if (!out.error.empty()) w.Key("error").Str(out.error);
+    w.Key("cycles").U64(r.cycles);
     const auto base = baseline.find(out.workload_key);
     if (base != baseline.end() && r.cycles > 0) {
-      w.Dbl("speedup_vs_scalar",
-            static_cast<double>(base->second) / static_cast<double>(r.cycles));
+      w.Key("speedup_vs_scalar")
+          .Num(static_cast<double>(base->second) /
+                   static_cast<double>(r.cycles),
+               kNum);
     }
-    w.Bool("output_ok", r.output_ok);
-    char digest[32];
+    w.Key("output_ok").Bool(r.output_ok);
+    char digest[24];
     std::snprintf(digest, sizeof(digest), "0x%016" PRIx64, r.output_digest);
-    w.Str("output_digest", digest);
-    w.Dbl("wall_ms", out.wall_ms);
-    w.U64("runs", static_cast<std::uint64_t>(out.runs.size()));
+    w.Key("output_digest").Str(digest);
+    w.Key("wall_ms").Num(out.wall_ms, kNum);
+    w.Key("runs").U64(out.runs.size());
 
     // Host simulation throughput of the canonical run (schema /2;
     // `phases` — where the host milliseconds went — added in /6).
-    w.Open("host", '{');
-    w.Dbl("mips", r.host_mips());
-    w.Dbl("wall_ms", r.host_wall_ms);
-    w.U64("steps", r.host_steps);
-    w.Open("phases", '{');
-    w.Dbl("dispatch_ms", r.host_phases.dispatch_ms);
-    w.Dbl("observe_ms", r.host_phases.observe_ms);
-    w.Dbl("mem_ms", r.host_phases.mem_ms);
-    w.Dbl("neon_ms", r.host_phases.neon_ms);
-    w.Close('}');
-    w.Close('}');
+    w.Key("host").Object();
+    w.Key("mips").Num(r.host_mips(), kNum);
+    w.Key("wall_ms").Num(r.host_wall_ms, kNum);
+    w.Key("steps").U64(r.host_steps);
+    w.Key("phases").Object();
+    w.Key("dispatch_ms").Num(r.host_phases.dispatch_ms, kNum);
+    w.Key("observe_ms").Num(r.host_phases.observe_ms, kNum);
+    w.Key("mem_ms").Num(r.host_phases.mem_ms, kNum);
+    w.Key("neon_ms").Num(r.host_phases.neon_ms, kNum);
+    w.End().End();
 
     // Streaming throughput and generator provenance (schema /5), present
     // only on workloads that declare them.
     if (r.stream_bytes > 0) {
-      w.Open("stream", '{');
-      w.U64("bytes", r.stream_bytes);
-      w.Dbl("gbps", r.stream_gbps());
-      w.Close('}');
+      w.Key("stream").Object();
+      w.Key("bytes").U64(r.stream_bytes);
+      w.Key("gbps").Num(r.stream_gbps(), kNum);
+      w.End();
     }
     if (r.gen.has_value()) {
-      w.Open("gen", '{');
-      w.U64("seed", r.gen->seed);
-      w.Str("class", r.gen->loop_class);
-      w.U64("count", r.gen->count);
-      w.Close('}');
+      w.Key("gen").Object();
+      w.Key("seed").U64(r.gen->seed);
+      w.Key("class").Str(r.gen->loop_class);
+      w.Key("count").U64(r.gen->count);
+      w.End();
     }
 
-    w.Open("cpu", '{');
-    w.U64("retired_total", r.cpu.retired_total);
-    w.U64("retired_scalar", r.cpu.retired_scalar);
-    w.U64("retired_vector", r.cpu.retired_vector);
-    w.U64("branches", r.cpu.branches);
-    w.U64("mispredicts", r.cpu.mispredicts);
-    w.U64("mem_stall_cycles", r.cpu.mem_stall_cycles);
-    w.U64("other_stall_cycles", r.cpu.other_stall_cycles);
-    w.U64("neon_busy_cycles", r.cpu.neon_busy_cycles);
-    w.U64("dsa_overhead_cycles", r.cpu.dsa_overhead_cycles);
-    w.Close('}');
+    w.Key("cpu").Object();
+    w.Key("retired_total").U64(r.cpu.retired_total);
+    w.Key("retired_scalar").U64(r.cpu.retired_scalar);
+    w.Key("retired_vector").U64(r.cpu.retired_vector);
+    w.Key("branches").U64(r.cpu.branches);
+    w.Key("mispredicts").U64(r.cpu.mispredicts);
+    w.Key("mem_stall_cycles").U64(r.cpu.mem_stall_cycles);
+    w.Key("other_stall_cycles").U64(r.cpu.other_stall_cycles);
+    w.Key("neon_busy_cycles").U64(r.cpu.neon_busy_cycles);
+    w.Key("dsa_overhead_cycles").U64(r.cpu.dsa_overhead_cycles);
+    w.End();
 
-    w.Open("l1", '{');
-    w.U64("hits", r.l1.hits);
-    w.U64("misses", r.l1.misses);
-    w.Close('}');
-    w.Open("l2", '{');
-    w.U64("hits", r.l2.hits);
-    w.U64("misses", r.l2.misses);
-    w.Close('}');
-    w.U64("dram_accesses", r.dram_accesses);
+    w.Key("l1").Object().Key("hits").U64(r.l1.hits);
+    w.Key("misses").U64(r.l1.misses).End();
+    w.Key("l2").Object().Key("hits").U64(r.l2.hits);
+    w.Key("misses").U64(r.l2.misses).End();
+    w.Key("dram_accesses").U64(r.dram_accesses);
 
-    w.Open("energy", '{');
-    w.Dbl("core_dynamic", r.energy.core_dynamic);
-    w.Dbl("core_static", r.energy.core_static);
-    w.Dbl("neon_dynamic", r.energy.neon_dynamic);
-    w.Dbl("neon_static", r.energy.neon_static);
-    w.Dbl("cache_dram", r.energy.cache_dram);
-    w.Dbl("dsa_dynamic", r.energy.dsa_dynamic);
-    w.Dbl("dsa_static", r.energy.dsa_static);
-    w.Dbl("total", r.energy.total());
-    w.Close('}');
+    w.Key("energy").Object();
+    w.Key("core_dynamic").Num(r.energy.core_dynamic, kNum);
+    w.Key("core_static").Num(r.energy.core_static, kNum);
+    w.Key("neon_dynamic").Num(r.energy.neon_dynamic, kNum);
+    w.Key("neon_static").Num(r.energy.neon_static, kNum);
+    w.Key("cache_dram").Num(r.energy.cache_dram, kNum);
+    w.Key("dsa_dynamic").Num(r.energy.dsa_dynamic, kNum);
+    w.Key("dsa_static").Num(r.energy.dsa_static, kNum);
+    w.Key("total").Num(r.energy.total(), kNum);
+    w.End();
 
     if (r.trace != nullptr) {
-      w.Open("trace", '{');
-      w.U64("emitted", r.trace->emitted);
-      w.U64("dropped", r.trace->dropped);
-      w.Close('}');
+      w.Key("trace").Object();
+      w.Key("emitted").U64(r.trace->emitted);
+      w.Key("dropped").U64(r.trace->dropped);
+      w.End();
     }
 
     if (r.faults.has_value()) {
       const fault::FaultReport& fr = *r.faults;
-      w.Open("faults", '{');
-      w.Str("plan", fault::FormatFaultPlan(fr.plan));
-      w.U64("seed", fr.plan.seed);
-      w.U64("total_fired", fr.total_fired());
-      w.Open("opportunities", '{');
+      w.Key("faults").Object();
+      w.Key("plan").Str(fault::FormatFaultPlan(fr.plan));
+      w.Key("seed").U64(fr.plan.seed);
+      w.Key("total_fired").U64(fr.total_fired());
+      w.Key("opportunities").Object();
       for (int k = 0; k < fault::kNumFaultKinds; ++k) {
-        w.U64(std::string(ToString(static_cast<fault::FaultKind>(k))).c_str(),
-              fr.opportunities[k]);
+        w.Key(ToString(static_cast<fault::FaultKind>(k)))
+            .U64(fr.opportunities[k]);
       }
-      w.Close('}');
-      w.Open("fired", '{');
+      w.End();
+      w.Key("fired").Object();
       for (int k = 0; k < fault::kNumFaultKinds; ++k) {
-        w.U64(std::string(ToString(static_cast<fault::FaultKind>(k))).c_str(),
-              fr.fired[k]);
+        w.Key(ToString(static_cast<fault::FaultKind>(k))).U64(fr.fired[k]);
       }
-      w.Close('}');
-      w.Close('}');
+      w.End().End();
     }
 
     if (r.dsa.has_value()) {
       const engine::DsaStats& d = *r.dsa;
-      w.Dbl("detection_latency_pct", r.detection_latency_pct());
-      w.Open("dsa", '{');
-      w.U64("takeovers", d.takeovers);
-      w.U64("cache_hit_takeovers", d.cache_hit_takeovers);
-      w.U64("vectorized_iterations", d.vectorized_iterations);
-      w.U64("scalar_covered_instrs", d.scalar_covered_instrs);
-      w.U64("vector_instrs_issued", d.vector_instrs_issued);
-      w.U64("analysis_cycles", d.analysis_cycles);
-      w.U64("fusions_formed", d.fusions_formed);
-      w.U64("fusion_demotions", d.fusion_demotions);
-      w.U64("sentinel_respeculations", d.sentinel_respeculations);
-      w.U64("rollbacks", d.rollbacks);
-      w.U64("blacklisted_loops", d.blacklisted_loops);
-      w.U64("cache_corruptions_detected", d.cache_corruptions_detected);
-      w.Open("stage_activations", '{');
+      w.Key("detection_latency_pct").Num(r.detection_latency_pct(), kNum);
+      w.Key("dsa").Object();
+      w.Key("takeovers").U64(d.takeovers);
+      w.Key("cache_hit_takeovers").U64(d.cache_hit_takeovers);
+      w.Key("vectorized_iterations").U64(d.vectorized_iterations);
+      w.Key("scalar_covered_instrs").U64(d.scalar_covered_instrs);
+      w.Key("vector_instrs_issued").U64(d.vector_instrs_issued);
+      w.Key("analysis_cycles").U64(d.analysis_cycles);
+      w.Key("fusions_formed").U64(d.fusions_formed);
+      w.Key("fusion_demotions").U64(d.fusion_demotions);
+      w.Key("sentinel_respeculations").U64(d.sentinel_respeculations);
+      w.Key("rollbacks").U64(d.rollbacks);
+      w.Key("blacklisted_loops").U64(d.blacklisted_loops);
+      w.Key("cache_corruptions_detected").U64(d.cache_corruptions_detected);
+      w.Key("stage_activations").Object();
       for (int s = 0; s < engine::kNumStages; ++s) {
-        w.U64(std::string(ToString(static_cast<engine::Stage>(s))).c_str(),
-              d.stage_activations[s]);
+        w.Key(ToString(static_cast<engine::Stage>(s)))
+            .U64(d.stage_activations[s]);
       }
-      w.Close('}');
-      w.Open("loops_by_class", '{');
+      w.End();
+      w.Key("loops_by_class").Object();
       for (const auto& [cls, n] : d.loops_by_class) {
-        w.U64(std::string(engine::ToString(cls)).c_str(), n);
+        w.Key(engine::ToString(cls)).U64(n);
       }
-      w.Close('}');
-      w.Close('}');
+      w.End().End();
     }
-    w.Close('}');
+    w.End();
   }
-  w.Raw("\n");
-  w.Close(']');
-  w.Close('}');
-  w.Raw("\n");
-  if (std::fclose(f) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  w.Whitespace("\n").End().End().Whitespace("\n");
+
+  // The report is built in memory, written with one checked write to a
+  // temporary sibling, then renamed, so a reader (or a kill signal) can
+  // never observe a half-written report at `path`.
+  const std::string& text = w.str();
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !written ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }

@@ -1,7 +1,8 @@
 #include "trace/chrome_export.h"
 
-#include <cinttypes>
 #include <cstdio>
+
+#include "mem/json.h"
 
 namespace dsa::trace {
 
@@ -13,71 +14,70 @@ constexpr int kTidTakeovers = 2;
 constexpr int kTidNeon = 3;
 constexpr int kTidLifecycle = 4;
 
-void PutEscaped(std::FILE* f, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') std::fputc('\\', f);
-    if (static_cast<unsigned char>(c) < 0x20) {
-      std::fprintf(f, "\\u%04x", c);
-    } else {
-      std::fputc(c, f);
-    }
-  }
-}
-
 // Cycles (1 GHz -> ns) to Chrome microseconds.
 double Us(std::uint64_t cycles) { return static_cast<double>(cycles) / 1000.0; }
 
-void MetaEvent(std::FILE* f, bool& first, int pid, int tid, const char* key,
-               std::string_view value) {
-  std::fprintf(f, "%s\n  {\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d, ",
-               first ? "" : ",", key, pid);
-  first = false;
-  if (tid >= 0) std::fprintf(f, "\"tid\": %d, ", tid);
-  std::fputs("\"args\": {\"name\": \"", f);
-  PutEscaped(f, value);
-  std::fputs("\"}}", f);
-}
+constexpr const char* kUs = "%.3f";
 
-void BeginEvent(std::FILE* f, bool& first, int pid, int tid, const char* ph,
+// Opens one event: its name, phase, timestamp, pid and tid. The caller
+// adds the kind's own fields and closes the object.
+void BeginEvent(mem::JsonBuilder& w, int pid, int tid, const char* ph,
                 double ts, std::string_view name) {
-  std::fprintf(f, "%s\n  {\"name\": \"", first ? "" : ",");
-  first = false;
-  PutEscaped(f, name);
-  std::fprintf(f, "\", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": %d, \"tid\": %d",
-               ph, ts, pid, tid);
+  w.Whitespace("\n  ").Object();
+  w.Key("name").Str(name);
+  w.Key("ph").Str(ph);
+  w.Key("ts").Num(ts, kUs);
+  w.Key("pid").I64(pid);
+  w.Key("tid").I64(tid);
 }
 
-void WriteEvent(std::FILE* f, bool& first, int pid, bool& takeover_open,
+// Opens the event's "args" object with its "loop" id.
+void BeginArgs(mem::JsonBuilder& w, std::uint32_t loop_id) {
+  char loop[16];
+  std::snprintf(loop, sizeof(loop), "0x%x", loop_id);
+  w.Key("args").Object().Key("loop").Str(loop);
+}
+
+void MetaEvent(mem::JsonBuilder& w, int pid, int tid, const char* key,
+               std::string_view value) {
+  w.Whitespace("\n  ").Object();
+  w.Key("name").Str(key);
+  w.Key("ph").Str("M");
+  w.Key("pid").I64(pid);
+  if (tid >= 0) w.Key("tid").I64(tid);
+  w.Key("args").Object().Key("name").Str(value).End();
+  w.End();
+}
+
+void WriteEvent(mem::JsonBuilder& w, int pid, bool& takeover_open,
                 const Event& e) {
-  char name[64];
   switch (e.kind) {
     case EventKind::kStageActivation: {
       const std::string_view stage =
           e.arg0 < kNumStages ? kStageNames[e.arg0] : "?";
+      char name[64];
       std::snprintf(name, sizeof(name), "stage:%.*s",
                     static_cast<int>(stage.size()), stage.data());
       const std::uint64_t begin = e.dur <= e.ts ? e.ts - e.dur : 0;
-      BeginEvent(f, first, pid, kTidStages, "X", Us(begin), name);
-      std::fprintf(f,
-                   ", \"dur\": %.3f, \"args\": {\"loop\": \"0x%x\", "
-                   "\"stage\": %" PRIu64 ", \"iteration\": %" PRIu64 "}}",
-                   Us(e.dur), e.loop_id, e.arg0, e.arg1);
+      BeginEvent(w, pid, kTidStages, "X", Us(begin), name);
+      w.Key("dur").Num(Us(e.dur), kUs);
+      BeginArgs(w, e.loop_id);
+      w.Key("stage").U64(e.arg0).Key("iteration").U64(e.arg1);
+      w.End().End();
       return;
     }
     case EventKind::kTakeoverBegin:
-      BeginEvent(f, first, pid, kTidTakeovers, "B", Us(e.ts), "takeover");
-      std::fprintf(f,
-                   ", \"args\": {\"loop\": \"0x%x\", \"from_cache\": %" PRIu64
-                   ", \"max_iterations\": %" PRIu64 "}}",
-                   e.loop_id, e.arg0, e.arg1);
+      BeginEvent(w, pid, kTidTakeovers, "B", Us(e.ts), "takeover");
+      BeginArgs(w, e.loop_id);
+      w.Key("from_cache").U64(e.arg0).Key("max_iterations").U64(e.arg1);
+      w.End().End();
       takeover_open = true;
       return;
     case EventKind::kTakeoverEnd:
-      BeginEvent(f, first, pid, kTidTakeovers, "E", Us(e.ts), "takeover");
-      std::fprintf(f,
-                   ", \"args\": {\"loop\": \"0x%x\", \"iterations\": %" PRIu64
-                   ", \"covered_instrs\": %" PRIu64 "}}",
-                   e.loop_id, e.arg0, e.arg1);
+      BeginEvent(w, pid, kTidTakeovers, "E", Us(e.ts), "takeover");
+      BeginArgs(w, e.loop_id);
+      w.Key("iterations").U64(e.arg0).Key("covered_instrs").U64(e.arg1);
+      w.End().End();
       takeover_open = false;
       return;
     case EventKind::kMisspecRollback:
@@ -86,32 +86,30 @@ void WriteEvent(std::FILE* f, bool& first, int pid, bool& takeover_open,
       // here so B/E stay balanced. Guard on takeover_open: a ring
       // overflow may have dropped the matching begin.
       if (takeover_open) {
-        BeginEvent(f, first, pid, kTidTakeovers, "E", Us(e.ts), "takeover");
-        std::fprintf(f,
-                     ", \"args\": {\"loop\": \"0x%x\", \"rolled_back\": 1, "
-                     "\"strikes\": %" PRIu64 "}}",
-                     e.loop_id, e.arg0);
+        BeginEvent(w, pid, kTidTakeovers, "E", Us(e.ts), "takeover");
+        BeginArgs(w, e.loop_id);
+        w.Key("rolled_back").U64(1).Key("strikes").U64(e.arg0);
+        w.End().End();
         takeover_open = false;
       }
       break;  // fall through to the lifecycle instant below
     case EventKind::kNeonBurst: {
       const std::uint64_t begin = e.dur <= e.ts ? e.ts - e.dur : 0;
-      BeginEvent(f, first, pid, kTidNeon, "X", Us(begin), "neon-burst");
-      std::fprintf(f,
-                   ", \"dur\": %.3f, \"args\": {\"loop\": \"0x%x\", "
-                   "\"instrs\": %" PRIu64 ", \"busy_cycles\": %" PRIu64 "}}",
-                   Us(e.dur), e.loop_id, e.arg0, e.arg1);
+      BeginEvent(w, pid, kTidNeon, "X", Us(begin), "neon-burst");
+      w.Key("dur").Num(Us(e.dur), kUs);
+      BeginArgs(w, e.loop_id);
+      w.Key("instrs").U64(e.arg0).Key("busy_cycles").U64(e.arg1);
+      w.End().End();
       return;
     }
     default:
       break;
   }
-  const std::string_view kind = ToString(e.kind);
-  BeginEvent(f, first, pid, kTidLifecycle, "i", Us(e.ts), kind);
-  std::fprintf(f,
-               ", \"s\": \"t\", \"args\": {\"loop\": \"0x%x\", "
-               "\"arg0\": %" PRIu64 ", \"arg1\": %" PRIu64 "}}",
-               e.loop_id, e.arg0, e.arg1);
+  BeginEvent(w, pid, kTidLifecycle, "i", Us(e.ts), ToString(e.kind));
+  w.Key("s").Str("t");
+  BeginArgs(w, e.loop_id);
+  w.Key("arg0").U64(e.arg0).Key("arg1").U64(e.arg1);
+  w.End().End();
 }
 
 }  // namespace
@@ -124,52 +122,58 @@ bool WriteChromeTrace(const std::string& path,
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return false;
+  // The writer is drained to the file after every event, so a ring of up
+  // to 2^18 events is never held in memory a second time as text.
+  mem::JsonBuilder w(mem::JsonBuilder::Style::kSpaced);
+  bool written = true;
+  const auto drain = [&] {
+    written = written && std::fwrite(w.str().data(), 1, w.str().size(), f) ==
+                             w.str().size();
+    w.Clear();
+  };
 
-  std::fputs("{\n\"schema\": \"dsa-trace/1\",\n\"displayTimeUnit\": \"ns\",\n"
-             "\"traceEvents\": [", f);
-  bool first = true;
+  w.Object();
+  w.Key("schema").Str("dsa-trace/1");
+  w.Key("displayTimeUnit").Str("ns");
+  w.Key("traceEvents").Array();
   int pid = 0;
   for (const ChromeProcess& p : processes) {
     if (p.trace == nullptr) continue;
     ++pid;
-    MetaEvent(f, first, pid, -1, "process_name", p.name);
-    MetaEvent(f, first, pid, kTidStages, "thread_name", "DSA stages");
-    MetaEvent(f, first, pid, kTidTakeovers, "thread_name", "NEON takeovers");
-    MetaEvent(f, first, pid, kTidNeon, "thread_name", "NEON issue bursts");
-    MetaEvent(f, first, pid, kTidLifecycle, "thread_name", "loop lifecycle");
+    MetaEvent(w, pid, -1, "process_name", p.name);
+    MetaEvent(w, pid, kTidStages, "thread_name", "DSA stages");
+    MetaEvent(w, pid, kTidTakeovers, "thread_name", "NEON takeovers");
+    MetaEvent(w, pid, kTidNeon, "thread_name", "NEON issue bursts");
+    MetaEvent(w, pid, kTidLifecycle, "thread_name", "loop lifecycle");
     bool takeover_open = false;
-    for (const Event& e : p.trace->events)
-      WriteEvent(f, first, pid, takeover_open, e);
+    for (const Event& e : p.trace->events) {
+      WriteEvent(w, pid, takeover_open, e);
+      drain();
+    }
   }
-  std::fputs("\n],\n\"metadata\": {\"processes\": [", f);
+  w.Whitespace("\n").End();
 
+  w.Key("metadata").Object().Key("processes").Array();
   pid = 0;
-  bool first_proc = true;
   for (const ChromeProcess& p : processes) {
     if (p.trace == nullptr) continue;
     ++pid;
-    std::fprintf(f, "%s\n  {\"pid\": %d, \"name\": \"", first_proc ? "" : ",",
-                 pid);
-    first_proc = false;
-    PutEscaped(f, p.name);
-    std::fprintf(f,
-                 "\", \"emitted\": %" PRIu64 ", \"dropped\": %" PRIu64
-                 ", \"ring_capacity\": %zu, \"stage_activations\": {",
-                 p.trace->emitted, p.trace->dropped,
-                 static_cast<std::size_t>(p.trace->config.capacity));
+    w.Whitespace("\n  ").Object();
+    w.Key("pid").I64(pid);
+    w.Key("name").Str(p.name);
+    w.Key("emitted").U64(p.trace->emitted);
+    w.Key("dropped").U64(p.trace->dropped);
+    w.Key("ring_capacity").U64(p.trace->config.capacity);
+    w.Key("stage_activations").Object();
     for (int s = 0; s < kNumStages; ++s) {
-      std::fprintf(f, "%s\"%.*s\": %" PRIu64, s == 0 ? "" : ", ",
-                   static_cast<int>(kStageNames[s].size()),
-                   kStageNames[s].data(), p.trace->stage_counts[s]);
+      w.Key(kStageNames[s]).U64(p.trace->stage_counts[s]);
     }
-    std::fputs("}}", f);
+    w.End().End();
   }
-  std::fputs("\n]}\n}\n", f);
-  if (std::fclose(f) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  w.Whitespace("\n").End().End().End().Whitespace("\n");
+  drain();
+  if (std::fclose(f) != 0 || !written ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }

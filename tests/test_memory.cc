@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "mem/json.h"
 #include "mem/memory.h"
 
 namespace dsa::mem {
@@ -113,6 +114,60 @@ TEST(Memory, OverlappingWritesLastWins) {
   m.Write32(0, 0x11111111);
   m.Write16(2, 0xFFFF);
   EXPECT_EQ(m.Read32(0), 0xFFFF1111u);
+}
+
+// --- the JSON writer (mem/json.h) ----------------------------------------
+
+TEST(JsonBuilder, CompactAndSpacedStylesDifferOnlyInSeparators) {
+  for (const auto style :
+       {JsonBuilder::Style::kCompact, JsonBuilder::Style::kSpaced}) {
+    JsonBuilder w(style);
+    w.Object().Key("a").U64(1).Key("b").Array().Bool(true).I64(-2).End();
+    w.Key("c").Object().End().Key("d").Array().End().End();
+    EXPECT_EQ(w.str(), style == JsonBuilder::Style::kCompact
+                           ? R"({"a":1,"b":[true,-2],"c":{},"d":[]})"
+                           : R"({"a": 1, "b": [true, -2], "c": {}, "d": []})");
+  }
+}
+
+TEST(JsonBuilder, NumbersKeepTheCallersFormat) {
+  JsonBuilder w;
+  w.Array().Num(1.0 / 3.0, "%.6g").Num(0.1, "%.17g").Num(1234.5, "%.3f");
+  w.Num(1e300, "%.1f").End();
+  const std::string& s = w.str();
+  const std::string head = "[0.333333,0.10000000000000001,1234.500,";
+  EXPECT_EQ(s.rfind(head + "1000", 0), 0u);
+  // %.1f of 1e300 is 301 digits and ".0".
+  EXPECT_EQ(s.size(), head.size() + 303u + 1u);
+  EXPECT_EQ(s.substr(s.size() - 3), ".0]");
+}
+
+TEST(JsonBuilder, WhitespaceGoesBeforeTheNextSeparator) {
+  JsonBuilder w(JsonBuilder::Style::kSpaced);
+  w.Object().Key("r").Array();
+  w.Whitespace("\n  ").Object().End();
+  w.Whitespace("\n  ").Object().End();
+  w.Whitespace("\n").End().End();
+  EXPECT_EQ(w.str(), "{\"r\": [\n  {}\n  , {}\n]}");
+}
+
+TEST(JsonBuilder, EncodedValuesAndDrainingKeepTheSeparatorState) {
+  JsonBuilder w;
+  w.Array().Encoded("{\"x\":1}");
+  std::string drained = w.str();
+  w.Clear();
+  w.Encoded("2.50").End();
+  drained += w.Take();
+  EXPECT_EQ(drained, R"([{"x":1},2.50])");
+}
+
+TEST(JsonBuilder, EscapesQuotesControlsAndInvalidUtf8Only) {
+  JsonBuilder w;
+  w.Object().Key("k\"");
+  w.Str("a\\b\n\x01 caf\xC3\xA9 \xF0\x9F\x99\x82 \xFF\xC3").End();
+  EXPECT_EQ(w.str(),
+            "{\"k\\\"\":\"a\\\\b\\u000a\\u0001 caf\xC3\xA9 "
+            "\xF0\x9F\x99\x82 \\u00ff\\u00c3\"}");
 }
 
 }  // namespace

@@ -9,17 +9,22 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/fault.h"
 #include "resilience/breaker.h"
 #include "resilience/iofault.h"
 #include "resilience/isolate.h"
@@ -490,6 +495,293 @@ TEST(MiniJson, MalformedUtf8IsEscapedToPureAscii) {
 TEST(MiniJson, WellFormedUtf8PassesThroughUnescaped) {
   const std::string utf8 = "caf\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x99\x82";
   EXPECT_EQ(JsonEscape(utf8), utf8);
+}
+
+// ---------------------------------------------------------------------------
+// Emitted bytes. Stored cells and downstream tools read the record codec
+// and the bench report byte for byte, so both are pinned; and no report
+// may carry a byte that is not well-formed UTF-8.
+
+// A hand-built result with every optional block the emitters know.
+sim::RunResult PinnedResult() {
+  sim::RunResult r;
+  r.workload = "Pin \"q\"\\";
+  r.mode = RunMode::kDsa;
+  r.output_ok = true;
+  r.cycles = 123456;
+  r.cpu = {1000, 700, 300, 210, 90, 64, 5, 1400, 333, 44, 120, 17};
+  r.l1 = {900, 100};
+  r.l2 = {80, 20};
+  r.dram_accesses = 20;
+  r.energy = {1.5, 0.25, 0.125, 1.0 / 3.0, 2e-7, 12345.678, 0.1};
+  r.output_digest = 0x0123456789abcdefull;
+  r.host_steps = 4242;
+  r.host_wall_ms = 1.25;
+  r.host_phases = {0.5, 0.25, 0.125, 0.0625};
+  engine::DsaStats d;
+  d.loops_by_class = {{engine::LoopClass::kCount, 2},
+                      {engine::LoopClass::kSentinel, 1}};
+  d.entries_by_class = {{engine::LoopClass::kCount, 9}};
+  d.rejects_by_reason = {{engine::RejectReason::kNonUnitStride, 3}};
+  d.stage_activations = {6, 5, 4, 3, 2, 1};
+  d.analysis_cycles = 11;
+  d.observed_instructions = 12;
+  d.takeovers = 13;
+  d.cache_hit_takeovers = 14;
+  d.fusions_formed = 15;
+  d.fusion_demotions = 16;
+  d.sentinel_respeculations = 17;
+  d.vectorized_iterations = 18;
+  d.scalar_covered_instrs = 19;
+  d.vector_instrs_issued = 20;
+  d.array_map_accesses = 21;
+  d.vc_accesses = 22;
+  d.dsa_cache_accesses = 23;
+  d.rollbacks = 24;
+  d.blacklisted_loops = 25;
+  d.cache_corruptions_detected = 26;
+  r.dsa = d;
+  fault::FaultReport fr;
+  fr.plan = fault::ParseFaultPlan("cidp@0,bitflip@2+3;seed=7");
+  fr.opportunities = {1, 2, 3, 4, 5, 6};
+  fr.fired = {1, 0, 0, 0, 3, 0};
+  r.faults = fr;
+  r.stream_bytes = 4096;
+  r.gen = sim::GenInfo{99, "sentinel", 64};
+  return r;
+}
+
+sim::JobOutcome PinnedOutcome() {
+  sim::JobOutcome out;
+  out.key = "Pin@neon-dsa/tag";
+  out.workload_key = "Pin";
+  out.mode = RunMode::kDsa;
+  out.config_tag = "tag";
+  out.runs = {PinnedResult(), PinnedResult()};
+  out.wall_ms = 2.5;
+  out.attempts = 2;
+  return out;
+}
+
+// The per-cell wall_ms is measured; everything else in the report below
+// is a pure function of the pinned result.
+std::string MaskCellWallMs(const std::string& json) {
+  static const std::regex kCellWall(R"("wall_ms": [-0-9.e+]+, "runs")");
+  return std::regex_replace(json, kCellWall, R"("wall_ms": 0, "runs")");
+}
+
+// Runs the cells of `modes` (VecAdd 512) through `run_fn` and returns the
+// bench report WriteBenchJson wrote for them.
+std::string BenchReportFor(
+    const std::vector<RunMode>& modes,
+    const std::function<sim::RunResult(const Workload&, RunMode,
+                                       const SystemConfig&)>& run_fn,
+    const sim::BenchJsonExtras* extras) {
+  RunnerOptions o;
+  o.jobs = 1;
+  o.repeats = 1;
+  o.oracle = false;
+  o.run_fn = run_fn;
+  BatchRunner runner(o);
+  const Workload wl = workloads::MakeVecAdd(512);
+  for (const RunMode m : modes) (void)runner.Submit(wl, m, {});
+  BatchReport report = runner.Finish();
+  report.wall_ms = 0;
+  const std::string path = TempPath("pinned_report.json");
+  EXPECT_TRUE(sim::WriteBenchJson(path, "pin", runner, report, extras));
+  std::string json = Slurp(path);
+  std::remove(path.c_str());
+  return json;
+}
+
+bool AllAscii(const std::string& s) {
+  return std::all_of(s.begin(), s.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x80;
+  });
+}
+
+TEST(EmittedBytes, SerializeRunResultIsPinned) {
+  EXPECT_EQ(SerializeRunResult(PinnedResult()),
+            "{\"workload\":\"Pin \\\"q\\\"\\\\\",\"mode\":3,\"output_ok\":true,"
+            "\"cycles\":123456,\"cpu\":[1000,700,300,210,90,64,5,1400,333,44,"
+            "120,17],\"l1\":[900,100],\"l2\":[80,20],\"dram\":20,"
+            "\"energy\":[1.5,0.25,0.125,0.33333333333333331,"
+            "1.9999999999999999e-07,12345.678,0.10000000000000001],"
+            "\"digest\":\"0x0123456789abcdef\",\"host_steps\":4242,"
+            "\"host_wall_ms\":1.25,\"dsa\":{\"counters\":[11,12,13,14,15,16,17,"
+            "18,19,20,21,22,23,24,25,26],\"stages\":[6,5,4,3,2,1],"
+            "\"loops\":[[0,2],[4,1]],\"entries\":[[0,9]],\"rejects\":[[3,3]]},"
+            "\"faults\":{\"plan\":\"cidp@0,bitflip@2+3;seed=7\","
+            "\"opportunities\":[1,2,3,4,5,6],\"fired\":[1,0,0,0,3,0]}}");
+}
+
+TEST(EmittedBytes, SerializeOutcomeIsPinned) {
+  EXPECT_EQ(SerializeOutcome(PinnedOutcome()),
+            "{\"kind\":\"cell\",\"key\":\"Pin@neon-dsa/tag\",\"status\":\"ok\","
+            "\"attempts\":2,\"wall_ms\":2.5,\"runs\":2,"
+            "\"result\":{\"workload\":\"Pin \\\"q\\\"\\\\\",\"mode\":3,"
+            "\"output_ok\":true,\"cycles\":123456,\"cpu\":[1000,700,300,210,90,"
+            "64,5,1400,333,44,120,17],\"l1\":[900,100],\"l2\":[80,20],"
+            "\"dram\":20,\"energy\":[1.5,0.25,0.125,0.33333333333333331,"
+            "1.9999999999999999e-07,12345.678,0.10000000000000001],"
+            "\"digest\":\"0x0123456789abcdef\",\"host_steps\":4242,"
+            "\"host_wall_ms\":1.25,\"dsa\":{\"counters\":[11,12,13,14,15,16,17,"
+            "18,19,20,21,22,23,24,25,26],\"stages\":[6,5,4,3,2,1],"
+            "\"loops\":[[0,2],[4,1]],\"entries\":[[0,9]],\"rejects\":[[3,3]]},"
+            "\"faults\":{\"plan\":\"cidp@0,bitflip@2+3;seed=7\","
+            "\"opportunities\":[1,2,3,4,5,6],\"fired\":[1,0,0,0,3,0]}}}");
+}
+
+TEST(EmittedBytes, BenchReportIsPinned) {
+  sim::BenchJsonExtras extras;
+  extras.cache_dir = "/tmp/pin-cache";
+  extras.cache_stores = 2;
+  extras.cache_fsync_failures = 1;
+  extras.breaker_enabled = true;
+  extras.breaker = {{"VecAdd", "half-open", 1, 2, 3}};
+  const std::string json = BenchReportFor(
+      {RunMode::kScalar, RunMode::kHandVec, RunMode::kDsa},
+      [](const Workload&, RunMode mode, const SystemConfig&) {
+        if (mode == RunMode::kHandVec) {
+          throw std::runtime_error("pinned \"failure\"\n\ttab");
+        }
+        return PinnedResult();
+      },
+      &extras);
+  EXPECT_EQ(MaskCellWallMs(json),
+            "{\"schema\": \"dsa-bench-json/6\", \"bench\": \"pin\","
+            " \"jobs\": 1, \"repeats\": 1, \"wall_ms\": 0,"
+            " \"distinct_jobs\": 3, \"executed_runs\": 2, \"faulted_cells\": 1,"
+            " \"memo_hits\": 0, \"restored_cells\": 0, \"cancelled_cells\": 0,"
+            " \"run_status\": \"complete\","
+            " \"cache\": {\"dir\": \"/tmp/pin-cache\", \"restored\": 0,"
+            " \"stores\": 2, \"store_failures\": 0, \"fsync_failures\": 1,"
+            " \"warning\": \"[io-fault] 0 store failure(s),"
+            " 1 fsync failure(s): cell-store durability not guaranteed\"},"
+            " \"breaker\": {\"enabled\": true,"
+            " \"workloads\": [{\"workload\": \"VecAdd\","
+            " \"state\": \"half-open\", \"failures\": 1, \"trips\": 2,"
+            " \"skipped\": 3}]}, \"oracle\": {\"enabled\": false,"
+            " \"ok\": false,"
+            " \"violations\": [{\"job\": \"VecAdd@neon-handvec\","
+            " \"check\": \"run.exception\","
+            " \"detail\": \"pinned \\\"failure\\\"\\u000a\\u0009tab\"}]},"
+            " \"results\": [\n"
+            "  {\"job\": \"VecAdd@arm-original\","
+            " \"workload\": \"Pin \\\"q\\\"\\\\\", \"mode\": \"arm-original\","
+            " \"config\": \"\", \"cell_status\": \"ok\", \"attempts\": 1,"
+            " \"cycles\": 123456, \"speedup_vs_scalar\": 1,"
+            " \"output_ok\": true, \"output_digest\": \"0x0123456789abcdef\","
+            " \"wall_ms\": 0, \"runs\": 1, \"host\": {\"mips\": 3.3936,"
+            " \"wall_ms\": 1.25, \"steps\": 4242,"
+            " \"phases\": {\"dispatch_ms\": 0.5, \"observe_ms\": 0.25,"
+            " \"mem_ms\": 0.125, \"neon_ms\": 0.0625}},"
+            " \"stream\": {\"bytes\": 4096, \"gbps\": 0.0331778},"
+            " \"gen\": {\"seed\": 99, \"class\": \"sentinel\", \"count\": 64},"
+            " \"cpu\": {\"retired_total\": 1000, \"retired_scalar\": 700,"
+            " \"retired_vector\": 300, \"branches\": 64, \"mispredicts\": 5,"
+            " \"mem_stall_cycles\": 333, \"other_stall_cycles\": 44,"
+            " \"neon_busy_cycles\": 120, \"dsa_overhead_cycles\": 17},"
+            " \"l1\": {\"hits\": 900, \"misses\": 100}, \"l2\": {\"hits\": 80,"
+            " \"misses\": 20}, \"dram_accesses\": 20,"
+            " \"energy\": {\"core_dynamic\": 1.5, \"core_static\": 0.25,"
+            " \"neon_dynamic\": 0.125, \"neon_static\": 0.333333,"
+            " \"cache_dram\": 2e-07, \"dsa_dynamic\": 12345.7,"
+            " \"dsa_static\": 0.1, \"total\": 12348},"
+            " \"faults\": {\"plan\": \"cidp@0,bitflip@2+3;seed=7\","
+            " \"seed\": 7, \"total_fired\": 4, \"opportunities\": {\"cidp\": 1,"
+            " \"cache\": 2, \"lane\": 3, \"sentinel\": 4, \"bitflip\": 5,"
+            " \"mem\": 6}, \"fired\": {\"cidp\": 1, \"cache\": 0, \"lane\": 0,"
+            " \"sentinel\": 0, \"bitflip\": 3, \"mem\": 0}},"
+            " \"detection_latency_pct\": 1.1, \"dsa\": {\"takeovers\": 13,"
+            " \"cache_hit_takeovers\": 14, \"vectorized_iterations\": 18,"
+            " \"scalar_covered_instrs\": 19, \"vector_instrs_issued\": 20,"
+            " \"analysis_cycles\": 11, \"fusions_formed\": 15,"
+            " \"fusion_demotions\": 16, \"sentinel_respeculations\": 17,"
+            " \"rollbacks\": 24, \"blacklisted_loops\": 25,"
+            " \"cache_corruptions_detected\": 26,"
+            " \"stage_activations\": {\"loop-detection\": 6,"
+            " \"data-collection\": 5, \"dependency-analysis\": 4,"
+            " \"store-id/execution\": 3, \"mapping\": 2,"
+            " \"speculative-execution\": 1}, \"loops_by_class\": {\"count\": 2,"
+            " \"sentinel\": 1}}}\n"
+            "  , {\"job\": \"VecAdd@neon-dsa\","
+            " \"workload\": \"Pin \\\"q\\\"\\\\\", \"mode\": \"neon-dsa\","
+            " \"config\": \"\", \"cell_status\": \"ok\", \"attempts\": 1,"
+            " \"cycles\": 123456, \"speedup_vs_scalar\": 1,"
+            " \"output_ok\": true, \"output_digest\": \"0x0123456789abcdef\","
+            " \"wall_ms\": 0, \"runs\": 1, \"host\": {\"mips\": 3.3936,"
+            " \"wall_ms\": 1.25, \"steps\": 4242,"
+            " \"phases\": {\"dispatch_ms\": 0.5, \"observe_ms\": 0.25,"
+            " \"mem_ms\": 0.125, \"neon_ms\": 0.0625}},"
+            " \"stream\": {\"bytes\": 4096, \"gbps\": 0.0331778},"
+            " \"gen\": {\"seed\": 99, \"class\": \"sentinel\", \"count\": 64},"
+            " \"cpu\": {\"retired_total\": 1000, \"retired_scalar\": 700,"
+            " \"retired_vector\": 300, \"branches\": 64, \"mispredicts\": 5,"
+            " \"mem_stall_cycles\": 333, \"other_stall_cycles\": 44,"
+            " \"neon_busy_cycles\": 120, \"dsa_overhead_cycles\": 17},"
+            " \"l1\": {\"hits\": 900, \"misses\": 100}, \"l2\": {\"hits\": 80,"
+            " \"misses\": 20}, \"dram_accesses\": 20,"
+            " \"energy\": {\"core_dynamic\": 1.5, \"core_static\": 0.25,"
+            " \"neon_dynamic\": 0.125, \"neon_static\": 0.333333,"
+            " \"cache_dram\": 2e-07, \"dsa_dynamic\": 12345.7,"
+            " \"dsa_static\": 0.1, \"total\": 12348},"
+            " \"faults\": {\"plan\": \"cidp@0,bitflip@2+3;seed=7\","
+            " \"seed\": 7, \"total_fired\": 4, \"opportunities\": {\"cidp\": 1,"
+            " \"cache\": 2, \"lane\": 3, \"sentinel\": 4, \"bitflip\": 5,"
+            " \"mem\": 6}, \"fired\": {\"cidp\": 1, \"cache\": 0, \"lane\": 0,"
+            " \"sentinel\": 0, \"bitflip\": 3, \"mem\": 0}},"
+            " \"detection_latency_pct\": 1.1, \"dsa\": {\"takeovers\": 13,"
+            " \"cache_hit_takeovers\": 14, \"vectorized_iterations\": 18,"
+            " \"scalar_covered_instrs\": 19, \"vector_instrs_issued\": 20,"
+            " \"analysis_cycles\": 11, \"fusions_formed\": 15,"
+            " \"fusion_demotions\": 16, \"sentinel_respeculations\": 17,"
+            " \"rollbacks\": 24, \"blacklisted_loops\": 25,"
+            " \"cache_corruptions_detected\": 26,"
+            " \"stage_activations\": {\"loop-detection\": 6,"
+            " \"data-collection\": 5, \"dependency-analysis\": 4,"
+            " \"store-id/execution\": 3, \"mapping\": 2,"
+            " \"speculative-execution\": 1}, \"loops_by_class\": {\"count\": 2,"
+            " \"sentinel\": 1}}}\n"
+            "  , {\"job\": \"VecAdd@neon-handvec\", \"workload\": \"VecAdd\","
+            " \"mode\": \"neon-handvec\", \"config\": \"\","
+            " \"cell_status\": \"faulted\", \"attempts\": 1, \"runs\": 0,"
+            " \"error\": \"pinned \\\"failure\\\"\\u000a\\u0009tab\"}\n"
+            "]}\n");
+}
+
+TEST(EmittedBytes, InvalidUtf8InACellErrorIsEscapedInTheReport) {
+  const std::string error = "bad byte \xff here";
+  const std::string json = BenchReportFor(
+      {RunMode::kScalar},
+      [&error](const Workload&, RunMode, const SystemConfig&)
+          -> sim::RunResult { throw std::runtime_error(error); },
+      nullptr);
+  // The only non-ASCII input byte is not UTF-8, so it must be escaped.
+  EXPECT_TRUE(AllAscii(json));
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json, doc));
+  const JsonValue* results = doc.Find("results");
+  ASSERT_TRUE(results != nullptr && results->array.size() == 1);
+  ASSERT_NE(results->array[0].Find("error"), nullptr);
+  EXPECT_EQ(results->array[0].Find("error")->AsString(), error);
+}
+
+TEST(EmittedBytes, InvalidUtf8InTheCacheDirIsEscapedInTheReport) {
+  sim::BenchJsonExtras extras;
+  extras.cache_dir = "/tmp/cache\xff";
+  const std::string json = BenchReportFor(
+      {RunMode::kScalar},
+      [](const Workload&, RunMode, const SystemConfig&) {
+        return PinnedResult();
+      },
+      &extras);
+  EXPECT_TRUE(AllAscii(json));
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(json, doc));
+  const JsonValue* cache = doc.Find("cache");
+  ASSERT_TRUE(cache != nullptr && cache->Find("dir") != nullptr);
+  EXPECT_EQ(cache->Find("dir")->AsString(), extras.cache_dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -307,6 +307,15 @@ TEST(CacheKeyDigests, ConfigDigestSeesEveryLayer) {
   EXPECT_NE(ConfigDigest(steps), d0);
 }
 
+// Config digests are part of every cell file name: a changed value
+// orphans every stored cell, so the walk's output is pinned.
+TEST(CacheKeyDigests, ConfigDigestValuesArePinned) {
+  EXPECT_EQ(ConfigDigest(SystemConfig{}), 0x9e72ed4f6655d9d2ull);
+  SystemConfig original;
+  original.dsa = engine::DsaConfig::Original();
+  EXPECT_EQ(ConfigDigest(original), 0x150f7bc5f60e7592ull);
+}
+
 TEST(CacheKeyDigests, FileNameEncodesEveryKeyField) {
   CacheKey key;
   key.job_key = "VecAdd@arm-original";

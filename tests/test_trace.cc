@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "engine/stats.h"
+#include "resilience/mini_json.h"
 #include "sim/oracle.h"
 #include "sim/report.h"
 #include "sim/system.h"
@@ -216,6 +217,41 @@ TEST(ChromeExport, RoundTripRederivesStageCounts) {
   EXPECT_NE(json.find("\"schema\": \"dsa-trace/1\""), std::string::npos);
   EXPECT_EQ(count("\"ph\": \"B\""), count("\"ph\": \"E\""));
   std::remove(path.c_str());
+}
+
+// A process name is arbitrary bytes: a byte that is not well-formed UTF-8
+// comes out escaped, so the trace stays valid JSON text, and parses back
+// to the original name in both places it appears.
+TEST(ChromeExport, InvalidUtf8ProcessNameIsEscaped) {
+  const sim::Workload wl = workloads::MakeVecAdd(512);
+  const RunResult r = TracedDsaRun(wl);
+  ASSERT_NE(r.trace, nullptr);
+  const std::string name = "vec_add\xff@dsa";
+  const std::string path = ::testing::TempDir() + "trace_utf8.json";
+  ASSERT_TRUE(trace::WriteChromeTrace(
+      path, {trace::ChromeProcess{name, r.trace.get()}}));
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string json = ss.str();
+  std::remove(path.c_str());
+
+  EXPECT_TRUE(std::all_of(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x80;
+  }));
+  resilience::JsonValue doc;
+  ASSERT_TRUE(resilience::ParseJson(json, doc));
+  const resilience::JsonValue* events = doc.Find("traceEvents");
+  ASSERT_TRUE(events != nullptr && !events->array.empty());
+  const resilience::JsonValue* args = events->array[0].Find("args");
+  ASSERT_TRUE(args != nullptr && args->Find("name") != nullptr);
+  EXPECT_EQ(args->Find("name")->AsString(), name);
+  const resilience::JsonValue* meta = doc.Find("metadata");
+  ASSERT_NE(meta, nullptr);
+  const resilience::JsonValue* procs = meta->Find("processes");
+  ASSERT_TRUE(procs != nullptr && procs->array.size() == 1);
+  ASSERT_NE(procs->array[0].Find("name"), nullptr);
+  EXPECT_EQ(procs->array[0].Find("name")->AsString(), name);
 }
 
 // --- oracle cross-check -----------------------------------------------------
