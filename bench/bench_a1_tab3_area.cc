@@ -66,8 +66,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "could not write %s\n", json_path.c_str());
       return 1;
     }
-    std::fputs(w.str().c_str(), f);
-    std::fclose(f);
+    const bool written = std::fputs(w.str().c_str(), f) >= 0;
+    if (std::fclose(f) != 0 || !written) {
+      std::fprintf(stderr, "could not write %s\n", json_path.c_str());
+      return 1;
+    }
     std::printf("\n[a1_tab3_area] wrote %s\n", json_path.c_str());
   }
   return 0;

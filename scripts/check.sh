@@ -251,7 +251,9 @@ echo "== serve protocol fuzz smoke (seeded hostile clients) =="
 # proves the daemon answers a well-behaved ping after every attack. The
 # short read deadline makes the reader reap held connections inside the
 # smoke's budget; the health probe then validates the hostile-traffic
-# census and a clean SIGTERM drain must still exit 3.
+# census and a clean SIGTERM drain must still exit 3. The chaos client
+# sends only hostile frames and pings, so the job table must still be
+# unbuilt: pings never build it (docs/SERVING.md).
 rm -rf "$CACHE" "$SOCK"
 build/bench/dsa_serve --socket "$SOCK" --cache "$CACHE" \
     --read-deadline-ms 500 &
@@ -262,7 +264,7 @@ build/bench/dsa_chaos_client --socket "$SOCK" --seed 11 --rounds 24 \
 build/bench/dsa_submit --socket "$SOCK" --health \
     --json build/SERVE_health_check.json --quiet
 python3 scripts/validate_serve.py build/SERVE_health_check.json \
-    --expect-health
+    --expect-health --expect-table unbuilt
 set +e
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
@@ -278,14 +280,15 @@ echo "== kill-and-chaos soak gate (io-faults + kill -9 + scrub) =="
 # cache corruption for the next boot scrub, and restarts. The drill gates
 # internally on every served cell being bit-identical to an in-process
 # reference sweep; the validator re-checks the final response against the
-# same reference from the outside.
+# same reference from the outside; its health probe follows the final
+# clean sweep, so the job table must be built.
 rm -rf build/soak_serve_check.tmp
 build/bench/bench_soak_serve --filter BitCount --seed 7 --rounds 2 \
     --dir build/soak_serve_check.tmp --keep
 python3 scripts/validate_serve.py build/soak_serve_check.tmp/final.json \
     --ref build/soak_serve_check.tmp/reference.json --min-cached 1
 python3 scripts/validate_serve.py build/soak_serve_check.tmp/health.json \
-    --expect-health
+    --expect-health --expect-table built
 rm -rf build/soak_serve_check.tmp
 
 echo "== io-fault + serve suites under standalone UBSan =="

@@ -15,9 +15,12 @@ contract in docs/SERVING.md:
     values (breaker states in closed/open/half-open), including the
     cache store_failures / fsync_failures degradation counters,
   * when a "health" block is present (a `dsa_submit --health` probe) it
-    carries the hostile-traffic counters, the boot-scrub census and a
+    carries the hostile-traffic counters, the boot-scrub census, a
     per-kind io-fault census whose fired tallies never exceed their
-    opportunities (--expect-health makes the block mandatory),
+    opportunities, the job table (cells and build_ms both 0 before the
+    first sweep, both above 0 after it) and the queue/cells/respond
+    sweep stages with p50_us <= p99_us (--expect-health makes the block
+    mandatory; --expect-table built|unbuilt pins the table's state),
 and optionally cross-checks the serving path against the CLI path:
   * --ref BENCH.json: every "ok" cell must appear in the bench_matrix
     report (matched by job key) with bit-identical cycles and output
@@ -31,7 +34,7 @@ Exit code 0 = valid, 1 = validation failure, 2 = usage/IO error.
 
   $ python3 scripts/validate_serve.py response.json [--ref bench.json]
         [--min-cached N] [--all-cached] [--expect-crashed JOBKEY]
-        [--expect-health]
+        [--expect-health] [--expect-table built|unbuilt]
 """
 import json
 import sys
@@ -57,6 +60,22 @@ def load(path: str):
     except (OSError, json.JSONDecodeError) as e:
         print(f"validate_serve: cannot load {path}: {e}", file=sys.stderr)
         sys.exit(2)
+
+
+def counters(block, where: str, fields) -> dict:
+    """Checks that `block` is an object whose `fields` are non-negative
+    integers; returns the fields that are."""
+    if not isinstance(block, dict):
+        err(f"{where}: missing")
+        return {}
+    good = {}
+    for field in fields:
+        v = block.get(field)
+        if isinstance(v, int) and v >= 0:
+            good[field] = v
+        else:
+            err(f"{where}.{field}: {v!r} is not a non-negative integer")
+    return good
 
 
 def check_cells(resp: dict) -> list:
@@ -106,24 +125,11 @@ def check_tallies(resp: dict, cells: list) -> None:
 
 
 def check_telemetry(resp: dict) -> None:
-    cache = resp.get("cache")
-    if not isinstance(cache, dict):
-        err("cache: missing telemetry block")
-    else:
-        for field in ("hits", "misses", "stores", "quarantined",
-                      "store_failures", "fsync_failures"):
-            v = cache.get(field)
-            if not isinstance(v, int) or v < 0:
-                err(f"cache.{field}: {v!r} is not a non-negative integer")
-    pool = resp.get("pool")
-    if not isinstance(pool, dict):
-        err("pool: missing telemetry block")
-    else:
-        for field in ("executed", "escaped", "respawns", "discarded",
-                      "live_workers"):
-            v = pool.get(field)
-            if not isinstance(v, int) or v < 0:
-                err(f"pool.{field}: {v!r} is not a non-negative integer")
+    counters(resp.get("cache"), "cache",
+             ("hits", "misses", "stores", "quarantined", "store_failures",
+              "fsync_failures"))
+    counters(resp.get("pool"), "pool",
+             ("executed", "escaped", "respawns", "discarded", "live_workers"))
     breaker = resp.get("breaker")
     if not isinstance(breaker, list):
         err("breaker: missing census array")
@@ -137,33 +143,43 @@ IO_FAULT_KINDS = ["enospc", "eio", "short-write", "fsync-fail",
                   "rename-fail", "open-fail"]
 
 
-def check_health(resp: dict, required: bool) -> None:
+def check_table(health: dict, expect: str) -> None:
+    table = counters(health.get("table"), "health.table",
+                     ("cells", "build_ms"))
+    if len(table) == 2:
+        built = table["cells"] > 0
+        if built != (table["build_ms"] > 0):
+            err(f"health.table: cells {table['cells']} and build_ms "
+                f"{table['build_ms']} must both be 0 or both above 0")
+        elif expect is not None and built != (expect == "built"):
+            err(f"--expect-table {expect}: table has {table['cells']} cells")
+    stages = health.get("stages")
+    for stage in ("queue", "cells", "respond"):
+        got = counters(stages.get(stage) if isinstance(stages, dict) else None,
+                       f"health.stages.{stage}",
+                       ("count", "p50_us", "p99_us"))
+        if len(got) == 3 and got["p50_us"] > got["p99_us"]:
+            err(f"health.stages.{stage}: p50_us {got['p50_us']} > p99_us "
+                f"{got['p99_us']}")
+
+
+def check_health(resp: dict, required: bool, expect_table: str) -> None:
     health = resp.get("health")
     if health is None:
-        if required:
-            err("health: block missing (--expect-health)")
+        if required or expect_table is not None:
+            err("health: block missing (--expect-health/--expect-table)")
         return
     if not isinstance(health, dict):
         err("health: not an object")
         return
-    for field in ("requests_served", "corrupt_frames", "read_timeouts",
-                  "refused_connections"):
-        v = health.get(field)
-        if not isinstance(v, int) or v < 0:
-            err(f"health.{field}: {v!r} is not a non-negative integer")
-    scrub = health.get("scrub")
-    if not isinstance(scrub, dict):
-        err("health.scrub: missing census")
-    else:
-        for field in ("checked", "ok", "quarantined"):
-            v = scrub.get(field)
-            if not isinstance(v, int) or v < 0:
-                err(f"health.scrub.{field}: {v!r} is not a non-negative "
-                    f"integer")
-        if isinstance(scrub.get("checked"), int):
-            if scrub.get("ok", 0) + scrub.get("quarantined", 0) > \
-                    scrub["checked"]:
-                err("health.scrub: ok + quarantined exceeds checked")
+    check_table(health, expect_table)
+    counters(health, "health", ("requests_served", "corrupt_frames",
+                                "read_timeouts", "refused_connections"))
+    scrub = counters(health.get("scrub"), "health.scrub",
+                     ("checked", "ok", "quarantined"))
+    if len(scrub) == 3 and scrub["ok"] + scrub["quarantined"] > \
+            scrub["checked"]:
+        err("health.scrub: ok + quarantined exceeds checked")
     io = health.get("io_faults")
     if not isinstance(io, dict):
         err("health.io_faults: missing census")
@@ -226,6 +242,7 @@ def main() -> None:
     all_cached = False
     expect_crashed = None
     expect_health = False
+    expect_table = None
     i = 1
     while i < len(args):
         if args[i] == "--ref" and i + 1 < len(args):
@@ -234,6 +251,10 @@ def main() -> None:
         elif args[i] == "--expect-health":
             expect_health = True
             i += 1
+        elif args[i] == "--expect-table" and i + 1 < len(args) and \
+                args[i + 1] in ("built", "unbuilt"):
+            expect_table = args[i + 1]
+            i += 2
         elif args[i] == "--min-cached" and i + 1 < len(args):
             min_cached = int(args[i + 1])
             i += 2
@@ -257,7 +278,7 @@ def main() -> None:
     cells = check_cells(resp)
     check_tallies(resp, cells)
     check_telemetry(resp)
-    check_health(resp, expect_health)
+    check_health(resp, expect_health, expect_table)
 
     if ref_path is not None:
         check_ref(cells, ref_path)

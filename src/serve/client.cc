@@ -126,7 +126,8 @@ int Submit(const ClientOptions& opts) {
   if (!opts.json_path.empty()) {
     std::ofstream out(opts.json_path, std::ios::binary | std::ios::trunc);
     out << json << "\n";
-    if (!out.good()) {
+    out.close();  // the flush: a full disk fails here, not at the write
+    if (out.fail()) {
       std::fprintf(stderr, "[dsa_submit] cannot write %s\n",
                    opts.json_path.c_str());
       return 5;

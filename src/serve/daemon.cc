@@ -1,6 +1,7 @@
 #include "serve/daemon.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cinttypes>
@@ -43,6 +44,23 @@ std::string Lower(std::string s) {
   return s;
 }
 
+// The one filter rule, shared by SweepJobs and JobTable::Match: a
+// case-insensitive JobKey substring; "" matches every cell.
+bool Matches(const std::string& lower_key, const std::string& needle) {
+  return needle.empty() || lower_key.find(needle) != std::string::npos;
+}
+
+// A cell that never ran: its identity from the table, a typed status.
+void Refuse(const JobTable::Entry& e, const char* status, std::string why,
+            sim::JobOutcome& out) {
+  out.key = e.cache_key.job_key;
+  out.workload_key = sim::WorkloadKey(e.job);
+  out.mode = e.job.mode;
+  out.config_tag = e.job.config_tag;
+  out.cell_status = status;
+  out.error = std::move(why);
+}
+
 }  // namespace
 
 // The daemon's sweep space IS bench_matrix's batch (same sets, same
@@ -62,10 +80,7 @@ std::vector<sim::BatchJob> SweepJobs(const std::string& filter) {
                        const sim::SystemConfig& c, const std::string& ctag) {
     sim::BatchJob job{wl, mode, c, ctag, ""};
     const std::string key = sim::JobKey(job);
-    if (!seen.insert(key).second) return;
-    if (!needle.empty() && Lower(key).find(needle) == std::string::npos) {
-      return;
-    }
+    if (!seen.insert(key).second || !Matches(Lower(key), needle)) return;
     jobs.push_back(std::move(job));
   };
 
@@ -84,6 +99,45 @@ std::vector<sim::BatchJob> SweepJobs(const std::string& filter) {
     add(wl, RunMode::kDsa, cfg, "");
   }
   return jobs;
+}
+
+JobTable JobTable::Build() {
+  JobTable table;
+  for (sim::BatchJob& job : SweepJobs("")) {
+    CacheKey key = KeyFor(job);
+    std::string lower = Lower(key.job_key);
+    table.entries.push_back({std::move(job), std::move(lower), std::move(key)});
+  }
+  return table;
+}
+
+std::vector<const JobTable::Entry*> JobTable::Match(
+    const std::string& filter) const {
+  const std::string needle = Lower(filter);
+  std::vector<const Entry*> picks;
+  for (const Entry& e : entries) {
+    if (Matches(e.lower_key, needle)) picks.push_back(&e);
+  }
+  return picks;
+}
+
+void Daemon::StageHistogram::Add(std::chrono::steady_clock::duration d) {
+  const auto us = std::max<std::int64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(d).count(), 0);
+  const auto b = static_cast<std::size_t>(
+      std::bit_width(static_cast<std::uint64_t>(us)));
+  ++buckets[std::min(b, buckets.size() - 1)];
+  ++count;
+}
+
+std::uint64_t Daemon::StageHistogram::PercentileUs(std::uint64_t p) const {
+  if (count == 0) return 0;
+  const std::uint64_t rank = (p * count + 99) / 100;  // nearest rank, 1-based
+  // rank <= count, the sum of the buckets: the walk stops inside them.
+  std::uint64_t seen = 0;
+  std::size_t b = 0;
+  while ((seen += buckets[b]) < rank) ++b;
+  return std::uint64_t{1} << b;
 }
 
 std::string AdmissionControl::Admit(const std::string& client) {
@@ -438,23 +492,32 @@ void Daemon::ProcessRequest(Request& req) {
     return;
   }
 
-  const std::vector<sim::BatchJob> jobs = SweepJobs(req.filter);
-  if (jobs.empty()) {
+  // The first sweep builds the job table; a ping never does, because the
+  // first answered ping is the daemon's boot time.
+  if (table_.entries.empty()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    table_ = JobTable::Build();
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - t0);
+    table_build_ms_ = static_cast<std::uint64_t>(us.count() + 999) / 1000;
+  }
+  const std::vector<const JobTable::Entry*> picks = table_.Match(req.filter);
+  if (picks.empty()) {
     RespondError(req.fd, "bad-request",
                  "filter \"" + req.filter + "\" matches no cells");
     return;
   }
 
-  std::vector<sim::JobOutcome> cells(jobs.size());
-  std::vector<bool> cached(jobs.size(), false);
+  std::vector<sim::JobOutcome> cells(picks.size());
+  std::vector<bool> cached(picks.size(), false);
   std::mutex done_mu;
   std::condition_variable done_cv;
-  std::size_t remaining = jobs.size();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    bool queued = pool_->Submit([this, &jobs, &cells, &cached, &done_mu,
+  std::size_t remaining = picks.size();
+  for (std::size_t i = 0; i < picks.size(); ++i) {
+    bool queued = pool_->Submit([this, &picks, &cells, &cached, &done_mu,
                                  &done_cv, &remaining, deadline, i] {
       bool was_cached = false;
-      RunCell(jobs[i], deadline, cells[i], was_cached);
+      RunCell(*picks[i], deadline, cells[i], was_cached);
       std::lock_guard<std::mutex> lock(done_mu);
       cached[i] = was_cached;
       if (--remaining == 0) done_cv.notify_all();
@@ -462,12 +525,8 @@ void Daemon::ProcessRequest(Request& req) {
     if (!queued) {
       // Pool refused (shutdown or every worker retired): classify the
       // cell instead of losing it.
-      cells[i].key = sim::JobKey(jobs[i]);
-      cells[i].workload_key = sim::WorkloadKey(jobs[i]);
-      cells[i].mode = jobs[i].mode;
-      cells[i].config_tag = jobs[i].config_tag;
-      cells[i].cell_status = "skipped";
-      cells[i].error = "overload: worker pool unavailable";
+      Refuse(*picks[i], "skipped", "overload: worker pool unavailable",
+             cells[i]);
       std::lock_guard<std::mutex> lock(done_mu);
       if (--remaining == 0) done_cv.notify_all();
     }
@@ -486,71 +545,61 @@ void Daemon::ProcessRequest(Request& req) {
       if (pool_->stats().live_workers == 0) {
         for (std::size_t i = 0; i < cells.size(); ++i) {
           if (!cells[i].key.empty()) continue;
-          cells[i].key = sim::JobKey(jobs[i]);
-          cells[i].workload_key = sim::WorkloadKey(jobs[i]);
-          cells[i].mode = jobs[i].mode;
-          cells[i].config_tag = jobs[i].config_tag;
-          cells[i].cell_status = "skipped";
-          cells[i].error = "overload: worker pool retired";
+          Refuse(*picks[i], "skipped", "overload: worker pool retired",
+                 cells[i]);
           --remaining;
         }
       }
     }
   }
 
+  const auto cells_done = std::chrono::steady_clock::now();
   std::string status = "ok";
   if (resilience::Supervisor::DrainRequested()) {
     status = "interrupted";
-  } else if (std::chrono::steady_clock::now() >= deadline) {
+  } else if (cells_done >= deadline) {
     status = "deadline";
   }
   const std::string body = BuildResponse(status, "", cells, cached);
   (void)SendFrame(req.fd, kFrameResponse, body);
   ::close(req.fd);
+  queue_stage_.Add(now - req.received);
+  cells_stage_.Add(cells_done - now);
+  respond_stage_.Add(std::chrono::steady_clock::now() - cells_done);
 #endif
 }
 
-void Daemon::RunCell(const sim::BatchJob& job,
+void Daemon::RunCell(const JobTable::Entry& entry,
                      std::chrono::steady_clock::time_point deadline,
                      sim::JobOutcome& out, bool& cached) {
-  const std::string key = sim::JobKey(job);
-  const auto refuse = [&](const char* status, std::string why) {
-    out.key = key;
-    out.workload_key = sim::WorkloadKey(job);
-    out.mode = job.mode;
-    out.config_tag = job.config_tag;
-    out.cell_status = status;
-    out.error = std::move(why);
-  };
+  const sim::BatchJob& job = entry.job;
+  const std::string& key = entry.cache_key.job_key;
 
   // 1. Persistent cache: a completed cell survives any number of daemon
   // restarts and is served bit-identically without re-simulation.
-  CacheKey cache_key;
-  if (cache_.open()) {
-    cache_key = KeyFor(job);
-    if (cache_.Load(cache_key, out)) {
-      out.restored = true;
-      cached = true;
-      return;
-    }
+  if (cache_.open() && cache_.Load(entry.cache_key, out)) {
+    out.restored = true;
+    cached = true;
+    return;
   }
 
   // 2. Drain / request deadline: unstarted cells are abandoned, typed.
   if (resilience::Supervisor::DrainRequested()) {
-    refuse("cancelled", "cancelled: daemon draining");
+    Refuse(entry, "cancelled", "cancelled: daemon draining", out);
     return;
   }
   if (std::chrono::steady_clock::now() >= deadline) {
-    refuse("cancelled", "cancelled: request deadline expired");
+    Refuse(entry, "cancelled", "cancelled: request deadline expired", out);
     return;
   }
 
   // 3. Circuit breaker: a workload that keeps dying is failed fast.
   if (breaker_.enabled() && !breaker_.Allow(job.workload.name)) {
-    refuse("skipped",
+    Refuse(entry, "skipped",
            sim::DsaError(sim::DsaErrorCode::kBreakerOpen,
                          "circuit breaker open for " + job.workload.name)
-               .what());
+               .what(),
+           out);
     return;
   }
 
@@ -583,7 +632,7 @@ void Daemon::RunCell(const sim::BatchJob& job,
   // soak test relies on every *completed* cell being durable before the
   // daemon dies).
   if (out.cell_status == "ok" && cache_.open()) {
-    (void)cache_.Store(cache_key, out);
+    (void)cache_.Store(entry.cache_key, out);
   }
   const std::uint64_t done = ++executed_cells_;
   if (opts_.kill_after > 0 && done >= opts_.kill_after) {
@@ -716,7 +765,24 @@ std::string Daemon::BuildResponse(const std::string& status,
       w.Key("fired").U64(census.fired[i]);
       w.End();
     }
-    w.End().End().End();
+    w.End().End();
+    // The job table and the sweep stages: written and read only on the
+    // dispatcher thread, which is the one that answers `health`.
+    w.Key("table").Object();
+    w.Key("cells").U64(table_.entries.size());
+    w.Key("build_ms").U64(table_build_ms_);
+    w.End();
+    w.Key("stages").Object();
+    for (const auto& [name, stage] :
+         {std::pair{"queue", &queue_stage_}, std::pair{"cells", &cells_stage_},
+          std::pair{"respond", &respond_stage_}}) {
+      w.Key(name).Object();
+      w.Key("count").U64(stage->count);
+      w.Key("p50_us").U64(stage->PercentileUs(50));
+      w.Key("p99_us").U64(stage->PercentileUs(99));
+      w.End();
+    }
+    w.End().End();
   }
 
   return w.End().Take();

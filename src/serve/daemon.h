@@ -20,6 +20,7 @@
 //     work is rejected with the typed "overload" status, exit code 3.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -113,6 +114,30 @@ struct DaemonOptions {
 // truth from exactly the cells the daemon will serve.
 [[nodiscard]] std::vector<sim::BatchJob> SweepJobs(const std::string& filter);
 
+// The sweep space keyed once: one entry per cell of SweepJobs(""), in
+// that order. The daemon builds it on its first sweep request, never at
+// boot, and never changes it afterwards, so a request costs a substring
+// scan instead of rebuilding every workload and re-digesting every cell.
+struct JobTable {
+  struct Entry {
+    sim::BatchJob job;
+    std::string lower_key;  // lowercased JobKey: what a filter matches
+    CacheKey cache_key;     // KeyFor(job); cache_key.job_key is the JobKey
+  };
+
+  // Keys every cell with KeyFor on its own job, never with a digest
+  // borrowed from a cell of the same workload name: the key is
+  // content-addressed, and Article2Set builds its own instances of
+  // Article3Set's names.
+  [[nodiscard]] static JobTable Build();
+
+  // The entries whose JobKeys SweepJobs(filter) returns, in its order
+  // (the two share one filter rule).
+  [[nodiscard]] std::vector<const Entry*> Match(const std::string& filter) const;
+
+  std::vector<Entry> entries;
+};
+
 class Daemon {
  public:
   explicit Daemon(DaemonOptions opts);
@@ -156,9 +181,21 @@ class Daemon {
       const std::vector<bool>& cached, bool health = false);
   // One cell, end to end: cache probe -> breaker -> ExecuteCell under
   // the isolate -> breaker record -> cache store -> kill_after drill.
-  void RunCell(const sim::BatchJob& job,
+  void RunCell(const JobTable::Entry& entry,
                std::chrono::steady_clock::time_point deadline,
                sim::JobOutcome& out, bool& cached);
+
+  // Latency of one sweep stage in fixed log2-microsecond buckets: bucket
+  // b counts the samples in [2^(b-1), 2^b) us (bucket 0: under 1 us; the
+  // last bucket also takes everything longer).
+  struct StageHistogram {
+    std::array<std::uint64_t, 40> buckets{};
+    std::uint64_t count = 0;
+    void Add(std::chrono::steady_clock::duration d);
+    // Upper bound of the bucket holding the nearest-rank sample; 0 when
+    // empty.
+    [[nodiscard]] std::uint64_t PercentileUs(std::uint64_t p) const;
+  };
 
   DaemonOptions opts_;
   ResultCache cache_;
@@ -180,6 +217,16 @@ class Daemon {
   int readers_ = 0;                  // guarded by mu_
   std::condition_variable readers_cv_;
   static constexpr int kMaxReaders = 64;
+
+  // Dispatcher-thread state, reported by `health`: the job table with
+  // its build time (whole ms, rounded up; 0 until the first sweep), and
+  // the sweep stages — queue (received until dequeued), cells (dequeued
+  // until the last cell is done) and respond (build and send).
+  JobTable table_;
+  std::uint64_t table_build_ms_ = 0;
+  StageHistogram queue_stage_;
+  StageHistogram cells_stage_;
+  StageHistogram respond_stage_;
 
   std::atomic<std::uint64_t> executed_cells_{0};  // kill_after counter
   std::atomic<std::uint64_t> requests_served_{0};

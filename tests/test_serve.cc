@@ -3,9 +3,10 @@
 // digests, the persistent result cache (round trip, corruption
 // quarantine, version invalidation, Load/Scrub agreement), resuming CLI
 // sweeps from it (`--cache DIR`), the respawning worker pool,
-// admission control, and the daemon end to end over a real Unix-domain
-// socket — submit, cache-hit resubmit with bit-identical results,
-// malformed requests, request deadlines and the graceful drain.
+// admission control, the job table against SweepJobs and KeyFor, and
+// the daemon end to end over a real Unix-domain socket — submit,
+// cache-hit resubmit with bit-identical results, malformed requests,
+// request deadlines, the lazily built job table and the graceful drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -1005,6 +1006,29 @@ TEST(AdmissionControlTest, EnforcesPerClientQuota) {
 }
 
 // ---------------------------------------------------------------------------
+// The daemon's job table: the sweep space keyed once.
+
+TEST(JobTableTest, PicksTheCellsOfSweepJobsInOrderWithFreshKeys) {
+  const JobTable table = JobTable::Build();
+  ASSERT_EQ(table.entries.size(), SweepJobs("").size());
+  for (const char* filter : {"", "BitCount", "bitcount@NEON-DSA", "/orig",
+                             "@arm-original", "MemCmp@neon-dsa"}) {
+    SCOPED_TRACE(filter);
+    const std::vector<BatchJob> jobs = SweepJobs(filter);
+    const std::vector<const JobTable::Entry*> picks = table.Match(filter);
+    ASSERT_FALSE(jobs.empty());
+    ASSERT_EQ(picks.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(picks[i]->cache_key.job_key, sim::JobKey(jobs[i]));
+      // Content-addressed per cell: the stored key is exactly what
+      // KeyFor computes for a freshly built job.
+      EXPECT_EQ(picks[i]->cache_key, KeyFor(jobs[i]));
+    }
+  }
+  EXPECT_TRUE(table.Match("no-such-workload-xyz").empty());
+}
+
+// ---------------------------------------------------------------------------
 // Daemon end to end over a real socket.
 
 #if DSA_SERVE_E2E
@@ -1436,6 +1460,77 @@ TEST_F(DaemonE2E, SlowLorisCannotStallOtherClients) {
   }
   EXPECT_TRUE(timed_out) << "read deadline never reaped the slow-loris";
   ::close(loris);
+}
+
+TEST_F(DaemonE2E, JobTableIsBuiltByTheFirstSweepNotAtBoot) {
+  DaemonOptions opts;
+  opts.socket_path = SocketPath("table");
+  opts.cache_dir = TempPath("daemon_table_cache");
+  Start(std::move(opts));  // answers pings with the table still unbuilt
+
+  const auto health = [this](const std::string& tag) {
+    ClientOptions h;
+    h.socket_path = socket_path_;
+    h.health = true;
+    h.quiet = true;
+    h.json_path = TempPath("resp_table_" + tag) + ".json";
+    EXPECT_EQ(Submit(h), 0);
+    resilience::JsonValue hv;
+    EXPECT_TRUE(resilience::ParseJson(Slurp(h.json_path), hv));
+    const resilience::JsonValue* block = hv.Find("health");
+    return block != nullptr ? *block : resilience::JsonValue();
+  };
+  const auto block = [](const resilience::JsonValue& h, const char* a,
+                        const char* b = nullptr) {
+    const resilience::JsonValue* v = h.Find(a);
+    if (v != nullptr && b != nullptr) v = v->Find(b);
+    return v != nullptr ? *v : resilience::JsonValue();
+  };
+
+  const resilience::JsonValue boot = health("boot");
+  EXPECT_EQ(Field(block(boot, "table"), "cells"), "0");
+  EXPECT_EQ(Field(block(boot, "table"), "build_ms"), "0");
+  EXPECT_EQ(Field(block(boot, "stages", "cells"), "count"), "0");
+
+  SubmitAndParse("BitCount@arm-original", 0, "table_first");
+  const resilience::JsonValue first = health("first");
+  EXPECT_EQ(Field(block(first, "table"), "cells"),
+            std::to_string(SweepJobs("").size()));
+  const std::string build_ms = Field(block(first, "table"), "build_ms");
+  EXPECT_GT(std::stoull(build_ms), 0u);
+  EXPECT_EQ(Field(block(first, "stages", "cells"), "count"), "1");
+
+  SubmitAndParse("BitCount@arm-original", 0, "table_second");
+  const resilience::JsonValue second = health("second");
+  EXPECT_EQ(Field(block(second, "table"), "build_ms"), build_ms);
+  // The second sweep (one cache hit) is the faster cells sample, and it
+  // took far less than a build: it reused the table.
+  EXPECT_LT(std::stoull(Field(block(second, "stages", "cells"), "p50_us")),
+            std::stoull(build_ms) * 1000);
+  for (const char* stage : {"queue", "cells", "respond"}) {
+    const resilience::JsonValue s = block(second, "stages", stage);
+    EXPECT_EQ(Field(s, "count"), "2") << stage;
+    EXPECT_LE(std::stoull(Field(s, "p50_us")), std::stoull(Field(s, "p99_us")))
+        << stage;
+  }
+}
+
+TEST_F(DaemonE2E, JsonDumpThatCannotBeWrittenFailsTheSubmit) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full here";
+  DaemonOptions opts;
+  opts.socket_path = SocketPath("full");
+  Start(std::move(opts));
+  // The response fits the stream buffer, so only the flush at close
+  // sees ENOSPC: a dump that never reached the disk is a failure.
+  ClientOptions c;
+  c.socket_path = socket_path_;
+  c.ping = true;
+  c.quiet = true;
+  c.json_path = "/dev/full";
+  EXPECT_EQ(Submit(c), 5);
+  c.ping = false;
+  c.health = true;
+  EXPECT_EQ(Submit(c), 5);
 }
 
 TEST(ClientRetry, BoundedBackoffRidesOutALateBindingDaemon) {
