@@ -1,12 +1,9 @@
 // Full-matrix driver: regenerates the performance (Fig. 8), energy
 // (Fig. 9), detection-latency (Table 2/3), loop-type (Fig. 7) and
-// Extended-vs-Original (Fig. 16) views from ONE batch of runs. The
-// seed-style serial path (--serial) re-executes every cell each time a
-// table needs it, the way the standalone drivers do; the runner path
-// submits the whole matrix once and renders every table from the memo,
-// with the oracle cross-checking all modes against the scalar outputs.
-// --compare times both paths and prints the wall-clock win.
-#include <chrono>
+// Extended-vs-Original (Fig. 16) views from ONE batch of runs: the whole
+// matrix is submitted to the batch runner once and every table renders
+// from its memo, with the oracle cross-checking all modes against the
+// scalar outputs.
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -24,8 +21,7 @@ using dsa::sim::RunResult;
 using dsa::sim::SystemConfig;
 using dsa::sim::Workload;
 
-// A table renders through this: the serial path executes the cell on the
-// spot (possibly again), the runner path answers from the batch memo.
+// A table renders through this; it answers from the batch memo.
 using Getter = std::function<RunResult(const Workload&, RunMode,
                                        const SystemConfig&,
                                        const std::string& ctag)>;
@@ -131,15 +127,8 @@ void PrintFig16(const std::vector<Workload>& set, const SystemConfig& ext_cfg,
   std::printf("\n");
 }
 
-struct TableRun {
-  double wall_ms = 0;
-  std::uint64_t executions = 0;  // serial path: actual sim::Run calls
-};
-
-TableRun RenderAllTables(const dsa::bench::BenchOptions& opts,
-                         const Getter& get, const SystemConfig& cfg,
-                         const SystemConfig& orig_cfg) {
-  const auto t0 = std::chrono::steady_clock::now();
+void RenderAllTables(const dsa::bench::BenchOptions& opts, const Getter& get,
+                     const SystemConfig& cfg, const SystemConfig& orig_cfg) {
   const std::vector<Workload> a3 =
       KeepWorkloads(opts, dsa::workloads::Article3Set());
   const std::vector<Workload> a2 =
@@ -152,11 +141,6 @@ TableRun RenderAllTables(const dsa::bench::BenchOptions& opts,
   PrintLoopTypes(a3, cfg, get);
   PrintFig16(a2, cfg, orig_cfg, get);
   PrintStream(stream, cfg, get);
-  TableRun tr;
-  tr.wall_ms = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-  return tr;
 }
 
 }  // namespace
@@ -168,28 +152,6 @@ int main(int argc, char** argv) {
   orig_cfg.dsa = dsa::engine::DsaConfig::Original();
   dsa::bench::PrintSetupHeader(cfg);
 
-  // Seed-style serial path: every table cell is a fresh sim::Run call,
-  // shared cells (the Fig. 8 matrix reappears in the energy table, the
-  // DSA column in latency and loop-type views, most of Fig. 16) are
-  // recomputed from scratch each time.
-  std::uint64_t serial_runs = 0;
-  double serial_ms = 0;
-  if (opts.serial || opts.compare) {
-    const Getter serial_get = [&serial_runs](const Workload& wl, RunMode mode,
-                                             const SystemConfig& c,
-                                             const std::string&) {
-      ++serial_runs;
-      return Run(wl, mode, c);
-    };
-    TableRun tr = RenderAllTables(opts, serial_get, cfg, orig_cfg);
-    serial_ms = tr.wall_ms;
-    std::printf("[matrix/serial] %llu sim runs in %.0f ms\n",
-                static_cast<unsigned long long>(serial_runs), serial_ms);
-    if (!opts.compare) return 0;
-    std::printf("\n==== runner path ====\n\n");
-  }
-
-  const auto runner_t0 = std::chrono::steady_clock::now();
   BatchRunner runner(opts.runner);
   // Submit the whole matrix up front so the workers stream through it;
   // rendering then reads every cell from the memo.
@@ -212,15 +174,5 @@ int main(int argc, char** argv) {
     return dsa::bench::ResultOrEmpty(runner, runner.Submit(wl, mode, c, ctag));
   };
   RenderAllTables(opts, memo_get, cfg, orig_cfg);
-  const int rc = dsa::bench::FinishBench(runner, opts, "matrix");
-  if (opts.compare && rc == 0) {
-    const double runner_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - runner_t0)
-                                 .count();
-    std::printf("[matrix/compare] serial %.0f ms (%llu runs) vs runner "
-                "%.0f ms (incl. oracle) -> %.2fx\n",
-                serial_ms, static_cast<unsigned long long>(serial_runs),
-                runner_ms, serial_ms / runner_ms);
-  }
-  return rc;
+  return dsa::bench::FinishBench(runner, opts, "matrix");
 }

@@ -55,8 +55,6 @@ struct BenchOptions {
   // JSON.
   std::shared_ptr<resilience::Supervisor> supervisor;
   std::shared_ptr<serve::ResultCache> cache;
-  bool serial = false;        // --serial: seed-style direct Run() loop
-  bool compare = false;       // --compare: time serial vs. runner paths
   bool reference = false;     // --reference: pre-optimization sim paths
   // --interleave N (bench_throughput): load-immune A/B measurement — per
   // cell, N back-to-back fast/--reference pairs on the same binary, with
@@ -174,10 +172,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       o.interleave = static_cast<int>(n);
     } else if (arg == "--assert-ratio") {
       o.assert_ratio = ParseRatioArg(arg, value());
-    } else if (arg == "--serial") {
-      o.serial = true;
-    } else if (arg == "--compare") {
-      o.compare = true;
     } else if (arg == "--reference") {
       o.reference = true;
     } else if (arg == "--isolate") {
@@ -197,7 +191,7 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--jobs N] [--repeats K] [--json PATH] "
                    "[--filter SUBSTR] [--trace PATH] [--faults SPEC] "
-                   "[--no-oracle] [--serial] [--compare] [--reference] "
+                   "[--no-oracle] [--reference] "
                    "[--interleave N] [--assert-ratio X] "
                    "[--gen-seed S] [--gen-count N] "
                    "[--cache DIR] [--isolate] "
@@ -242,25 +236,19 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   }
   const bool supervised = o.resilience.any() || !o.cache_dir.empty();
   if (o.interleave > 0 &&
-      (o.reference || o.serial || o.compare || !o.json_path.empty() ||
-       !o.trace_path.empty() || o.faults.enabled() || supervised)) {
+      (o.reference || !o.json_path.empty() || !o.trace_path.empty() ||
+       o.faults.enabled() || supervised)) {
     // The interleave loop runs its own reference arm and bypasses the
     // batch runner entirely, so the runner-side flags have nothing to
     // attach to; refuse instead of silently ignoring them.
     std::fprintf(stderr,
                  "--interleave is a standalone fast-vs-reference A/B loop; "
-                 "drop --reference/--serial/--compare/--json/--trace/"
+                 "drop --reference/--json/--trace/"
                  "--faults/--cache and the resilience flags\n");
     std::exit(2);
   }
   if (o.assert_ratio > 0.0 && o.interleave == 0) {
     std::fprintf(stderr, "--assert-ratio requires --interleave\n");
-    std::exit(2);
-  }
-  if ((o.serial || o.compare) && supervised) {
-    std::fprintf(stderr,
-                 "--cache and the resilience flags apply to the batch "
-                 "runner; drop --serial/--compare\n");
     std::exit(2);
   }
   if (o.faults.enabled() && o.runner.oracle && o.runner.repeats < 2 &&

@@ -25,6 +25,7 @@
 #include <string_view>
 #include <thread>
 
+#include "mem/splitmix.h"
 #include "resilience/journal.h"
 #include "serve/client.h"
 #include "serve/flags.h"
@@ -83,18 +84,6 @@ ChaosArgs ParseArgs(int argc, char** argv) {
   return a;
 }
 
-// splitmix64 — the repo's standard deterministic stream (fault.cc uses
-// the same), so one seed reproduces one attack byte sequence exactly.
-struct SplitMix64 {
-  std::uint64_t state;
-  std::uint64_t Next() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-};
-
 int ConnectTo(const std::string& path) {
   sockaddr_un addr = {};
   addr.sun_family = AF_UNIX;
@@ -125,6 +114,7 @@ void BlindWrite(int fd, const void* data, std::size_t len) {
   }
 }
 
+using dsa::mem::SplitMix64;
 using dsa::resilience::EncodeFrame;
 using dsa::resilience::PutFrameHeader;
 using dsa::serve::kFrameRequest;
@@ -223,7 +213,8 @@ int main(int argc, char** argv) {
                          "round 1 — nothing to attack\n");
     return 1;
   }
-  SplitMix64 rng{a.seed * 0x9e3779b97f4a7c15ull + 0xd1b54a32d192ed03ull};
+  // One seed reproduces one attack byte sequence exactly.
+  SplitMix64 rng = SplitMix64::Keyed(a.seed, 1);
   for (std::uint64_t round = 0; round < a.rounds; ++round) {
     const int which = static_cast<int>(rng.Next() % kNumAttacks);
     if (a.verbose) {

@@ -2,8 +2,9 @@
 """Doc-drift validator: keeps README and docs/ in sync with the code.
 
 Three checks, all derived from the repository itself so they cannot rot:
-  * every CLI flag parsed by bench/bench_util.h (the shared bench CLI)
-    has a row in README.md's flag table,
+  * README.md's flag table and the flags bench/bench_util.h (the shared
+    bench CLI) parses agree both ways: every parsed flag has a row, and
+    every flag a row names is still parsed,
   * every docs/*.md file has a row in README.md's documentation index,
   * every intra-repository markdown link in README.md, docs/*.md and the
     top-level *.md files resolves to an existing file (anchors and
@@ -33,16 +34,23 @@ def parsed_bench_flags(root: str) -> set:
 
 
 def documented_flags(readme: str) -> set:
-    """Flags mentioned in README table rows (| `--flag ...` | ... |).
+    """Flags named in the rows of README's flag table (| flag | meaning |).
 
     A row may document several flags at once (`--deadline-ms N` /
     `--mem-limit-mb N`), so collect every --flag token inside the row's
-    code spans.
+    code spans. Other tables (the documentation index) mention flags of
+    other binaries and are not the shared CLI's contract.
     """
     flags = set()
+    in_table = False
     for line in readme.splitlines():
-        if not line.startswith("|"):
+        if re.fullmatch(r"\|\s*flag\s*\|\s*meaning\s*\|\s*", line):
+            in_table = True
             continue
+        if not in_table:
+            continue
+        if not line.startswith("|"):
+            break
         for span in re.findall(r"`([^`]*)`", line):
             flags.update(re.findall(r"(--[a-z-]+)", span))
     return flags
@@ -103,10 +111,16 @@ def main() -> None:
 
     ok = True
 
-    undocumented = sorted(flags - documented_flags(readme))
+    documented = documented_flags(readme)
+    undocumented = sorted(flags - documented)
     if undocumented:
         fail_list("bench CLI flags missing from README's flag table",
                   undocumented)
+        ok = False
+    stale = sorted(documented - flags)
+    if stale:
+        fail_list("README flag-table flags the bench CLI no longer parses",
+                  stale)
         ok = False
 
     indexed = doc_index_entries(readme)

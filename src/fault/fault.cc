@@ -1,7 +1,8 @@
 #include "fault/fault.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace dsa::fault {
 
@@ -10,152 +11,36 @@ namespace {
 constexpr std::string_view kKindNames[kNumFaultKinds] = {
     "cidp", "cache", "lane", "sentinel", "bitflip", "mem",
 };
-
-[[noreturn]] void BadSpec(const std::string& spec, const std::string& why) {
-  throw std::invalid_argument("bad --faults spec \"" + spec + "\": " + why);
-}
-
-// Parses a base-10 uint64 and requires the whole token to be numeric.
-bool ParseU64(std::string_view tok, std::uint64_t& out) {
-  if (tok.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
-}
-
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
+constexpr KindTable kKinds{"--faults", "fault kind", kKindNames};
 
 }  // namespace
 
-std::string_view ToString(FaultKind k) {
-  const int i = static_cast<int>(k);
-  if (i < 0 || i >= kNumFaultKinds) return "?";
-  return kKindNames[i];
+bool ParsePlanNumber(std::string_view token, std::uint64_t& out) {
+  // from_chars takes digits only (no sign, no space) and reports overflow
+  // instead of wrapping.
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
+void BadPlan(const KindTable& table, const std::string& spec,
+             const std::string& why) {
+  throw std::invalid_argument("bad " + std::string(table.flag) + " spec \"" +
+                              spec + "\": " + why);
+}
+
+std::string_view ToString(FaultKind k) { return KindName(kKinds, k); }
+
 bool ParseFaultKind(std::string_view token, FaultKind& out) {
-  for (int i = 0; i < kNumFaultKinds; ++i) {
-    if (token == kKindNames[i]) {
-      out = static_cast<FaultKind>(i);
-      return true;
-    }
-  }
-  return false;
+  return ParseKind(kKinds, token, out);
 }
 
 FaultPlan ParseFaultPlan(const std::string& spec) {
-  FaultPlan plan;
-  if (spec.empty()) return plan;
-
-  std::string entries = spec;
-  const std::size_t semi = spec.find(';');
-  if (semi != std::string::npos) {
-    entries = spec.substr(0, semi);
-    const std::string tail = spec.substr(semi + 1);
-    constexpr std::string_view kSeedKey = "seed=";
-    if (tail.rfind(kSeedKey, 0) != 0 ||
-        !ParseU64(tail.substr(kSeedKey.size()), plan.seed)) {
-      BadSpec(spec, "expected \";seed=<uint>\" after the entries, got \";" +
-                        tail + "\"");
-    }
-    plan.seed_explicit = true;
-  }
-
-  std::size_t pos = 0;
-  while (pos <= entries.size()) {
-    std::size_t comma = entries.find(',', pos);
-    if (comma == std::string::npos) comma = entries.size();
-    const std::string entry = entries.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) BadSpec(spec, "empty entry");
-
-    const std::size_t at = entry.find('@');
-    if (at == std::string::npos) {
-      BadSpec(spec, "entry \"" + entry + "\" misses \"@<trigger>\"");
-    }
-    FaultSpec fs;
-    if (!ParseFaultKind(entry.substr(0, at), fs.kind)) {
-      BadSpec(spec, "unknown fault kind \"" + entry.substr(0, at) +
-                        "\" (want cidp|cache|lane|sentinel|bitflip|mem)");
-    }
-    std::string rest = entry.substr(at + 1);
-    const std::size_t plus = rest.find('+');
-    if (plus != std::string::npos) {
-      const std::string count = rest.substr(plus + 1);
-      if (count.empty()) {
-        fs.count = UINT64_MAX;
-      } else if (!ParseU64(count, fs.count) || fs.count == 0) {
-        BadSpec(spec, "bad repeat count \"" + count + "\" in \"" + entry +
-                          "\"");
-      }
-      rest = rest.substr(0, plus);
-    }
-    if (!ParseU64(rest, fs.trigger)) {
-      BadSpec(spec, "bad trigger \"" + rest + "\" in \"" + entry + "\"");
-    }
-    plan.specs.push_back(fs);
-    if (comma == entries.size()) break;
-  }
-  return plan;
+  return ParsePlan<FaultKind>(kKinds, spec);
 }
 
 std::string FormatFaultPlan(const FaultPlan& plan) {
-  std::string out;
-  for (const FaultSpec& fs : plan.specs) {
-    if (!out.empty()) out += ",";
-    out += std::string(ToString(fs.kind)) + "@" + std::to_string(fs.trigger);
-    if (fs.count == UINT64_MAX) {
-      out += "+";
-    } else if (fs.count != 1) {
-      out += "+";
-      out += std::to_string(fs.count);
-    }
-  }
-  if (plan.seed_explicit) out += ";seed=" + std::to_string(plan.seed);
-  return out;
-}
-
-FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan) {
-  for (int k = 0; k < kNumFaultKinds; ++k) {
-    rng_[k] = plan_.seed * 0x9e3779b97f4a7c15ull +
-              0xd1b54a32d192ed03ull * static_cast<std::uint64_t>(k + 1);
-  }
-}
-
-bool FaultInjector::Fire(FaultKind k) {
-  const int i = static_cast<int>(k);
-  const std::uint64_t opportunity = opportunities_[i]++;
-  for (const FaultSpec& fs : plan_.specs) {
-    if (fs.kind != k || opportunity < fs.trigger) continue;
-    const std::uint64_t since = opportunity - fs.trigger;
-    if (fs.count == UINT64_MAX || since < fs.count) {
-      ++fired_[i];
-      return true;
-    }
-  }
-  return false;
-}
-
-std::uint64_t FaultInjector::Rand(FaultKind k) {
-  std::uint64_t v = SplitMix64(rng_[static_cast<int>(k)]);
-  if (v == 0) v = 1;
-  return v;
-}
-
-std::uint64_t FaultInjector::total_fired() const {
-  std::uint64_t n = 0;
-  for (const std::uint64_t f : fired_) n += f;
-  return n;
+  return FormatPlan(kKinds, plan);
 }
 
 }  // namespace dsa::fault

@@ -59,7 +59,7 @@ enum class DsaErrorCode : std::uint8_t {
 }
 
 // The per-cell status string the bench JSON reports for a cell poisoned by
-// this error code (docs/BENCH_SCHEMA.md, schema dsa-bench-json/5).
+// this error code (docs/BENCH_SCHEMA.md, schema dsa-bench-json/6).
 [[nodiscard]] constexpr std::string_view CellStatusFor(DsaErrorCode c) {
   switch (c) {
     case DsaErrorCode::kCrash: return "crashed";

@@ -232,7 +232,7 @@ struct BenchJsonExtras {
   std::uint64_t cache_fsync_failures = 0;
 };
 
-// Writes the batch as machine-readable JSON (schema "dsa-bench-json/5"):
+// Writes the batch as machine-readable JSON (schema "dsa-bench-json/6"):
 // per-job cycles, speedup over the workload's scalar baseline when one is
 // in the batch, DSA stats (including the speculation guard's rollback and
 // blacklist counters), energy breakdown, wall time, host simulation

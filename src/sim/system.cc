@@ -410,13 +410,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
   res.l2 = hierarchy.l2().stats();
   res.dram_accesses = hierarchy.dram_accesses();
   if (engine.has_value()) res.dsa = engine->stats();
-  if (injector.has_value()) {
-    fault::FaultReport rep;
-    rep.plan = injector->plan();
-    rep.opportunities = injector->opportunities();
-    rep.fired = injector->fired();
-    res.faults = rep;
-  }
+  if (injector.has_value()) res.faults = injector->report();
   if (tracer.has_value()) {
     tracer->SetNow(cpu.Cycles());
     if (const auto b = bursts.Flush()) emit_burst(*b);

@@ -10,6 +10,7 @@
 #include <cassert>
 #include <string>
 
+#include "mem/splitmix.h"
 #include "prog/assembler.h"
 #include "workloads/common.h"
 
@@ -24,17 +25,9 @@ namespace {
 constexpr std::uint32_t kSrc = 0x10000;
 constexpr std::uint32_t kDst = 0x30000;
 
-// splitmix64: tiny, high-quality, and stable across platforms — the whole
-// determinism contract rests on this stream.
-struct Rng {
-  std::uint64_t s;
-  std::uint64_t Next() {
-    s += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = s;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
+// splitmix64 (mem/splitmix.h): tiny, high-quality, and stable across
+// platforms — the whole determinism contract rests on this stream.
+struct Rng : mem::SplitMix64 {
   // Uniform in [lo, hi] (closed; the span is computed in 64 bits so
   // Range(0, 0xFFFFFFFF) doesn't wrap to a zero modulus).
   std::uint32_t Range(std::uint32_t lo, std::uint32_t hi) {
@@ -454,8 +447,7 @@ std::string_view ToString(LoopClass c) {
 sim::Workload MakeGenerated(std::uint64_t seed, LoopClass cls) {
   // Key the stream by (seed, class) so the same seed yields independent
   // draws per class instead of six reskins of one shape.
-  Rng rng{seed * 0x9E3779B97F4A7C15ull +
-          (static_cast<std::uint64_t>(cls) + 1) * 0xD1B54A32D192ED03ull};
+  Rng rng{mem::SplitMix64::Keyed(seed, static_cast<std::uint64_t>(cls) + 1)};
   rng.Next();
   const Elem e = PickElem(rng);
   switch (e.bytes) {

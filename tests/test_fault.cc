@@ -58,9 +58,23 @@ TEST(FaultPlanGrammar, RoundTripsThroughFormat) {
 TEST(FaultPlanGrammar, RejectsMalformedSpecs) {
   for (const char* bad : {"bogus@1", "cidp", "cidp@", "cidp@x", "cidp@1+0",
                           "cidp@1,", ",cidp@1", "cidp@1;sd=3",
-                          "cidp@1;seed=", "cidp@1;seed=x"}) {
+                          "cidp@1;seed=", "cidp@1;seed=x",
+                          // 2^64 and beyond: refused, never wrapped.
+                          "cidp@18446744073709551616",
+                          "cidp@0+18446744073709551617",
+                          "cidp@0;seed=18446744073709551621"}) {
     EXPECT_THROW(ParseFaultPlan(bad), std::invalid_argument) << bad;
   }
+}
+
+TEST(FaultPlanGrammar, AcceptsTheLargest64BitNumbers) {
+  const FaultPlan plan = ParseFaultPlan(
+      "cidp@18446744073709551615+18446744073709551614;"
+      "seed=18446744073709551615");
+  ASSERT_EQ(plan.specs.size(), 1u);
+  EXPECT_EQ(plan.specs[0].trigger, UINT64_MAX);
+  EXPECT_EQ(plan.specs[0].count, UINT64_MAX - 1);
+  EXPECT_EQ(plan.seed, UINT64_MAX);
 }
 
 // ---------------------------------------------------------------------------

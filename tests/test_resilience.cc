@@ -874,7 +874,8 @@ TEST(IoFaultPlan, GrammarRoundTripsThroughFormat) {
 TEST(IoFaultPlan, RefusesMalformedSpecs) {
   for (const char* bad :
        {"enospc", "enospc@", "@3", "frobnicate@0", "enospc@x",
-        "enospc@0+x", "enospc@0;seed=", "enospc@0;seed=12x", ","}) {
+        "enospc@0+x", "enospc@0;seed=", "enospc@0;seed=12x", ",",
+        "enospc@18446744073709551616"}) {
     EXPECT_THROW((void)ParseIoFaultPlan(bad), std::invalid_argument) << bad;
   }
 }

@@ -315,6 +315,9 @@ TEST(CacheKeyDigests, ConfigDigestValuesArePinned) {
   SystemConfig original;
   original.dsa = engine::DsaConfig::Original();
   EXPECT_EQ(ConfigDigest(original), 0x150f7bc5f60e7592ull);
+  SystemConfig faulted;
+  faulted.faults = fault::ParseFaultPlan("cidp@0,bitflip@2+3,mem@5+;seed=9");
+  EXPECT_EQ(ConfigDigest(faulted), 0x02d384297e52cb51ull);
 }
 
 TEST(CacheKeyDigests, FileNameEncodesEveryKeyField) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "engine/loop_info.h"
+#include "mem/fnv.h"
 #include "sim/system.h"
 #include "workloads/gen/generator.h"
 
@@ -40,6 +41,37 @@ TEST(Generator, SameSeedSameProgramBytesAndDigest) {
       EXPECT_EQ(ra.output_digest, rb.output_digest)
           << a.name << ": golden digest differs across factory calls";
     }
+  }
+}
+
+TEST(Generator, ProgramsArePinned) {
+  // The splitmix64 stream decides every generated program, so a change to
+  // it would silently change every generated cell of a sweep. Seed 7 of
+  // each class: the FNV-1a of the scalar disassembly and the scalar run's
+  // output digest.
+  struct Pin {
+    LoopClass cls;
+    std::uint64_t program;
+    std::uint64_t output;
+  };
+  constexpr Pin kPins[] = {
+      {LoopClass::kCounted, 0x6dce3acd6100bd99ull, 0x28409c44c43ddb54ull},
+      {LoopClass::kSentinel, 0x5a0ef7be6fb27098ull, 0x4fc16b3acbefa074ull},
+      {LoopClass::kConditional, 0xc1b3015e704ca6f4ull, 0x5dc5e9d4af303f0full},
+      {LoopClass::kNested, 0x32a4c3605a3024b0ull, 0x85a879629324268dull},
+      {LoopClass::kStrideVariant, 0xca52ca367fc080e8ull,
+       0xe7b634d756930ac4ull},
+      {LoopClass::kEarlyExit, 0xeb8cb68385cfda00ull, 0xa9eacd904e76f2eeull},
+  };
+  for (const Pin& pin : kPins) {
+    const Workload wl = MakeGenerated(7, pin.cls);
+    const std::string program = wl.scalar.Disassemble();
+    mem::Fnv1a f;
+    f.Bytes(program.data(), program.size());
+    EXPECT_EQ(f.h, pin.program) << wl.name;
+    const RunResult r = sim::Run(wl, RunMode::kScalar, {});
+    EXPECT_TRUE(r.output_ok) << wl.name;
+    EXPECT_EQ(r.output_digest, pin.output) << wl.name;
   }
 }
 
