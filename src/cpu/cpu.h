@@ -176,6 +176,13 @@ class Cpu {
   // (0 on a reference Cpu, which never lowers). Test/introspection only.
   [[nodiscard]] std::uint32_t fused_pairs() const { return fused_pairs_; }
 
+  // Threaded-core memory accesses that missed their way-predicted run
+  // (MemRunSlow calls). Test/introspection only: never compared by the
+  // oracle and never emitted in a report.
+  [[nodiscard]] std::uint64_t mem_run_misses() const {
+    return mem_run_misses_;
+  }
+
   // Observation-relevance class of a pc, written by
   // DsaEngine::FillObserveClasses and read by the threaded skip loop
   // (docs/DISPATCH.md): kInert retires run unobserved and are credited via
@@ -304,9 +311,10 @@ class Cpu {
     std::uint8_t cond = 0;   // isa::Cond
     std::uint8_t vt = 0;     // isa::VecType
     std::uint8_t op = 0;     // isa::Opcode (generic lane-op handler)
-    std::uint8_t flags = 0;  // kPopStaticTaken
+    std::uint8_t flags = 0;  // kPopStaticTaken | memory run << kPopRunShift
   };
   static constexpr std::uint8_t kPopStaticTaken = 1;
+  static constexpr std::uint8_t kPopRunShift = 1;  // bits 1-2: MemRuns slot
 
   // One dispatch slot per pc: `h` is the handler id the fused stream
   // dispatches through (a superinstruction id when this pc heads a fused
@@ -379,32 +387,39 @@ class Cpu {
 
   // ---- way-predicted memory runs (threaded core only) ------------------
   //
-  // While consecutive accesses in a batch stay within one resident L1
-  // line, the handlers count the hits in this batch-local record and
-  // charge the cache once when the run closes (Cache::CreditRun) — the
-  // tick/LRU/hit-count transition is identical to the same number of
-  // per-access Access() calls, because nothing else touches the cache
-  // while a run is open. The writeback lambda closes the run on every
-  // batch exit, including exception unwind.
-  struct MemRun {
-    std::uint64_t line = kNoRunLine;
-    mem::Cache::Way* way = nullptr;
-    std::uint32_t hits = 0;
-  };
+  // Each static memory instruction owns one of kMemRuns batch-local runs:
+  // its index among the program's memory instructions in pc order, mod
+  // kMemRuns, lowered into POp::flags (kPopRunShift). A loop body with at
+  // most kMemRuns memory instructions therefore keeps one open resident
+  // L1 line per stream. A hit on the slot's open line is deferred: it
+  // gets the number `++pend` and the run records it as `last`. A resident
+  // hit on another line re-targets that slot only (its old way is stamped
+  // first); anything that may walk, fill, evict or prefetch closes every
+  // run first. Closing stamps each run's way with its last hit's number
+  // and commits `pend` hits (Cache::StampDeferred / CommitDeferred), the
+  // exact state of the same hits made one Access() at a time. Every
+  // batch exit closes the runs, including exception unwind.
+  static constexpr std::uint32_t kMemRuns = 4;
   static constexpr std::uint64_t kNoRunLine = ~std::uint64_t{0};
+  struct MemRuns {
+    std::uint64_t line[kMemRuns] = {kNoRunLine, kNoRunLine, kNoRunLine,
+                                    kNoRunLine};
+    std::uint64_t last[kMemRuns] = {};  // 0: no deferred hit on this run
+    mem::Cache::Way* way[kMemRuns] = {};
+    std::uint64_t pend = 0;  // deferred hits not yet credited to the cache
+  };
 
-  void FlushMemRun(MemRun& run) {
-    if (run.hits != 0) l1_->CreditRun(run.way, run.hits);
-    run.line = kNoRunLine;
-    run.hits = 0;
-  }
+  // Stamps and commits every run's deferred hits and drops their lines.
+  void CloseMemRuns(MemRuns& m);
 
-  // Run-miss slow path: closes the pending run, then either opens a new
-  // run on a resident single-line access (a hit — 0 stall, exactly like
-  // the per-step core's hit-latency clamp) or falls through to the full
-  // hierarchy access and re-probes so the *next* access can open a run.
+  // Run-miss slow path for an access by run `slot`: a resident
+  // single-line access re-targets that run with the hit deferred (0
+  // stall, exactly like the per-step core's hit-latency clamp); anything
+  // else closes every run, takes the full hierarchy access and re-probes
+  // so the slot's *next* access can hit inline.
   std::uint32_t MemRunSlow(std::uint32_t addr, std::uint32_t bytes,
-                           std::uint64_t line, MemRun& run);
+                           std::uint64_t line, std::uint32_t slot,
+                           MemRuns& m);
 
   const prog::Program& program_;
   mem::Memory& memory_;
@@ -424,6 +439,7 @@ class Cpu {
   // Threaded-code stream: one slot per pc (empty on a reference Cpu).
   std::vector<TSlot> tslots_;
   std::uint32_t fused_pairs_ = 0;
+  std::uint64_t mem_run_misses_ = 0;
   // Fast-path predictor: one counter per PC, kUntrained until the first
   // branch retires there (preserving the static-fallback semantics of the
   // map-based predictor exactly).

@@ -210,6 +210,7 @@ void Cpu::BuildThreaded() {
   tslots_.assign(n, TSlot{});
   fused_pairs_ = 0;
 
+  std::uint32_t mem_index = 0;  // memory instructions so far, pc order
   for (std::size_t pc = 0; pc < n; ++pc) {
     const DecodedInstr& d = decoded_[pc];
     const Instruction& ins = d.ins;
@@ -233,6 +234,14 @@ void Cpu::BuildThreaded() {
     p.vt = static_cast<std::uint8_t>(ins.vt);
     p.op = static_cast<std::uint8_t>(ins.op);
     if (d.static_taken) p.flags |= kPopStaticTaken;
+    // Way-predicted run slot (cpu.h MemRuns): consecutive memory
+    // instructions get distinct runs, so any loop body with at most
+    // kMemRuns of them keeps one run per stream. A fused pair's second
+    // member carries its own slot into `b` with the rest of its operands.
+    if (isa::IsMemAccess(ins.op)) {
+      p.flags |= static_cast<std::uint8_t>((mem_index++ % kMemRuns)
+                                           << kPopRunShift);
+    }
     // Per-op stall resolved once here so handlers just add `extra`.
     switch (ins.op) {
       case Opcode::kMul:
@@ -305,18 +314,23 @@ void Cpu::BuildThreaded() {
     memory_.FailRange((addr_), (n_));                                     \
   }
 
-// Memory latency through the batch-local way-predicted run (MemRun,
-// cpu.h): while consecutive accesses stay in the run's resident L1 line,
-// each hit is counted locally and stalls 0 cycles — exactly the per-step
-// core's hit-latency clamp — and the cache is charged once when the run
-// closes (MemRunSlow / the writeback lambda). Anything else (line change,
-// straddling access, non-resident line) takes the slow path.
-#define DSA_MEMLAT(a_, n_)                                                \
-  ((static_cast<std::uint64_t>(a_) >> lshift) == mrun.line &&             \
-           ((a_) & lmask) + (n_) <= lmask + 1u                            \
-       ? (++mrun.hits, 0u)                                                \
-       : MemRunSlow((a_), (n_),                                           \
-                    static_cast<std::uint64_t>(a_) >> lshift, mrun))
+// Memory latency through the access's own way-predicted run (MemRuns,
+// cpu.h; the slot was lowered into the POp's flags): while the run's
+// stream stays in its resident L1 line, each hit is deferred — numbered
+// and recorded as the run's last — and stalls 0 cycles, exactly the
+// per-step core's hit-latency clamp. The cache is charged when the runs
+// close (MemRunSlow / batch exit). Anything else (line change, straddling
+// access, non-resident line) takes the slow path.
+#define DSA_RUN(P) (((P).flags >> kPopRunShift) & (kMemRuns - 1))
+#define DSA_MEMLAT(P, a_, n_)                                             \
+  (__builtin_expect(                                                      \
+       (static_cast<std::uint64_t>(a_) >> lshift) ==                      \
+               mruns.line[DSA_RUN(P)] &&                                  \
+           ((a_) & lmask) + (n_) <= lmask + 1u,                           \
+       1)                                                                 \
+       ? (mruns.last[DSA_RUN(P)] = ++mruns.pend, 0u)                      \
+       : MemRunSlow((a_), (n_), static_cast<std::uint64_t>(a_) >> lshift, \
+                    DSA_RUN(P), mruns))
 
 #define DSA_C_LDR(P)                                                      \
   do {                                                                    \
@@ -327,7 +341,7 @@ void Cpu::BuildThreaded() {
     std::memcpy(&v_, mbase + addr_, 4);                                   \
     lr[p_.rd] = v_;                                                       \
     lr[p_.rn] += p_.post_inc;                                             \
-    acc.mem_stall += DSA_MEMLAT(addr_, 4);                          \
+    acc.mem_stall += DSA_MEMLAT(p_, addr_, 4);                            \
     ++acc.mem_reads;                                                      \
     ++acc.steps;                                                          \
   } while (0)
@@ -341,7 +355,7 @@ void Cpu::BuildThreaded() {
     std::memcpy(&v_, mbase + addr_, 2);                                   \
     lr[p_.rd] = v_;                                                       \
     lr[p_.rn] += p_.post_inc;                                             \
-    acc.mem_stall += DSA_MEMLAT(addr_, 2);                          \
+    acc.mem_stall += DSA_MEMLAT(p_, addr_, 2);                            \
     ++acc.mem_reads;                                                      \
     ++acc.steps;                                                          \
   } while (0)
@@ -353,7 +367,7 @@ void Cpu::BuildThreaded() {
     DSA_MEMCHECK(addr_, 1)                                                \
     lr[p_.rd] = mbase[addr_];                                             \
     lr[p_.rn] += p_.post_inc;                                             \
-    acc.mem_stall += DSA_MEMLAT(addr_, 1);                          \
+    acc.mem_stall += DSA_MEMLAT(p_, addr_, 1);                            \
     ++acc.mem_reads;                                                      \
     ++acc.steps;                                                          \
   } while (0)
@@ -366,7 +380,7 @@ void Cpu::BuildThreaded() {
     const std::uint32_t v_ = lr[p_.rd];                                   \
     std::memcpy(mbase + addr_, &v_, 4);                                   \
     lr[p_.rn] += p_.post_inc;                                             \
-    acc.mem_stall += DSA_MEMLAT(addr_, 4);                          \
+    acc.mem_stall += DSA_MEMLAT(p_, addr_, 4);                            \
     ++acc.mem_writes;                                                     \
     ++acc.steps;                                                          \
   } while (0)
@@ -379,7 +393,7 @@ void Cpu::BuildThreaded() {
     const std::uint16_t v_ = static_cast<std::uint16_t>(lr[p_.rd]);       \
     std::memcpy(mbase + addr_, &v_, 2);                                   \
     lr[p_.rn] += p_.post_inc;                                             \
-    acc.mem_stall += DSA_MEMLAT(addr_, 2);                          \
+    acc.mem_stall += DSA_MEMLAT(p_, addr_, 2);                            \
     ++acc.mem_writes;                                                     \
     ++acc.steps;                                                          \
   } while (0)
@@ -391,7 +405,7 @@ void Cpu::BuildThreaded() {
     DSA_MEMCHECK(addr_, 1)                                                \
     mbase[addr_] = static_cast<std::uint8_t>(lr[p_.rd]);                  \
     lr[p_.rn] += p_.post_inc;                                             \
-    acc.mem_stall += DSA_MEMLAT(addr_, 1);                          \
+    acc.mem_stall += DSA_MEMLAT(p_, addr_, 1);                            \
     ++acc.mem_writes;                                                     \
     ++acc.steps;                                                          \
   } while (0)
@@ -561,13 +575,9 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
   [[maybe_unused]] int depth = 0;  // kBl/kRet nesting inside a covered region
   const TSlot* s = nullptr;
   TExit ex = TExit::kHalt;
-  MemRun mrun;  // open way-predicted L1 run, confined to this batch
+  MemRuns mruns;  // way-predicted L1 runs, confined to this batch
 
   const auto writeback = [&]() {
-    // Close the memory run first: its deferred hits must reach the cache
-    // before any access outside the batch (the observed step, NEON cost
-    // walks) can touch L1.
-    FlushMemRun(mrun);
     std::memcpy(state_.regs.data(), lr, sizeof(lr));
     state_.cmp_diff = cmp_diff;
     b.pc = pc;
@@ -849,7 +859,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     DSA_MEMCHECK(addr_, 16)
     std::memcpy(state_.vregs.q(A.rd).bytes.data(), mbase + addr_, 16);
     lr[A.rn] += A.post_inc;
-    acc.mem_stall += DSA_MEMLAT(addr_, 16);
+    acc.mem_stall += DSA_MEMLAT(A, addr_, 16);
     acc.other_stall += A.extra;
     ++acc.mem_reads;
     ++acc.steps;
@@ -862,7 +872,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     DSA_MEMCHECK(addr_, 16)
     std::memcpy(mbase + addr_, state_.vregs.q(A.rd).bytes.data(), 16);
     lr[A.rn] += A.post_inc;
-    acc.mem_stall += DSA_MEMLAT(addr_, 16);
+    acc.mem_stall += DSA_MEMLAT(A, addr_, 16);
     acc.other_stall += A.extra;
     ++acc.mem_writes;
     ++acc.steps;
@@ -886,7 +896,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     }
     state_.vregs.q(A.rd).SetLane(static_cast<VecType>(A.vt), A.imm, v_);
     lr[A.rn] += A.post_inc;
-    acc.mem_stall += DSA_MEMLAT(addr_, bytes_);
+    acc.mem_stall += DSA_MEMLAT(A, addr_, bytes_);
     ++acc.mem_reads;
     ++acc.steps;
     ++acc.vec;
@@ -908,7 +918,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
       std::memcpy(mbase + addr_, &v_, 4);
     }
     lr[A.rn] += A.post_inc;
-    acc.mem_stall += DSA_MEMLAT(addr_, bytes_);
+    acc.mem_stall += DSA_MEMLAT(A, addr_, bytes_);
     ++acc.mem_writes;
     ++acc.steps;
     ++acc.vec;
@@ -1089,13 +1099,20 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
   done:;
   } catch (...) {
     writeback();
+    CloseMemRuns(mruns);
     throw;
   }
   writeback();
+  // Every exit closes the memory runs: their deferred hits must reach the
+  // cache before any access outside the batch (the observed step, NEON
+  // cost walks) can touch L1. The close stays out of the writeback
+  // lambda: inside it, GCC spills the hot loop's pc and step budget.
+  CloseMemRuns(mruns);
   return ex;
 }
 
 #undef DSA_MEMCHECK
+#undef DSA_RUN
 #undef DSA_MEMLAT
 #undef DSA_C_LDR
 #undef DSA_C_LDRH
@@ -1117,31 +1134,45 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
 
 // ---- run-miss slow path of the way-predicted memory fast path ------------
 
+void Cpu::CloseMemRuns(MemRuns& m) {
+  for (std::uint32_t k = 0; k < kMemRuns; ++k) {
+    if (m.last[k] != 0) l1_->StampDeferred(m.way[k], m.last[k]);
+    m.last[k] = 0;
+    m.line[k] = kNoRunLine;
+  }
+  l1_->CommitDeferred(m.pend);
+  m.pend = 0;
+}
+
 std::uint32_t Cpu::MemRunSlow(std::uint32_t addr, std::uint32_t bytes,
-                              std::uint64_t line, MemRun& run) {
-  // Close the pending run before anything else can touch the cache: the
-  // deferred hits must land in arrival order relative to this access.
-  if (run.hits != 0) l1_->CreditRun(run.way, run.hits);
-  run.hits = 0;
+                              std::uint64_t line, std::uint32_t slot,
+                              MemRuns& m) {
+  ++mem_run_misses_;
   const bool single_line = (addr & l1_mask_) + bytes <= l1_mask_ + 1;
   if (single_line) {
     if (mem::Cache::Way* w = l1_->ResidentWay(line)) {
       // Resident single-line access: an L1 hit, which stalls 0 cycles
-      // after the hit-latency clamp. Open a run with this hit deferred.
-      run.line = line;
-      run.way = w;
-      run.hits = 1;
+      // after the hit-latency clamp and touches only its own way, so the
+      // other runs stay open. Re-target this slot's run with the hit
+      // deferred, after giving its old way the stamp of its last hit.
+      if (m.last[slot] != 0) l1_->StampDeferred(m.way[slot], m.last[slot]);
+      m.line[slot] = line;
+      m.way[slot] = w;
+      m.last[slot] = ++m.pend;
       return 0;
     }
   }
-  run.line = kNoRunLine;
+  // A miss, a straddling access or a residency-map collision may walk,
+  // fill, evict or prefetch — and a fill can evict any run's way. Land
+  // every deferred hit first, in arrival order relative to this access.
+  CloseMemRuns(m);
   const std::uint32_t lat = hierarchy_.AccessRange(addr, bytes);
   if (single_line) {
     // The access just filled (or re-ranked) the line; re-probe so the
-    // *next* access to it takes the inline run path.
+    // slot's *next* access to it takes the inline run path.
     if (mem::Cache::Way* w = l1_->ResidentWay(line)) {
-      run.line = line;
-      run.way = w;
+      m.line[slot] = line;
+      m.way[slot] = w;
     }
   }
   return lat > l1_hit_ ? lat - l1_hit_ : 0;

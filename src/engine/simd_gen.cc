@@ -309,6 +309,12 @@ std::optional<SimdProgram> GenerateSimd(
   SimdProgram out;
   Generator gen(body, regs, std::move(scratch_regs));
   if (!gen.Run(out, error)) return std::nullopt;
+  // A body that lowers to no vector instruction (empty, or pure register
+  // renames) would "vectorize" into a loop that only counts down.
+  if (out.chunk.empty()) {
+    if (error != nullptr) error->reason = "body emits no vector instruction";
+    return std::nullopt;
+  }
   return out;
 }
 

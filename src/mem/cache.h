@@ -4,6 +4,7 @@
 // lines would be resident and charges hit/miss latencies.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -74,22 +75,31 @@ class Cache {
     return AccessWalk(addr);
   }
 
-  // Way-predicted run interface (the threaded core's batched memory fast
-  // path, docs/PERF.md). ResidentWay is a pure residency probe — no stats,
+  // Deferred-hit interface (the threaded core's way-predicted runs,
+  // docs/DISPATCH.md). ResidentWay is a pure residency probe — no stats,
   // no LRU stamp — returning the way holding `line` (addr >> line_shift())
   // when the residency map knows it, else nullptr (which also covers the
-  // reference path, where runs must never form). CreditRun applies `n`
-  // batched same-line hits with exactly the state transition of n
-  // consecutive Access() hits; the caller guarantees no other access to
-  // this cache happened since the run opened.
+  // reference path, where runs must never form). A caller may then defer
+  // resident hits instead of calling Access(): it numbers them 1..n in
+  // arrival order, calls StampDeferred(way, k) for every way it hit with
+  // the number k of that way's last hit (a smaller k for the same way is
+  // harmless: the largest wins), and settles all n with
+  // CommitDeferred(n). The result is exactly the state of n Access() hits
+  // in that order: a resident hit touches only its own way's stamp, the
+  // tick and the hit count, and victim choice compares stamps only
+  // within a set, so hits to different ways commute. The caller
+  // guarantees nothing else touched this cache since the first deferred
+  // hit, so every way it hit is still resident.
   [[nodiscard]] Way* ResidentWay(std::uint64_t line) {
     if (!fast_path_) return nullptr;
     const Resident& r = res_[line & (kResidencyEntries - 1)];
     return r.line == line ? r.way : nullptr;
   }
-  void CreditRun(Way* way, std::uint64_t n) {
+  void StampDeferred(Way* way, std::uint64_t k) {
+    way->last_use = std::max(way->last_use, tick_ + k);
+  }
+  void CommitDeferred(std::uint64_t n) {
     tick_ += n;
-    way->last_use = tick_;
     stats_.hits += n;
   }
   [[nodiscard]] std::uint32_t line_shift() const { return line_shift_; }
@@ -199,9 +209,9 @@ class Hierarchy {
     l2_.set_reference_path(ref);
   }
 
-  // L1 geometry + the run interface for the threaded core's batched
-  // memory fast path (cpu.h). Everything the core may do to the cache is
-  // expressed through Cache's own invariant-preserving API.
+  // L1 geometry + the deferred-hit interface for the threaded core's
+  // way-predicted runs (cpu.h). Everything the core may do to the cache
+  // is expressed through Cache's own invariant-preserving API.
   [[nodiscard]] Cache& l1_runs() { return l1_; }
   [[nodiscard]] std::uint32_t l1_line_mask() const { return line_mask_; }
   [[nodiscard]] std::uint32_t l1_hit_latency() const {

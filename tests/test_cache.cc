@@ -126,26 +126,75 @@ TEST(Cache, EvictionInvalidatesResidencyMapping) {
   EXPECT_EQ(c.stats().misses, misses + 1);
 }
 
-TEST(Cache, CreditRunMatchesRepeatedAccessHits) {
-  // One CreditRun(way, n) must leave stats, LRU order and future victim
-  // choice exactly where n consecutive Access() hits would.
-  Cache a(TinyCache());
-  Cache b(TinyCache());
-  a.Access(0x040);
-  b.Access(0x040);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(a.Access(0x040));
-  Cache::Way* w = b.ResidentWay(0x040u >> b.line_shift());
-  ASSERT_NE(w, nullptr);
-  b.CreditRun(w, 5);
-  a.Access(0x000);
-  b.Access(0x000);
-  a.Access(0x080);  // evicts the LRU of set 0 — must agree on the victim
-  b.Access(0x080);
+// One deferred hit of the threaded core's run protocol: the run slot
+// that makes it and the (resident) address it hits.
+struct DeferredHit {
+  int slot;
+  std::uint32_t addr;
+};
+
+// Replays `hits` on two 4-way caches warmed with the four lines of set
+// 0: `a` calls Access() per hit; `b` runs the threaded core's
+// run protocol (cpu.h MemRuns) — each hit gets the number ++pend, a slot
+// moving to another way first stamps its old way with its last hit, and
+// closing stamps every slot's way in slot order, then commits. Both then
+// take two fills into the full set. Stats, the way of every line and
+// both victims must agree.
+void ExpectDeferredMatchesAccess(const std::vector<DeferredHit>& hits) {
+  // 4 sets x 4 ways x 16-byte lines: set-0 lines are 0x40 apart.
+  const CacheConfig quad{256, 16, 4, 1};
+  const std::uint32_t lines[] = {0x000, 0x040, 0x080, 0x0C0, 0x100, 0x140};
+  Cache a(quad);
+  Cache b(quad);
+  for (int i = 0; i < 4; ++i) {
+    a.Access(lines[i]);
+    b.Access(lines[i]);
+  }
+  struct Run {
+    Cache::Way* way = nullptr;
+    std::uint64_t last = 0;
+  } runs[4];
+  std::uint64_t pend = 0;
+  for (const DeferredHit& h : hits) {
+    EXPECT_TRUE(a.Access(h.addr));
+    Cache::Way* w = b.ResidentWay(h.addr >> b.line_shift());
+    ASSERT_NE(w, nullptr) << h.addr;
+    Run& r = runs[h.slot];
+    if (r.way != w && r.last != 0) b.StampDeferred(r.way, r.last);
+    r.way = w;
+    r.last = ++pend;
+  }
+  for (const Run& r : runs) {
+    if (r.last != 0) b.StampDeferred(r.way, r.last);
+  }
+  b.CommitDeferred(pend);
+  for (const std::uint32_t fill : {lines[4], lines[5]}) {
+    EXPECT_FALSE(a.Access(fill));
+    EXPECT_FALSE(b.Access(fill));
+    for (const std::uint32_t addr : lines) {
+      EXPECT_EQ(a.WayOf(addr), b.WayOf(addr))
+          << "addr " << addr << " after filling " << fill;
+    }
+  }
   EXPECT_EQ(a.stats().hits, b.stats().hits);
   EXPECT_EQ(a.stats().misses, b.stats().misses);
-  for (const std::uint32_t addr : {0x000u, 0x040u, 0x080u}) {
-    EXPECT_EQ(a.WayOf(addr), b.WayOf(addr)) << "addr " << addr;
-  }
+}
+
+TEST(Cache, DeferredHitsMatchAccessReplay) {
+  // One run, five hits: the old single-run batching.
+  ExpectDeferredMatchesAccess({{0, 0x040}, {0, 0x040}, {0, 0x040},
+                               {0, 0x040}, {0, 0x040}});
+  // Four runs on the four ways of one set, last hits in the reverse of
+  // their slots' order: stamping in slot order would pick 0x000 and
+  // 0x040 as the victims instead of 0x0C0 and 0x080.
+  ExpectDeferredMatchesAccess({{3, 0x0C0}, {0, 0x000}, {1, 0x040},
+                               {2, 0x080}, {3, 0x0C0}, {2, 0x080},
+                               {1, 0x040}, {0, 0x000}});
+  // Slots 2 and 0 share 0x040's way, the lower slot hitting last; slot 3
+  // re-targets from 0x080 to 0x0C0. A close that lets slot 2 overwrite
+  // slot 0's later stamp would make 0x040 the first victim.
+  ExpectDeferredMatchesAccess({{2, 0x040}, {1, 0x000}, {3, 0x080},
+                               {0, 0x040}, {3, 0x0C0}});
 }
 
 TEST(Cache, ReferencePathNeverOpensRuns) {

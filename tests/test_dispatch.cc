@@ -5,11 +5,12 @@
 // must be bit-identical across the twins; only host wall time may differ.
 // This suite is the fine-grained companion to the bench oracle's
 // differential gate: streaming and generated programs, faulted runs,
-// fused-nest glue accounting, plus direct-Cpu superinstruction tests
-// (fused group semantics == stepping the members one by one, including
-// budget exhaustion at a group midpoint and branches into a group's
-// later members). The workload x mode matrix and the Original-DSA config
-// live in test_reference_path.cc.
+// fused-nest glue accounting, way-predicted memory runs under one-set
+// pressure and their slow-path share, plus direct-Cpu superinstruction
+// tests (fused group semantics == stepping the members one by one,
+// including budget exhaustion at a group midpoint and branches into a
+// group's later members). The workload x mode matrix and the
+// Original-DSA config live in test_reference_path.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -109,6 +110,117 @@ TEST(Dispatch, FusedNestGlueLdrStraddlingInnerStartMatchesReference) {
   EXPECT_TRUE(r.output_ok);
   EXPECT_GE(r.dsa->fusions_formed, 1u);
   EXPECT_EQ(r.dsa->fusion_demotions, 0u);
+}
+
+// ---- way-predicted memory runs -------------------------------------------
+
+// Every stream below is an immediate offset from one pointer, 16 KB apart,
+// so all of them share one set of the 64 KB 4-way L1 and move on to the
+// next set together. Loop 1: one load before it takes run 0, so its four
+// streams take runs 1, 2, 3, 0 and their last hits arrive in an order
+// that differs from run order; every 4th iteration a fifth stream evicts
+// the LRU way. Loop 2 has six memory instructions, so runs are shared.
+// It is entered at its body: the store of C (run 0) executes after the
+// load of C (run 2), so when its evictor (run 1) misses, two open runs
+// sit on C's way and the lower run holds the later hit.
+Workload SharedSetRuns() {
+  Assembler as;
+  as.Movi(1, 0x10000);
+  as.Ldr(9, 1);  // mem 0, run 0
+  as.Movi(6, 256);
+  as.Movi(7, 0);
+  const auto loop1 = as.NewLabel();
+  const auto skip1 = as.NewLabel();
+  as.Bind(loop1);
+  as.Ldr(8, 1, 0, 0x4000);  // mem 1, run 1
+  as.Alu(Opcode::kAdd, 7, 7, 8);
+  as.Ldr(8, 1, 0, 0x8000);  // mem 2, run 2
+  as.Alu(Opcode::kAdd, 7, 7, 8);
+  as.Ldr(8, 1, 0, 0xC000);  // mem 3, run 3
+  as.Alu(Opcode::kAdd, 7, 7, 8);
+  as.Ldr(8, 1);  // mem 4, run 0
+  as.Alu(Opcode::kAdd, 7, 7, 8);
+  as.AluImm(Opcode::kAndi, 11, 6, 3);
+  as.Cmpi(11, 0);
+  as.B(Cond::kNe, skip1);
+  as.Ldr(8, 1, 0, 0x10000);  // mem 5, run 1: the fifth stream
+  as.Alu(Opcode::kAdd, 7, 7, 8);
+  as.Bind(skip1);
+  as.AluImm(Opcode::kAddi, 1, 1, 4);
+  as.AluImm(Opcode::kSubi, 6, 6, 1);
+  as.Cmpi(6, 0);
+  as.B(Cond::kGt, loop1);
+
+  as.Movi(3, 0x40000);
+  as.Str(7, 3, 0, 0x20000);  // mem 6, run 2
+  as.Ldr(9, 3, 0, 0x20000);  // mem 7, run 3: loop 2 starts at run 0
+  as.Movi(6, 256);
+  const auto body2 = as.NewLabel();
+  const auto tail2 = as.NewLabel();
+  const auto skip2 = as.NewLabel();
+  const auto done2 = as.NewLabel();
+  as.B(Cond::kAl, body2);
+  as.Bind(tail2);
+  as.Str(8, 3);  // mem 8, run 0: C, after its load
+  as.AluImm(Opcode::kAndi, 11, 6, 3);
+  as.Cmpi(11, 0);
+  as.B(Cond::kNe, skip2);
+  as.Ldr(9, 3, 0, 0x10000);  // mem 9, run 1: the evictor
+  as.Bind(skip2);
+  as.AluImm(Opcode::kAddi, 3, 3, 4);
+  as.AluImm(Opcode::kSubi, 6, 6, 1);
+  as.Cmpi(6, 0);
+  as.B(Cond::kLe, done2);
+  as.Bind(body2);
+  as.Ldr(8, 3);  // mem 10, run 2: C
+  as.Ldr(9, 3, 0, 0x4000);  // mem 11, run 3
+  as.Alu(Opcode::kAdd, 8, 8, 9);
+  as.Ldr(9, 3, 0, 0x8000);  // mem 12, run 0
+  as.Alu(Opcode::kAdd, 8, 8, 9);
+  as.Ldr(9, 3, 0, 0xC000);  // mem 13, run 1
+  as.Alu(Opcode::kAdd, 8, 8, 9);
+  as.B(Cond::kAl, tail2);
+  as.Bind(done2);
+  as.Halt();
+  return nests::Mini(as.Finish(), [](mem::Memory& m) {
+    for (std::uint32_t a = 0x10000; a < 0x60000; a += 4) {
+      m.Write32(a, (a * 2654435761u) >> 7);
+    }
+  });
+}
+
+TEST(Dispatch, MemRunsSharingOneL1SetMatchReference) {
+  // Deferred hits land with the stamp of each way's last hit, not in run
+  // order, and a run shared by two streams or two runs sharing a way
+  // must not lose a later stamp: every eviction here depends on it.
+  const Workload wl = SharedSetRuns();
+  const RunResult r = ExpectTwinsIdentical(wl, RunMode::kScalar);
+  EXPECT_GT(r.l1.misses, 0u);
+  ExpectTwinsIdentical(wl, RunMode::kDsa);
+}
+
+// Share of memory accesses that miss their way-predicted run when `wl`
+// runs arm-original: one RunFree batch on the threaded core.
+double MemRunMissShare(const Workload& wl) {
+  mem::Memory memory(wl.mem_bytes);
+  if (wl.init) wl.init(memory);
+  mem::Hierarchy hierarchy(mem::Hierarchy::Config{});
+  cpu::Cpu cpu(wl.scalar, memory, hierarchy);
+  std::uint64_t steps = 0;
+  cpu.RunFree(SystemConfig{}.max_steps, steps);
+  EXPECT_TRUE(cpu.halted()) << wl.name;
+  const std::uint64_t ops = cpu.stats().mem_reads + cpu.stats().mem_writes;
+  EXPECT_GT(ops, 0u) << wl.name;
+  return static_cast<double>(cpu.mem_run_misses()) / ops;
+}
+
+TEST(DispatchMemRuns, InterleavedStreamsStayOnTheirRuns) {
+  // One run per stream: MM's ldr B / ldr C / str C and RGB-Gray's pixel
+  // loads and stores miss their run about once per new line each. With
+  // one run per batch they missed on 67% and 100% of accesses.
+  for (const Workload& wl : {MakeMatMul(64), workloads::MakeRgbGray()}) {
+    EXPECT_LE(MemRunMissShare(wl), 0.10) << wl.name;
+  }
 }
 
 // ---- superinstruction fusion, direct Cpu ---------------------------------

@@ -251,6 +251,25 @@ TEST(SimdGen, ConditionalBodiesRefused) {
   EXPECT_FALSE(err.reason.empty());
 }
 
+TEST(SimdGen, EmptyChunkRefused) {
+  // A body whose code lowers to no vector instruction must be refused,
+  // not reported as a chunk that only decrements the counter: an empty
+  // body, and one that only renames a register (mov emits nothing).
+  BodySummary empty;
+  empty.vec_type = isa::VecType::kI32;
+  BodySummary rename = empty;
+  isa::Instruction mov;
+  mov.op = Opcode::kMov;
+  mov.rd = 5;
+  mov.rm = 4;
+  rename.code.push_back(mov);
+  for (const BodySummary& body : {empty, rename}) {
+    SimdGenError err;
+    EXPECT_FALSE(GenerateSimd(body, {}, {11}, &err).has_value());
+    EXPECT_EQ(err.reason, "body emits no vector instruction");
+  }
+}
+
 TEST(SimdGen, AsrRefused) {
   BodySummary body;
   body.vec_type = isa::VecType::kI32;
