@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -168,8 +169,11 @@ class Cpu {
     stats_.retired_total += n;
   }
 
-  // Interpreter steps actually executed (host-side throughput metric; not
-  // a simulated stat and never compared by the oracle).
+  // Retired instruction steps, host-side throughput metric: not a
+  // simulated stat and never compared by the oracle. It counts every
+  // retired step whether it ran one dispatch at a time or inside a loop
+  // chunk (RunChunk), so it equals the reference twin's count
+  // (ExpectTwinsIdentical in tests/test_dispatch.cc pins that).
   [[nodiscard]] std::uint64_t host_steps() const { return host_steps_; }
 
   // Superinstruction pairs the lowering pass fused for this program
@@ -181,6 +185,13 @@ class Cpu {
   // oracle and never emitted in a report.
   [[nodiscard]] std::uint64_t mem_run_misses() const {
     return mem_run_misses_;
+  }
+
+  // Loop iterations the threaded core ran inside loop chunks (RunChunk).
+  // Test/introspection only: never compared by the oracle and never
+  // emitted in a report.
+  [[nodiscard]] std::uint64_t chunk_iterations() const {
+    return chunk_iterations_;
   }
 
   // Observation-relevance class of a pc, written by
@@ -320,12 +331,13 @@ class Cpu {
   // dispatches through (a superinstruction id when this pc heads a fused
   // pair), `hp` the always-unfused handler id (the skip loop and branches
   // into the middle of a pair use it), `a` the operands at this pc and
-  // `b` the second member's operands when `h` is fused.
+  // `b` the second member's operands when `h` is fused. `chunk` is set on
+  // a latch slot only: its loop's ChunkPlan index + 1, 0 for none.
   struct TSlot {
     std::uint8_t h = 0;
     std::uint8_t hp = 0;
     std::uint8_t flags = 0;  // kSlot* observation-relevance bits below
-    std::uint8_t pad = 0;
+    std::uint8_t chunk = 0;
     POp a;
     POp b;
   };
@@ -421,6 +433,96 @@ class Cpu {
                            std::uint64_t line, std::uint32_t slot,
                            MemRuns& m);
 
+  // ---- loop chunks (threaded core only, src/cpu/chunk.cc) --------------
+  //
+  // A backward conditional latch whose body [head, latch) is straight-line
+  // scalar code (loads, stores, integer ALU ops, nops and one
+  // compare) gets a ChunkPlan at lowering time, its index + 1 in the latch
+  // slot's TSlot::chunk. Every register the body touches is invariant
+  // (never written), affine (written only by `addi`/`subi r, r, #k` and
+  // post-increments: a fixed step per iteration) or a temporary (written
+  // before it is read in every iteration), so iteration i's state at the
+  // head is a closed form of the state at the head of iteration 0. At a
+  // taken latch the free and covered loops call RunChunk, which runs the
+  // next N <= kChunkLanes iterations op-major when run-time tests prove
+  // that equal to N scalar iterations (docs/DISPATCH.md, "Loop chunks").
+  static constexpr std::uint32_t kChunkLanes = 32;
+  static constexpr std::uint32_t kChunkMaxMem = 8;  // memory ops per body
+  static constexpr std::uint8_t kChunkRamp = 0xFF;  // ChunkOp::op pseudo-op
+
+  // One lane loop: a body op on its temporaries' lanes, or (kChunkRamp)
+  // the lanes of an invariant or affine register read as data,
+  // regs[rd] + imm + lane * step.
+  struct ChunkOp {
+    std::uint8_t op = 0;  // isa::Opcode or kChunkRamp
+    std::uint8_t rd = 0;
+    std::uint8_t rn = 0;
+    std::uint8_t rm = 0;
+    std::uint8_t ra = 0;
+    std::uint8_t mem = 0;   // loads/stores: index into ChunkPlan::mem
+    std::int32_t imm = 0;   // ALU immediate; ramp: offset from regs[rd]
+    std::int32_t step = 0;  // ramp: per-lane step
+  };
+  // One memory op's address stream: lane i accesses
+  // regs[base] + disp + i * stride.
+  struct ChunkMem {
+    std::uint8_t base = 0;
+    std::uint8_t bytes = 0;
+    std::uint8_t run = 0;  // MemRuns slot (POp::flags)
+    bool store = false;
+    std::uint32_t disp = 0;   // imm + the base's in-iteration offset
+    std::int32_t stride = 0;  // the base's step per iteration
+  };
+  // Compare operand: regs[reg] + off + i * step in iteration i (an
+  // invariant has step 0; `imm` operands read no register).
+  struct ChunkCmpOperand {
+    std::uint8_t reg = 0;
+    bool is_imm = false;
+    std::uint32_t off = 0;
+    std::int32_t step = 0;
+    std::int32_t imm = 0;
+  };
+  struct ChunkPlan {
+    std::uint32_t latch = 0;
+    std::uint32_t len = 0;  // retires per iteration, latch included
+    std::uint32_t loads = 0;
+    std::uint32_t stores = 0;
+    std::uint64_t stall = 0;    // summed per-op stall of one iteration
+    std::uint32_t penalty = 0;  // latch mispredict penalty
+    std::uint8_t cond = 0;      // latch isa::Cond
+    ChunkCmpOperand lhs;
+    ChunkCmpOperand rhs;
+    // Number (1-based) of each run slot's last access in one iteration.
+    std::uint8_t last[kMemRuns] = {};
+    std::vector<ChunkMem> mem;   // body order
+    std::vector<ChunkOp> ops;    // body order
+    std::vector<std::uint8_t> temps;  // take lane N-1 on exit
+    std::vector<std::pair<std::uint8_t, std::int32_t>> affine;  // reg, step
+  };
+  // Stat deltas of one chunk for the batch accumulator.
+  struct ChunkDelta {
+    std::uint64_t steps = 0;
+    std::uint64_t mem_reads = 0;
+    std::uint64_t mem_writes = 0;
+    std::uint64_t other_stall = 0;
+    std::uint64_t mispredicts = 0;
+  };
+
+  void BuildChunkPlans();  // lowering: one plan per qualifying latch
+  [[nodiscard]] bool PlanChunk(std::uint32_t latch, ChunkPlan& plan) const;
+
+  // Runs the next N iterations of plan `index`'s loop from its head, with
+  // the registers in state_.regs: N is the largest count up to
+  // kChunkLanes whose latches are all taken, whose accesses all stay in
+  // their runs' open L1 lines and in memory, that fits `step_room`
+  // retires and `iter_room` iterations, and it needs no store to overlap
+  // another op's access from a different iteration. Returns N, 0 when N
+  // < 2 (then nothing changed). On success state_.regs, state_.cmp_diff,
+  // the latch's predictor counter and the runs hold the exact state of N
+  // scalar iterations, and `d` their stat deltas.
+  std::uint32_t RunChunk(std::uint32_t index, std::uint64_t step_room,
+                         std::uint64_t iter_room, MemRuns& m, ChunkDelta& d);
+
   const prog::Program& program_;
   mem::Memory& memory_;
   mem::Hierarchy& hierarchy_;
@@ -440,6 +542,8 @@ class Cpu {
   std::vector<TSlot> tslots_;
   std::uint32_t fused_pairs_ = 0;
   std::uint64_t mem_run_misses_ = 0;
+  std::vector<ChunkPlan> chunk_plans_;
+  std::uint64_t chunk_iterations_ = 0;
   // Fast-path predictor: one counter per PC, kUntrained until the first
   // branch retires there (preserving the static-fallback semantics of the
   // map-based predictor exactly).

@@ -18,6 +18,11 @@
 // fused group, the per-instruction skip loop and a fused nest's glue
 // (which dispatch through TSlot::hp) execute the group unfused.
 //
+// At a taken latch whose loop holds a chunk plan (chunk.cc), the free and
+// covered loops may run the loop's next iterations op-major in one
+// RunChunk call instead of dispatching them (DSA_CHUNK, after
+// DSA_C_LATCH in the five latch handlers).
+//
 // Bit-identity contract: every simulated stat and architectural effect is
 // identical to stepping the same instructions through Step() (StepBody)
 // under sim::Run's per-step loops — same check order at the loop head
@@ -263,6 +268,9 @@ void Cpu::BuildThreaded() {
     }
   }
 
+  // Loop chunk plans read the lowered operands (run slots, stalls).
+  BuildChunkPlans();
+
   if (n < 2) return;
   std::vector<std::uint8_t> consumed(n, 0);
   const auto fuse_pass = [&](const PairRule* rules, std::size_t count) {
@@ -492,6 +500,43 @@ void Cpu::BuildThreaded() {
       }                                                                   \
       if (max_iter != 0 && iters >= max_iter) {                           \
         DSA_EXIT_AT(nextv_); /* speculated range exhausted */             \
+      }                                                                   \
+    }                                                                     \
+  }
+
+// Loop chunk at a latch at `bpc_` that resolved to `nextv_` (cpu.h,
+// chunk.cc): a taken latch with a plan may run its loop's next iterations
+// op-major in RunChunk. Free runs bound them by the step budget; covered
+// runs chunk only the takeover's count loop, short of max_iterations, so
+// every chunked latch is one the scalar loop would pass without exiting.
+// The registers travel through state_.regs, so `lr` never escapes the
+// batch, and the chunk's stat deltas land in the accumulator here.
+#define DSA_CHUNK(bpc_, nextv_)                                           \
+  if constexpr (K != TKind::kSkip) {                                      \
+    const std::uint8_t plan_ = tab[(bpc_)].chunk;                         \
+    if (plan_ != 0 && (nextv_) != (bpc_) + 1 &&                           \
+        (K == TKind::kFree ||                                             \
+         ((bpc_) == count_latch && count_latch == inner_latch &&          \
+          (nextv_) == inner_start))) {                                    \
+      const std::uint64_t step_room_ =                                    \
+          K == TKind::kFree ? max_steps - bsteps : ~std::uint64_t{0};     \
+      const std::uint64_t iter_room_ =                                    \
+          K == TKind::kFree || max_iter == 0 ? kChunkLanes                \
+                                             : max_iter - iters - 1;      \
+      ChunkDelta cd_;                                                     \
+      std::memcpy(state_.regs.data(), lr, sizeof(lr));                    \
+      if (const std::uint32_t n_ = RunChunk(plan_ - 1u, step_room_,       \
+                                            iter_room_, mruns, cd_)) {    \
+        std::memcpy(lr, state_.regs.data(), sizeof(lr));                  \
+        cmp_diff = state_.cmp_diff;                                       \
+        acc.steps += cd_.steps;                                           \
+        acc.mem_reads += cd_.mem_reads;                                   \
+        acc.mem_writes += cd_.mem_writes;                                 \
+        acc.other_stall += cd_.other_stall;                               \
+        acc.mispredicts += cd_.mispredicts;                               \
+        acc.branches += n_;                                               \
+        if constexpr (K == TKind::kFree) bsteps += cd_.steps;             \
+        if constexpr (K == TKind::kCovered) iters += n_;                  \
       }                                                                   \
     }                                                                     \
   }
@@ -805,6 +850,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     std::uint32_t next_ = pc + 1;
     DSA_C_B(s->a, pc, next_);
     DSA_C_LATCH(pc, next_)
+    DSA_CHUNK(pc, next_)
     if constexpr (K == TKind::kSkip) {
       // kLatchExec: the engine only reacts to this latch when it is
       // *taken* (not-taken retires are provably inert — HandleLatch
@@ -987,6 +1033,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     std::uint32_t next_ = pc + 2;
     DSA_C_B(s->b, pc + 1, next_);
     DSA_C_LATCH(pc + 1, next_)
+    DSA_CHUNK(pc + 1, next_)
     DSA_NEXT(next_);
   }
   LFCmpiB: {
@@ -995,6 +1042,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     std::uint32_t next_ = pc + 2;
     DSA_C_B(s->b, pc + 1, next_);
     DSA_C_LATCH(pc + 1, next_)
+    DSA_CHUNK(pc + 1, next_)
     DSA_NEXT(next_);
   }
   LFSubiCmpi:
@@ -1083,6 +1131,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     std::uint32_t next_ = pc + 3;
     DSA_C_B(tab[pc + 2].a, pc + 2, next_);
     DSA_C_LATCH(pc + 2, next_)
+    DSA_CHUNK(pc + 2, next_)
     DSA_NEXT(next_);
   }
   LFAddiCmpiB: {
@@ -1093,6 +1142,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     std::uint32_t next_ = pc + 3;
     DSA_C_B(tab[pc + 2].a, pc + 2, next_);
     DSA_C_LATCH(pc + 2, next_)
+    DSA_CHUNK(pc + 2, next_)
     DSA_NEXT(next_);
   }
 
@@ -1127,6 +1177,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
 #undef DSA_C_CMPI
 #undef DSA_C_B
 #undef DSA_C_LATCH
+#undef DSA_CHUNK
 #undef DSA_EXIT_AT
 #undef DSA_NEXT
 #undef DSA_FUSE_MID

@@ -404,6 +404,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
         static_cast<double>(hierarchy.walk_tsc()) * ms_per_tick;
   }
   res.host_steps = cpu.host_steps();
+  res.chunk_iterations = cpu.chunk_iterations();
   res.cycles = cpu.Cycles();
   res.cpu = cpu.stats();
   res.l1 = hierarchy.l1().stats();

@@ -61,11 +61,18 @@ struct RunResult {
   // only; null otherwise). Shared so copies of the result stay cheap.
   std::shared_ptr<const trace::TraceDump> trace;
 
-  // Host-side throughput of the run loop: interpreter steps executed and
-  // the wall time they took. Host-dependent, so never compared by the
-  // determinism oracle and never part of FormatReport.
+  // Host-side throughput of the run loop: retired steps and the wall time
+  // they took. Host-dependent, so never compared by the determinism
+  // oracle and never part of FormatReport. host_steps counts every retired
+  // step, whether it ran one dispatch at a time or inside a loop chunk,
+  // so it equals the reference twin's count (ExpectTwinsIdentical pins
+  // that).
   std::uint64_t host_steps = 0;
   double host_wall_ms = 0.0;
+  // Iterations the threaded core ran inside loop chunks (cpu::Cpu::
+  // chunk_iterations). Test/introspection only: never emitted in JSON and
+  // never compared by the oracle.
+  std::uint64_t chunk_iterations = 0;
   // Millions of simulated instructions per host second.
   [[nodiscard]] double host_mips() const;
 

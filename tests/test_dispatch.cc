@@ -6,7 +6,10 @@
 // This suite is the fine-grained companion to the bench oracle's
 // differential gate: streaming and generated programs, faulted runs,
 // fused-nest glue accounting, way-predicted memory runs under one-set
-// pressure and their slow-path share, plus direct-Cpu superinstruction
+// pressure and their slow-path share, loop chunks (their share of MM and
+// RGB-Gray iterations and the programs at their boundaries: carried
+// stores, int32 wrap, shared runs, straddles, max_iterations, step
+// budget), plus direct-Cpu superinstruction
 // tests (fused group semantics == stepping the members one by one,
 // including budget exhaustion at a group midpoint and branches into a
 // group's later members). The workload x mode matrix and the
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -223,6 +227,173 @@ TEST(DispatchMemRuns, InterleavedStreamsStayOnTheirRuns) {
   }
 }
 
+// ---- loop chunks ---------------------------------------------------------
+
+TEST(DispatchChunks, CountedLoopsRunInChunks) {
+  // MM's ldr B / ldr C / mla / str C body and RGB-Gray's pixel loop run
+  // in chunks of up to a line of iterations, in free runs (arm-original)
+  // and in DSA takeovers (neon-dsa) alike: only the iteration that opens
+  // each new line and each exit iteration stay scalar.
+  struct Case {
+    Workload wl;
+    std::uint64_t iterations;  // of the inner loop
+  };
+  const Case cases[] = {{MakeMatMul(64), 64 * 64 * 64},
+                        {workloads::MakeRgbGray(), 32768}};
+  for (const Case& c : cases) {
+    for (const RunMode mode : {RunMode::kScalar, RunMode::kDsa}) {
+      const RunResult r = ExpectTwinsIdentical(c.wl, mode);
+      const double share =
+          static_cast<double>(r.chunk_iterations) / c.iterations;
+      EXPECT_GE(share, 0.85) << c.wl.name << " in " << ToString(mode);
+    }
+  }
+}
+
+// a[i + 1] = a[i] + 7 when `store_off` is 4: each store feeds the next
+// iteration's load, so op-major order would read stale values. With a
+// store 4 KB away the same body carries nothing through memory.
+Workload StoreForwardLoop(std::int32_t store_off) {
+  Assembler as;
+  as.Movi(1, 0x10000);
+  as.Movi(3, 200);
+  as.Movi(5, 7);
+  const auto loop = as.NewLabel();
+  as.Bind(loop);
+  as.Ldr(4, 1);
+  as.Alu(Opcode::kAdd, 4, 4, 5);
+  as.Str(4, 1, 0, store_off);
+  as.AluImm(Opcode::kAddi, 1, 1, 4);
+  as.AluImm(Opcode::kSubi, 3, 3, 1);
+  as.Cmpi(3, 0);
+  as.B(Cond::kGt, loop);
+  as.Halt();
+  return nests::Mini(as.Finish(),
+                     [](mem::Memory& m) { m.Write32(0x10000, 1); });
+}
+
+TEST(DispatchChunks, LoopCarriedStoreRunsNoChunk) {
+  // The overlap test refuses every chunk of the carried loop; the control
+  // loop shows the body itself chunks.
+  for (const RunMode mode : {RunMode::kScalar, RunMode::kDsa}) {
+    const RunResult r = ExpectTwinsIdentical(StoreForwardLoop(4), mode);
+    EXPECT_EQ(r.chunk_iterations, 0u) << ToString(mode);
+  }
+  const RunResult control =
+      ExpectTwinsIdentical(StoreForwardLoop(0x1000), RunMode::kScalar);
+  EXPECT_GT(control.chunk_iterations, 100u);
+}
+
+// Three counted loops whose latch operand wraps the int32 range: up
+// through INT32_MAX against #0 (b gt: exits at the wrap), up against a
+// register past the wrap (b ne: exits 6 iterations after it), and down
+// through INT32_MIN against #0 (b lt: exits at the wrap). The compare
+// reads the int32 cast, so a chunk may only span lanes before the wrap.
+Workload Int32WrapLoops() {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  Assembler as;
+  as.Movi(7, 0x18000);  // final counter values
+  const auto counted = [&](std::int32_t start, Opcode step, Cond c,
+                           std::uint32_t dst, bool vs_reg) {
+    as.Movi(1, start);
+    as.Movi(2, static_cast<std::int32_t>(dst));
+    as.Movi(9, kMin + 5);
+    const auto loop = as.NewLabel();
+    as.Bind(loop);
+    as.Str(1, 2, 4);
+    as.AluImm(step, 1, 1, 1);
+    if (vs_reg) {
+      as.Cmp(1, 9);
+    } else {
+      as.Cmpi(1, 0);
+    }
+    as.B(c, loop);
+    as.Str(1, 7, 4);
+  };
+  counted(kMax - 100, Opcode::kAddi, Cond::kGt, 0x10000, false);
+  counted(kMax - 60, Opcode::kAddi, Cond::kNe, 0x11000, true);
+  counted(kMin + 70, Opcode::kSubi, Cond::kLt, 0x12000, false);
+  as.Halt();
+  return nests::Mini(as.Finish());
+}
+
+TEST(DispatchChunks, LatchCounterCrossingInt32MaxMatchesReference) {
+  const RunResult r = ExpectTwinsIdentical(Int32WrapLoops(), RunMode::kScalar);
+  EXPECT_EQ(r.cpu.branches, 101u + 66u + 71u);  // one latch per iteration
+  EXPECT_GT(r.chunk_iterations, 100u);
+  ExpectTwinsIdentical(Int32WrapLoops(), RunMode::kDsa);
+}
+
+// Loop 1 has five memory ops: the load and the store of A share run 0,
+// and A, B, C, D sit 16 KB apart in one L1 set. Its trip count ends on a
+// line boundary, so every line but the last is last touched inside a
+// chunk, and the chunk's deferred-hit numbers decide the set's LRU order
+// (A, via the store, is most recent). A fifth line per set then evicts
+// each set's LRU way and A is read back: a wrong number would evict A.
+// Loop 2 adds an unaligned stream whose every 16th load straddles two
+// lines, one iteration after the aligned streams open new lines: the
+// chunk attempted there would start on the straddling load, and no chunk
+// may hold one.
+Workload SharedRunAndStraddleLoops() {
+  Assembler as;
+  as.Movi(1, 0x10000);
+  as.Movi(3, 16 * 8);
+  const auto loop1 = as.NewLabel();
+  as.Bind(loop1);
+  as.Ldr(8, 1);  // A, run 0
+  as.Ldr(9, 1, 0, 0x4000);  // B, run 1
+  as.Alu(Opcode::kAdd, 8, 8, 9);
+  as.Ldr(9, 1, 0, 0x8000);  // C, run 2
+  as.Alu(Opcode::kAdd, 8, 8, 9);
+  as.Ldr(9, 1, 0, 0xC000);  // D, run 3
+  as.Alu(Opcode::kAdd, 8, 8, 9);
+  as.Str(8, 1, 4);  // A, run 0
+  as.AluImm(Opcode::kSubi, 3, 3, 1);
+  as.Cmpi(3, 0);
+  as.B(Cond::kGt, loop1);
+  // Line-stride walks (no plan: one lane per line): evict, then re-read.
+  for (const std::int32_t base : {0x20000, 0x10000}) {
+    as.Movi(4, base);
+    as.Movi(3, 8);
+    const auto walk = as.NewLabel();
+    as.Bind(walk);
+    as.Ldr(9, 4, 64);
+    as.AluImm(Opcode::kSubi, 3, 3, 1);
+    as.Cmpi(3, 0);
+    as.B(Cond::kGt, walk);
+  }
+  as.Movi(1, 0x30000);
+  as.Movi(4, 0x34000 + 58);
+  as.Movi(2, 0x38000);
+  as.Movi(3, 100);
+  const auto loop2 = as.NewLabel();
+  as.Bind(loop2);
+  as.Ldr(8, 1, 4);
+  as.Ldr(9, 4, 4);  // line offset 58 + 4i: straddles at 62
+  as.Alu(Opcode::kAdd, 8, 8, 9);
+  as.Str(8, 2, 4);
+  as.AluImm(Opcode::kSubi, 3, 3, 1);
+  as.Cmpi(3, 0);
+  as.B(Cond::kGt, loop2);
+  as.Halt();
+  return nests::Mini(as.Finish(), [](mem::Memory& m) {
+    for (std::uint32_t a = 0x10000; a < 0x40000; a += 4) {
+      m.Write32(a, (a * 2654435761u) >> 9);
+    }
+  });
+}
+
+TEST(DispatchChunks, SharedRunAndStraddlingStreamMatchReference) {
+  for (const RunMode mode : {RunMode::kScalar, RunMode::kDsa}) {
+    const RunResult r = ExpectTwinsIdentical(SharedRunAndStraddleLoops(), mode);
+    EXPECT_GT(r.l1.misses, 0u) << ToString(mode);
+    if (mode == RunMode::kScalar) {
+      EXPECT_GT(r.chunk_iterations, 150u);
+    }
+  }
+}
+
 // ---- superinstruction fusion, direct Cpu ---------------------------------
 
 // Two CPUs over the same program with separate (identically seeded)
@@ -259,6 +430,40 @@ struct TwinRig {
     }
     th.RunFree(max_steps, steps_th);
     EXPECT_EQ(steps_ref, steps_th) << tag;
+    ExpectEqual(tag);
+  }
+
+  // Covers the plain loop [start, latch] from the current state, at most
+  // `max_iterations` latch retires: the threaded twin through RunCovered,
+  // the reference twin by stepping under the rules of sim::Run's per-step
+  // covered loop and then removing the covered retires' issue, non-memory
+  // stall and branch cost the way RunCovered does. Asserts bit-identical
+  // outcomes.
+  void RunCoveredBoth(std::uint32_t start, std::uint32_t latch,
+                      std::uint64_t max_iterations, const std::string& tag) {
+    const cpu::CpuStats before = ref.stats();
+    std::uint64_t iterations = 0;
+    while (!ref.halted()) {
+      const std::uint32_t pc = ref.state().pc;
+      if (pc < start || pc > latch) break;
+      const cpu::Retired r = ref.Step();
+      if (r.pc != latch) continue;
+      ++iterations;
+      if (!r.branch_taken) break;
+      if (max_iterations != 0 && iterations >= max_iterations) break;
+    }
+    cpu::CpuStats& s = ref.stats();
+    const std::uint64_t retired = s.retired_total - before.retired_total;
+    s.issue_slots = before.issue_slots;
+    s.other_stall_cycles = before.other_stall_cycles;
+    s.retired_total = before.retired_total;
+    s.retired_scalar = before.retired_scalar;
+    s.branches = before.branches;
+    s.mispredicts = before.mispredicts;
+    const cpu::Cpu::CoveredOutcome d =
+        th.RunCovered(start, latch, start, latch, latch, max_iterations);
+    EXPECT_EQ(iterations, d.iterations) << tag;
+    EXPECT_EQ(retired, d.retired) << tag;
     ExpectEqual(tag);
   }
 
@@ -449,6 +654,48 @@ TEST(DispatchFusion, BranchIntoTripleMiddleExecutesPlainMembers) {
   EXPECT_EQ(rig.th.state().regs[2], 3u);
 }
 
+// A chunkable copy loop, dst[i] = src[i] + 3, whose trip counts come
+// from a table: 1, 1, 12, 20. The two one-iteration entries leave the
+// latch's predictor counter at 0, so the first chunk starts on a weak
+// counter and must advance it once per lane.
+constexpr std::uint32_t kChunkCopyHead = 6;
+constexpr std::uint32_t kChunkCopyLatch = 11;
+// Steps up to the fourth entry's first taken latch (pc at the head).
+constexpr std::uint64_t kChunkCopyFourthEntry = 5 + 10 + 10 + 76 + 7;
+
+prog::Program ChunkCopyProgram() {
+  Assembler as;
+  as.Movi(5, 0x100);  // trip table
+  as.Movi(1, 0x400);  // src
+  as.Movi(2, 0x800);  // dst
+  as.Movi(6, 4);      // entries
+  as.Movi(7, 3);
+  const auto outer = as.NewLabel();
+  as.Bind(outer);
+  as.Ldr(3, 5, 4);
+  const auto inner = as.NewLabel();
+  as.Bind(inner);  // pc 6
+  as.Ldr(8, 1, 4);
+  as.Alu(Opcode::kAdd, 8, 8, 7);
+  as.Str(8, 2, 4);
+  as.AluImm(Opcode::kSubi, 3, 3, 1);
+  as.Cmpi(3, 0);
+  as.B(Cond::kGt, inner);  // pc 11
+  as.AluImm(Opcode::kSubi, 6, 6, 1);
+  as.Cmpi(6, 0);
+  as.B(Cond::kGt, outer);
+  as.Halt();
+  return as.Finish();
+}
+
+void SeedChunkCopy(TwinRig& rig) {
+  const std::uint32_t trips[] = {1, 1, 12, 20};
+  for (std::uint32_t i = 0; i < 4; ++i) rig.Seed32(0x100 + 4 * i, trips[i]);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    rig.Seed32(0x400 + 4 * i, i * 2654435761u);
+  }
+}
+
 TEST(DispatchFusion, BudgetExhaustionSweepStopsAtSamePoint) {
   // Walking the step budget across every prefix length forces budget
   // exhaustion at every position of the stream, including between the
@@ -464,6 +711,44 @@ TEST(DispatchFusion, BudgetExhaustionSweepStopsAtSamePoint) {
     TwinRig rig(AluPairProgram());
     rig.RunFreeBoth(budget, "alu budget=" + std::to_string(budget));
   }
+  // A chunkable copy loop (226 steps in all): a budget that dies inside a
+  // chunk's span must shorten the chunk, not overrun or skip it.
+  std::uint64_t chunked = 0;
+  for (std::uint64_t budget = 0; budget <= 230; ++budget) {
+    TwinRig rig(ChunkCopyProgram());
+    SeedChunkCopy(rig);
+    rig.RunFreeBoth(budget, "chunk budget=" + std::to_string(budget));
+    chunked = rig.th.chunk_iterations();
+    if (budget == 230) {
+      EXPECT_TRUE(rig.th.halted());
+    }
+  }
+  EXPECT_GT(chunked, 20u);
+}
+
+TEST(DispatchChunks, CoveredRunStopsAtMaxIterationsMidLine) {
+  // The speculated range of a sentinel takeover (max_iterations) runs out
+  // at every point of the loop's second line: the chunk stays short of the
+  // limit, and the covered run ends after exactly max_iterations latch
+  // retires, with the pc at the loop head. The program then runs to its
+  // end on both twins. (No sentinel loop qualifies for a chunk plan: its
+  // compare reads a register the body loads. So the covered run is
+  // driven directly with the limit such a takeover would carry.)
+  std::uint64_t chunked = 0;
+  for (std::uint64_t max_it = 1; max_it <= 24; ++max_it) {
+    const std::string tag = "max_iterations=" + std::to_string(max_it);
+    TwinRig rig(ChunkCopyProgram());
+    SeedChunkCopy(rig);
+    // Into the fourth entry (20 iterations), one done: src then sits at
+    // the last word of a line, so limits from 3 on land mid-line.
+    rig.RunFreeBoth(kChunkCopyFourthEntry, tag + " prologue");
+    EXPECT_EQ(rig.th.state().pc, kChunkCopyHead) << tag;
+    rig.RunCoveredBoth(kChunkCopyHead, kChunkCopyLatch, max_it, tag);
+    chunked += rig.th.chunk_iterations();
+    rig.RunFreeBoth(10000, tag + " tail");
+    EXPECT_TRUE(rig.th.halted()) << tag;
+  }
+  EXPECT_GT(chunked, 0u);
 }
 
 TEST(DispatchFusion, BranchIntoPairMiddleExecutesPlainSecondMember) {
