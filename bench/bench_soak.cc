@@ -142,11 +142,6 @@ std::size_t SweepCells(const SoakArgs& a) {
 int WorkerMain(const SoakArgs& a) {
   dsa::resilience::SupervisorOptions so;
   dsa::resilience::Supervisor sup(so);
-  std::string err;
-  if (!sup.Init(&err)) {
-    std::fprintf(stderr, "soak worker: %s\n", err.c_str());
-    return 2;
-  }
 
   dsa::sim::RunnerOptions ro;
   ro.jobs = a.jobs;
@@ -155,6 +150,7 @@ int WorkerMain(const SoakArgs& a) {
 
   dsa::serve::ResultCache cache;
   if (!a.cache_dir.empty()) {
+    std::string err;
     if (!cache.Open(a.cache_dir, &err)) {
       std::fprintf(stderr, "soak worker: %s\n", err.c_str());
       return 2;

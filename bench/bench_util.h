@@ -277,11 +277,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     // The drain handler comes with --cache too: an interrupted sweep
     // finishes its in-flight cells (and stores them) before exiting 3.
     o.supervisor = std::make_shared<resilience::Supervisor>(o.resilience);
-    std::string err;
-    if (!o.supervisor->Init(&err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      std::exit(2);
-    }
     o.supervisor->Attach(o.runner);
     if (o.resilience.isolate && !resilience::IsolationAvailable()) {
       std::fprintf(stderr,

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Doc-drift validator: keeps README and docs/ in sync with the code.
 
-Three checks, all derived from the repository itself so they cannot rot:
+Four checks, all derived from the repository itself so they cannot rot:
   * README.md's flag table and the flags bench/bench_util.h (the shared
     bench CLI) parses agree both ways: every parsed flag has a row, and
     every flag a row names is still parsed,
   * every docs/*.md file has a row in README.md's documentation index,
   * every intra-repository markdown link in README.md, docs/*.md and the
     top-level *.md files resolves to an existing file (anchors and
-    external URLs are ignored).
+    external URLs are ignored),
+  * every binary README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md name
+    (a build*/{bench,examples,tests}/NAME path or a backticked test_*
+    name) is an executable a CMakeLists.txt under bench/, examples/ or
+    tests/ defines.
 
 Exit code 0 = in sync, 1 = drift found, 2 = usage/IO error.
 
@@ -97,6 +101,55 @@ def broken_links(root: str) -> list:
     return broken
 
 
+def cmake_executables(root: str) -> set:
+    """Executables defined by bench/, examples/ and tests/ CMakeLists.txt.
+
+    Understands the two forms those files use: add_executable(NAME ...)
+    and add_executable(${v} ...) inside foreach(v ITEMS), where ITEMS may
+    expand a set(VAR ...) list.
+    """
+    names = set()
+    for sub in ("bench", "examples", "tests"):
+        path = os.path.join(root, sub, "CMakeLists.txt")
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as f:
+            text = re.sub(r"#.*", "", f.read())
+        lists = {m.group(1): m.group(2).split() for m in
+                 re.finditer(r"set\(\s*(\w+)\s+([^)]*)\)", text)}
+        for var, items, body in re.findall(
+                r"foreach\(\s*(\w+)\s+([^)]*)\)(.*?)endforeach", text, re.S):
+            if not re.search(r"add_executable\(\s*\$\{" + var + r"\}", body):
+                continue
+            for item in items.split():
+                ref = re.fullmatch(r"\$\{(\w+)\}", item)
+                names.update(lists.get(ref.group(1), []) if ref else [item])
+        names.update(re.findall(r"add_executable\(\s*([A-Za-z_]\w*)", text))
+    return names
+
+
+def unbuilt_binaries(root: str) -> list:
+    """Binaries the docs name that no CMake target builds."""
+    built = cmake_executables(root)
+    docs = [os.path.join(root, f)
+            for f in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    docs_dir = os.path.join(root, "docs")
+    docs += [os.path.join(docs_dir, f) for f in sorted(os.listdir(docs_dir))
+             if f.endswith(".md")]
+    missing = []
+    for path in docs:
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        named = re.findall(r"build[\w-]*/(?:bench|examples|tests)/"
+                           r"([A-Za-z_]\w*)", text)
+        named += re.findall(r"`(test_\w+)`", text)
+        for name in sorted(set(named) - built):
+            missing.append(f"{os.path.relpath(path, root)}: {name}")
+    return missing
+
+
 def main() -> None:
     root = sys.argv[1] if len(sys.argv) > 1 else \
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -138,11 +191,18 @@ def main() -> None:
         fail_list("markdown links that do not resolve", dead)
         ok = False
 
+    unbuilt = unbuilt_binaries(root)
+    if unbuilt:
+        fail_list("binaries the docs name that no CMake target builds",
+                  unbuilt)
+        ok = False
+
     if not ok:
         sys.exit(1)
     print(f"validate_docs: OK: {len(flags)} CLI flags documented, "
           f"{len(missing_index) + len(indexed)} docs indexed, "
-          f"no dead links in {len(markdown_files(root))} markdown files")
+          f"no dead links in {len(markdown_files(root))} markdown files, "
+          f"every named binary built")
 
 
 if __name__ == "__main__":

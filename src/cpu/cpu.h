@@ -25,8 +25,9 @@
 
 namespace dsa::cpu {
 
-// Architectural state shared by the scalar core, the NEON engine and the
-// DSA's generated-SIMD executor.
+// Architectural state shared by the scalar core and the NEON engine; the
+// DSA reads it to re-evaluate ranges and the speculation guard
+// checkpoints it at takeover.
 struct CpuState {
   std::array<std::uint32_t, isa::kNumScalarRegs> regs{};
   neon::VectorRegFile vregs;

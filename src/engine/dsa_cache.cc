@@ -1,61 +1,44 @@
 #include "engine/dsa_cache.h"
 
+#include "mem/fnv.h"
+
 namespace dsa::engine {
 
-namespace {
-
-void Mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-}
-
-void MixStreams(std::uint64_t& h, const std::vector<MemStream>& streams) {
-  Mix(h, streams.size());
-  for (const MemStream& s : streams) {
-    Mix(h, s.pc);
-    Mix(h, s.is_write ? 1 : 0);
-    Mix(h, s.elem_bytes);
-    Mix(h, s.base_addr);
-    Mix(h, static_cast<std::uint64_t>(s.stride));
-    Mix(h, s.loop_invariant ? 1 : 0);
-    Mix(h, static_cast<std::uint64_t>(s.addr_reg));
-    Mix(h, static_cast<std::uint64_t>(s.addr_offset));
-  }
-}
-
-}  // namespace
-
 std::uint64_t ChecksumOf(const LoopRecord& rec) {
-  std::uint64_t h = 0x6b6f6f6c2d696421ull;
-  Mix(h, rec.loop_id);
-  Mix(h, static_cast<std::uint64_t>(rec.cls));
-  Mix(h, static_cast<std::uint64_t>(rec.reject));
-  Mix(h, rec.body.start_pc);
-  Mix(h, rec.body.latch_pc);
-  Mix(h, static_cast<std::uint64_t>(rec.body.vec_type));
-  Mix(h, rec.body.alu_ops);
-  Mix(h, rec.body.mul_ops);
-  Mix(h, rec.body.body_instrs);
-  Mix(h, rec.body.scalar_per_iter);
-  Mix(h, rec.body.has_function_call ? 1 : 0);
-  Mix(h, rec.body.conditions.size());
-  Mix(h, rec.body.code.size());
-  MixStreams(h, rec.body.loads);
-  MixStreams(h, rec.body.stores);
-  Mix(h, static_cast<std::uint64_t>(rec.induction_reg));
-  Mix(h, static_cast<std::uint64_t>(rec.induction_delta));
-  Mix(h, static_cast<std::uint64_t>(rec.limit_reg));
-  Mix(h, static_cast<std::uint64_t>(rec.limit_imm));
-  Mix(h, static_cast<std::uint64_t>(rec.latch_cond));
-  Mix(h, static_cast<std::uint64_t>(rec.latch_cmp_rn));
-  Mix(h, static_cast<std::uint64_t>(rec.latch_cmp_rm));
-  Mix(h, static_cast<std::uint64_t>(rec.latch_cmp_imm));
-  Mix(h, rec.latch_cmp_is_imm ? 1 : 0);
-  Mix(h, static_cast<std::uint64_t>(rec.latch_diff_delta));
-  Mix(h, rec.speculative_range);
-  Mix(h, static_cast<std::uint64_t>(rec.dep_distance));
-  Mix(h, rec.fused_outer ? 1 : 0);
-  Mix(h, rec.inner_latch_pc);
-  return h;
+  // Every payload struct is destructured with a binding of its exact
+  // arity, so a field added to any of them fails to compile here until
+  // the seal folds it in.
+  mem::Fnv1a f;
+  const auto& [loop_id, cls, reject, body, induction_reg, induction_delta,
+               limit_reg, limit_imm, latch_cond, latch_cmp_rn, latch_cmp_rm,
+               latch_cmp_imm, latch_cmp_is_imm, latch_diff_delta,
+               speculative_range, dep_distance, fused_outer, inner_latch_pc,
+               checksum] = rec;
+  static_cast<void>(checksum);  // the seal itself
+  f.Fields(loop_id, cls, reject, induction_reg, induction_delta, limit_reg,
+           limit_imm, latch_cond, latch_cmp_rn, latch_cmp_rm, latch_cmp_imm,
+           latch_cmp_is_imm, latch_diff_delta, speculative_range,
+           dep_distance, fused_outer, inner_latch_pc);
+  const auto& [start_pc, latch_pc, vec_type, loads, stores, alu_ops, mul_ops,
+               body_instrs, scalar_per_iter, has_function_call, conditions] =
+      body;
+  f.Fields(start_pc, latch_pc, vec_type, alu_ops, mul_ops, body_instrs,
+           scalar_per_iter, has_function_call);
+  for (const std::vector<MemStream>* streams : {&loads, &stores}) {
+    f.U64(streams->size());
+    for (const MemStream& s : *streams) {
+      const auto& [pc, is_write, elem_bytes, base_addr, stride,
+                   loop_invariant, addr_reg, addr_offset] = s;
+      f.Fields(pc, is_write, elem_bytes, base_addr, stride, loop_invariant,
+               addr_reg, addr_offset);
+    }
+  }
+  f.U64(conditions.size());
+  for (const CondRegion& c : conditions) {
+    const auto& [first_pc, last_pc, vector_ops, mem_streams] = c;
+    f.Fields(first_pc, last_pc, vector_ops, mem_streams);
+  }
+  return f.h;
 }
 
 const LoopRecord* DsaCache::Lookup(std::uint32_t loop_id) {
@@ -90,7 +73,7 @@ void DsaCache::Insert(const LoopRecord& rec) {
   const auto it = map_.find(rec.loop_id);
   if (it != map_.end()) {
     *it->second = rec;
-    it->second->checksum = ChecksumOf(*it->second);
+    Seal(*it->second);
     lru_.splice(lru_.begin(), lru_, it->second);
     if (tracer_) {
       tracer_->Emit(trace::EventKind::kCacheInsert, rec.loop_id,
@@ -106,7 +89,7 @@ void DsaCache::Insert(const LoopRecord& rec) {
     if (tracer_) tracer_->Emit(trace::EventKind::kCacheEvict, victim);
   }
   lru_.push_front(rec);
-  lru_.front().checksum = ChecksumOf(lru_.front());
+  Seal(lru_.front());
   map_[rec.loop_id] = lru_.begin();
   if (tracer_) {
     tracer_->Emit(trace::EventKind::kCacheInsert, rec.loop_id,
@@ -116,7 +99,7 @@ void DsaCache::Insert(const LoopRecord& rec) {
 
 void DsaCache::Reseal(std::uint32_t loop_id) {
   const auto it = map_.find(loop_id);
-  if (it != map_.end()) it->second->checksum = ChecksumOf(*it->second);
+  if (it != map_.end()) Seal(*it->second);
 }
 
 void DsaCache::Corrupt(std::uint32_t loop_id, std::uint64_t payload) {

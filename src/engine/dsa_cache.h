@@ -16,9 +16,9 @@
 
 namespace dsa::engine {
 
-// Integrity seal over a record's payload (every field that drives a
-// takeover; excludes the checksum slot itself). Insert/Reseal stamp it;
-// guarded lookups validate it.
+// Integrity seal over a record's payload (every field but the checksum
+// slot itself). In guarded mode Insert/Reseal stamp it and lookups
+// validate it.
 [[nodiscard]] std::uint64_t ChecksumOf(const LoopRecord& rec);
 
 class DsaCache {
@@ -33,7 +33,8 @@ class DsaCache {
   // record's checksum and a mismatch drops the entry — counted into
   // `*counter` and reported as a kCacheCorruption trace event — so a
   // corrupted record degrades to a re-analysis instead of driving a
-  // takeover from garbage.
+  // takeover from garbage. Only guarded mode seals records, so switch it
+  // on before the first Insert.
   void set_validate(bool on) { validate_ = on; }
   void set_corruption_counter(std::uint64_t* counter) {
     corruptions_ = counter;
@@ -44,11 +45,11 @@ class DsaCache {
   [[nodiscard]] LoopRecord* LookupMutable(std::uint32_t loop_id);
 
   // Inserts or replaces; evicts the LRU record when full. Seals the
-  // stored copy's checksum.
+  // stored copy in guarded mode.
   void Insert(const LoopRecord& rec);
 
   // Re-stamps the checksum after an in-place mutation through
-  // LookupMutable. Required in guarded mode; harmless otherwise.
+  // LookupMutable. Required in guarded mode; a no-op otherwise.
   void Reseal(std::uint32_t loop_id);
 
   // True when a record for `loop_id` exists (no LRU refresh, no counters).
@@ -68,6 +69,10 @@ class DsaCache {
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
+  void Seal(LoopRecord& rec) const {
+    if (validate_) rec.checksum = ChecksumOf(rec);
+  }
+
   std::uint32_t max_entries_;
   trace::Tracer* tracer_ = nullptr;
   bool validate_ = false;

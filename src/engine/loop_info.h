@@ -1,12 +1,11 @@
 // Loop metadata produced by the DSA analysis stages and consumed by the
-// SIMD generation / timing model and the DSA Cache.
+// vector timing model (vector_cost) and the DSA Cache.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
-#include "isa/instruction.h"
 #include "isa/opcode.h"
 
 namespace dsa::engine {
@@ -66,11 +65,12 @@ struct CondRegion {
   std::uint32_t last_pc = 0;
   std::uint32_t vector_ops = 0;
   std::uint32_t mem_streams = 0;
-  bool verified = false;
 };
 
-// Summary of one loop body, sufficient to generate SIMD instructions
-// (Section 4.7) and to price the vectorized execution.
+// Summary of one loop body: the streams and op counts that price its
+// vectorized execution. One chunk of the NEON code the DSA issues
+// (Section 4.7, Fig. 25) is one vld1 per non-invariant load stream, one
+// lane op per ALU or multiply op and one vst1 per store stream.
 struct BodySummary {
   std::uint32_t start_pc = 0;
   std::uint32_t latch_pc = 0;
@@ -86,10 +86,6 @@ struct BodySummary {
   std::uint32_t scalar_per_iter = 2;
   bool has_function_call = false;
   std::vector<CondRegion> conditions;
-  // The body's data instructions in iteration order (loads, stores and
-  // vectorizable ALU ops; induction updates and the latch excluded) —
-  // the input of the SIMD instruction generator (Section 4.7).
-  std::vector<isa::Instruction> code;
 
   [[nodiscard]] int lanes() const { return isa::LaneCount(vec_type); }
 };
@@ -127,9 +123,9 @@ struct LoopRecord {
   bool fused_outer = false;
   std::uint32_t inner_latch_pc = 0;
   // Integrity seal over the record's payload fields, computed by the DSA
-  // Cache on Insert/Reseal and validated on lookup when the cache runs in
-  // guarded mode (fault injection); a mismatch means the stored entry was
-  // corrupted or aliased and must not drive a takeover.
+  // Cache on Insert/Reseal and validated on lookup, both only while the
+  // cache runs in guarded mode (fault injection); a mismatch means the
+  // stored entry was corrupted or aliased and must not drive a takeover.
   std::uint64_t checksum = 0;
 };
 

@@ -424,7 +424,6 @@ bool LoopTracker::SummarizeTrace(const std::vector<Obs>& t2,
       } else {
         out.loads.push_back(s);
       }
-      out.code.push_back(ins);
       continue;
     }
 
@@ -439,11 +438,9 @@ bool LoopTracker::SummarizeTrace(const std::vector<Obs>& t2,
           why = RejectReason::kUnsupportedOp;
           return false;
         }
-        if (kind == 2 && ins.op == Opcode::kMov) out.code.push_back(ins);
         if (cls == InstrClass::kFpAlu) has_fp = true;
         if (kind == 0) ++out.alu_ops;
         if (kind == 1) ++out.mul_ops;
-        out.code.push_back(ins);
         break;
       }
       case InstrClass::kCompare:

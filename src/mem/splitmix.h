@@ -1,9 +1,9 @@
 // splitmix64: the repository's one seeded pseudo-random stream. The
 // fault injectors' corruption payloads (fault/fault.h), the loop-nest
-// generator's shapes and data (workloads/gen) and the protocol fuzzer's
-// attack bytes (bench/dsa_chaos_client.cc) all draw from this one
-// definition, so a seed means the same sequence everywhere and none of
-// them can drift. Header-inline, like fnv.h.
+// generator's shapes and data (workloads/gen) and the protocol fuzzers'
+// attack bytes (bench/dsa_chaos_client.cc, tests/test_serve.cc) all draw
+// from this one definition, so a seed means the same sequence everywhere
+// and none of them can drift. Header-inline, like fnv.h.
 #pragma once
 
 #include <cstdint>

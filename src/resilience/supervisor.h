@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "resilience/breaker.h"
 #include "resilience/isolate.h"
@@ -53,17 +52,10 @@ class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions opts);
 
-  // Always true: nothing the supervisor owns touches the file system.
-  // Kept as the first step of the Init/Attach protocol drivers follow.
-  [[nodiscard]] bool Init(std::string* error = nullptr) {
-    (void)error;
-    return true;
-  }
-
-  // Installs the resilience seams into the runner options. Call after
-  // Init() and before constructing the BatchRunner. The existing run_fn
-  // (test seam / fault injection) keeps working — it becomes the inner
-  // function the isolation wrapper executes.
+  // Installs the resilience seams into the runner options. Call before
+  // constructing the BatchRunner. The existing run_fn (test seam / fault
+  // injection) keeps working — it becomes the inner function the
+  // isolation wrapper executes.
   void Attach(sim::RunnerOptions& ro);
 
   // Census for WriteBenchJson, after runner.Finish().

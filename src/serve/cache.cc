@@ -10,7 +10,6 @@
 #include <memory>
 #include <sstream>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,32 +38,9 @@ namespace {
 // declared content, never of padding.
 struct KeyHasher : mem::Fnv1a {
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
   void Str(std::string_view s) {
     U64(s.size());
     Bytes(s.data(), s.size());
-  }
-  // Hashes each argument by its type: a double by its bits, an enum by
-  // its value, an integer or bool widened to 64 bits.
-  template <typename... Ts>
-  void Fields(const Ts&... v) {
-    (Field(v), ...);
-  }
-
- private:
-  template <typename T>
-  void Field(T v) {
-    if constexpr (std::is_floating_point_v<T>) {
-      F64(v);
-    } else if constexpr (std::is_enum_v<T>) {
-      I64(static_cast<std::int64_t>(v));
-    } else {
-      U64(static_cast<std::uint64_t>(v));
-    }
   }
 };
 

@@ -143,7 +143,6 @@ TEST(Isolate, ClassifiesSignalDeathAsCrashedWhileSiblingsComplete) {
   so.isolate = true;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 2;
   o.repeats = 1;
@@ -175,7 +174,6 @@ TEST(Isolate, ClassifiesSegfaultAsCrashed) {
   so.isolate = true;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;
   o.repeats = 1;
@@ -208,7 +206,6 @@ TEST(Isolate, KillsCellsPastTheirDeadline) {
   so.deadline_ms = 150;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 2;
   o.repeats = 1;
@@ -245,7 +242,6 @@ TEST(Isolate, ClassifiesAllocationBeyondTheMemoryCapAsOom) {
   so.mem_limit_mb = 128;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;
   o.repeats = 1;
@@ -352,7 +348,6 @@ TEST(Breaker, SkipsCellsOfAFailingWorkloadInTheRunner) {
   so.breaker_probe_after = 2;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;  // serialize so the transition sequence is deterministic
   o.repeats = 1;
@@ -423,7 +418,6 @@ TEST(Drain, SupervisorReportsInterruptedRunStatus) {
   so.install_signal_drain = false;
   so.breaker_threshold = 0;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;
   o.repeats = 1;
@@ -797,7 +791,6 @@ TEST(Breaker, ProbeDyingWithNonDsaErrorReopensInsteadOfWedging) {
   so.breaker_probe_after = 2;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;  // serialize so the transition sequence is deterministic
   o.repeats = 1;

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "mem/splitmix.h"
 #include "resilience/iofault.h"
 #include "resilience/journal.h"
 #include "resilience/mini_json.h"
@@ -1365,14 +1366,8 @@ TEST_F(DaemonE2E, SeededProtocolFuzzNoHangNoFdLeak) {
   const int baseline = CountOpenFds();
   ASSERT_GT(baseline, 0);
 
-  // splitmix64 — one seed, one reproducible hostile byte stream.
-  std::uint64_t state = 0x9e3779b97f4a7c15ull * 17;
-  const auto next = [&state] {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  };
+  // One seed, one reproducible hostile byte stream.
+  mem::SplitMix64 rng{0x9e3779b97f4a7c15ull * 17};
   ClientOptions ping;
   ping.socket_path = socket_path_;
   ping.ping = true;
@@ -1382,15 +1377,15 @@ TEST_F(DaemonE2E, SeededProtocolFuzzNoHangNoFdLeak) {
   for (int round = 0; round < 24; ++round) {
     const int fd = RawConnect(socket_path_);
     ASSERT_GE(fd, 0);
-    switch (next() % 4) {
+    switch (rng.Next() % 4) {
       case 0: {  // pure garbage
-        std::string junk(1 + next() % 128, '\0');
-        for (char& c : junk) c = static_cast<char>(next() & 0xFF);
+        std::string junk(1 + rng.Next() % 128, '\0');
+        for (char& c : junk) c = static_cast<char>(rng.Next() & 0xFF);
         (void)!::write(fd, junk.data(), junk.size());
         break;
       }
       case 1:  // torn header
-        (void)!::write(fd, "DSAS\x10\x00", 2 + next() % 4);
+        (void)!::write(fd, "DSAS\x10\x00", 2 + rng.Next() % 4);
         break;
       case 2: {  // oversize length claim
         std::string hdr = "DSAS\xff\xff\xff\x7f";

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
+#include "cpu/cpu.h"
+#include "engine/engine.h"
 #include "engine/vector_cost.h"
+#include "prog/assembler.h"
 
 namespace dsa::engine {
 namespace {
+
+using isa::Opcode;
 
 BodySummary SimpleBody(isa::VecType t = isa::VecType::kI32) {
   BodySummary b;
@@ -53,6 +61,103 @@ TEST(ChunkModel, InvariantLoadsBecomeFree) {
   EXPECT_EQ(ChunkInstrs(b), 3u);
 }
 
+// A 100-iteration count-down loop on r3 around `body`. Stream bases:
+// r0 = 0x1000, r1 = 0x3000, r2 = 0x10000; live scalars r4 = 7, r7 = 3.
+prog::Program CountedLoop(const std::function<void(prog::Assembler&)>& body) {
+  prog::Assembler as;
+  as.Movi(0, 0x1000);
+  as.Movi(1, 0x3000);
+  as.Movi(2, 0x10000);
+  as.Movi(4, 7);
+  as.Movi(7, 3);
+  as.Movi(3, 100);
+  const auto loop = as.NewLabel();
+  as.Bind(loop);
+  body(as);
+  as.AluImm(Opcode::kSubi, 3, 3, 1);
+  as.Cmpi(3, 0);
+  as.B(isa::Cond::kGt, loop);
+  as.Halt();
+  return as.Finish();
+}
+
+// The engine's first takeover plan for `p`, observed retire by retire.
+std::optional<TakeoverPlan> FirstPlan(const prog::Program& p) {
+  mem::Memory memory(1 << 17);
+  mem::Hierarchy h{mem::Hierarchy::Config{}};
+  cpu::Cpu cpu(p, memory, h);
+  DsaEngine engine{DsaConfig{}, cpu::TimingConfig{}};
+  for (int steps = 0; !cpu.halted() && steps < 100000; ++steps) {
+    const cpu::Retired r = cpu.Step();
+    if (r.instr == nullptr) break;
+    if (auto plan = engine.Observe(r, cpu.state())) return plan;
+  }
+  return std::nullopt;
+}
+
+// The chunk the simulator prices for each takeover is the DSA's NEON code
+// of Section 4.7: one vld1 per non-invariant load stream, one lane op per
+// ALU or multiply op, one vst1 per store stream.
+TEST(ChunkModel, TakeoverPlansPriceTheEmittedChunk) {
+  struct Case {
+    const char* name;
+    prog::Program program;
+    isa::VecType vec_type;
+    std::size_t loads, stores;
+    std::uint32_t alu_ops, mul_ops;
+    std::uint64_t chunk_instrs, chunk_cycles;
+  };
+  const Case cases[] = {
+      // The running example, v[i] = a[i] + b[i]. Fig. 25's chunk:
+      //   vld1.i32 q1, [r0]!; vld1.i32 q2, [r1]!; vadd.i32 q8, q1, q2;
+      //   vst1.i32 q8, [r2]!
+      {"add", CountedLoop([](prog::Assembler& as) {
+         as.Ldr(5, 0, 4);
+         as.Ldr(6, 1, 4);
+         as.Alu(Opcode::kAdd, 8, 5, 6);
+         as.Str(8, 2, 4);
+       }),
+       isa::VecType::kI32, 2, 1, 1, 0, 4, 1 + 1 + 1 + 1},
+      // c[j] += b[j] * r4, the MM inner loop: vmla with a broadcast r4.
+      {"mla", CountedLoop([](prog::Assembler& as) {
+         as.Ldr(8, 0, 4);
+         as.Ldr(9, 2);
+         as.Mla(9, 8, 4, 9);
+         as.Str(9, 2, 4);
+       }),
+       isa::VecType::kI32, 2, 1, 0, 1, 4, 1 + 1 + 2 + 1},
+      // Halfwords shifted by a live register: one vshr.
+      {"ldrh-lsr-strh", CountedLoop([](prog::Assembler& as) {
+         as.Ldrh(5, 0, 2);
+         as.Alu(Opcode::kLsr, 6, 5, 7);
+         as.Strh(6, 2, 2);
+       }),
+       isa::VecType::kI16, 1, 1, 1, 0, 3, 1 + 1 + 1},
+      // An immediate operand: one vadd against a broadcast constant.
+      {"addi", CountedLoop([](prog::Assembler& as) {
+         as.Ldr(5, 0, 4);
+         as.AluImm(Opcode::kAddi, 6, 5, 1000);
+         as.Str(6, 2, 4);
+       }),
+       isa::VecType::kI32, 1, 1, 1, 0, 3, 1 + 1 + 1},
+  };
+  const neon::NeonTiming t;  // alu 1, mul 2, mem 1 cycle
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::optional<TakeoverPlan> plan = FirstPlan(c.program);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->record.cls, LoopClass::kCount);
+    const BodySummary& body = plan->record.body;
+    EXPECT_EQ(body.vec_type, c.vec_type);
+    EXPECT_EQ(body.loads.size(), c.loads);
+    EXPECT_EQ(body.stores.size(), c.stores);
+    EXPECT_EQ(body.alu_ops, c.alu_ops);
+    EXPECT_EQ(body.mul_ops, c.mul_ops);
+    EXPECT_EQ(ChunkInstrs(body), c.chunk_instrs);
+    EXPECT_EQ(ChunkCycles(body, t), c.chunk_cycles);
+  }
+}
+
 TEST(CountLoopCost, ScalesWithIterations) {
   const BodySummary b = SimpleBody();
   DsaConfig cfg;
@@ -87,8 +192,8 @@ TEST(CountLoopCost, OverheadIncludesFlushAndFill) {
 
 TEST(ConditionalCost, ChargesPerIterationMapping) {
   BodySummary b = SimpleBody();
-  b.conditions = {CondRegion{10, 12, 1, 1, true},
-                  CondRegion{13, 14, 0, 1, true}};
+  b.conditions = {CondRegion{10, 12, 1, 1},
+                  CondRegion{13, 14, 0, 1}};
   b.scalar_per_iter = 4;
   DsaConfig cfg;
   neon::NeonTiming t;
@@ -100,9 +205,9 @@ TEST(ConditionalCost, ChargesPerIterationMapping) {
 
 TEST(ConditionalCost, MoreConditionsCostMore) {
   BodySummary one = SimpleBody();
-  one.conditions = {CondRegion{10, 12, 1, 1, true}};
+  one.conditions = {CondRegion{10, 12, 1, 1}};
   BodySummary two = one;
-  two.conditions.push_back(CondRegion{13, 15, 2, 1, true});
+  two.conditions.push_back(CondRegion{13, 15, 2, 1});
   DsaConfig cfg;
   neon::NeonTiming t;
   EXPECT_GT(CostConditionalLoop(two, 64, cfg, t, 2).neon_busy_cycles,
