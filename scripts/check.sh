@@ -147,20 +147,24 @@ echo "== perf smoke (fast vs reference, load-immune) =="
 # The interleaved A/B harness runs fast and --reference back-to-back per
 # pair on the dispatch-bound microloop, so both sides see the same host
 # load and the median-of-pairs ratio is immune to absolute machine speed.
-# The fast threaded path measures 6.7-9x on this workload; 3.0x is the
-# conservative floor that catches any hot-path regression without being
-# flaky under CI load. Digest+cycle equality is enforced on every pair.
+# The fast threaded path measures 5.4-7.5x on this workload (20 runs on
+# a 4-vCPU host); 3.0x is the conservative floor that catches any
+# hot-path regression without being flaky under CI load. Digest+cycle
+# equality is enforced on every pair.
 build/bench/bench_throughput --filter DispatchMicro \
     --interleave 3 --assert-ratio 3.0
 # Fused-nest takeovers — MM's inner/outer-loop coverage — run on the
 # threaded covered loop with per-retire glue accounting. Every MM 64x64
-# cell must stay at >= 2.85x its reference twin: the DSA cells measure
-# 4.4-5.5x, and the floor cell is neon-autovec (2.89-3.66x over 40 runs
-# on a 4-vCPU host, bound by out-of-line NEON lane ops in both twins).
-# While nests still ran on the decode-switch covered loop, the lowest
-# cell (a neon-dsa one) never read above 2.79x in 40 runs: the gate failed.
+# cell must stay at >= 2.6x its reference twin: the DSA cells measure
+# 9.7-13.6x, and the floor cell is neon-autovec (2.77-3.58x over 101 runs
+# of 5 pairs on a 4-vCPU host, series medians 3.02-3.39x as the host's
+# load moved; bound by out-of-line NEON lane ops in both twins). The
+# floor sits 14% under the lowest median, so it trips on a fast-path
+# slowdown about that large. A faster reference twin lowers every ratio:
+# re-derive the floor when Step() gets faster (docs/PERF.md). Five
+# pairs, not three: single 3-pair runs read as low as 2.25x under load.
 build/bench/bench_throughput --filter "MM 64x64" \
-    --interleave 3 --assert-ratio 2.85
+    --interleave 5 --assert-ratio 2.6
 
 echo "== serving daemon smoke (kill -9, restart, cache bit-identity) =="
 # The daemon's whole crash-tolerance story, end to end (docs/SERVING.md):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift validator: keeps README and docs/ in sync with the code.
 
-Four checks, all derived from the repository itself so they cannot rot:
+Five checks, all derived from the repository itself so they cannot rot:
   * README.md's flag table and the flags bench/bench_util.h (the shared
     bench CLI) parses agree both ways: every parsed flag has a row, and
     every flag a row names is still parsed,
@@ -12,7 +12,9 @@ Four checks, all derived from the repository itself so they cannot rot:
   * every binary README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md name
     (a build*/{bench,examples,tests}/NAME path or a backticked test_*
     name) is an executable a CMakeLists.txt under bench/, examples/ or
-    tests/ defines.
+    tests/ defines,
+  * every "N suites" count in README.md equals the number of ctest
+    suites tests/CMakeLists.txt registers (add_test calls).
 
 Exit code 0 = in sync, 1 = drift found, 2 = usage/IO error.
 
@@ -101,31 +103,51 @@ def broken_links(root: str) -> list:
     return broken
 
 
-def cmake_executables(root: str) -> set:
-    """Executables defined by bench/, examples/ and tests/ CMakeLists.txt.
+def cmake_names(text: str, command: str) -> list:
+    """First arguments of every `command` call in a CMakeLists.txt text.
 
-    Understands the two forms those files use: add_executable(NAME ...)
-    and add_executable(${v} ...) inside foreach(v ITEMS), where ITEMS may
-    expand a set(VAR ...) list.
+    Understands the two forms the repo's CMakeLists.txt files use: a
+    literal command(NAME ...) and command(${v} ...) inside foreach(v
+    ITEMS), where ITEMS may expand a set(VAR ...) list. add_test's NAME
+    keyword is skipped.
     """
+    text = re.sub(r"#.*", "", text)
+    head = command + r"\(\s*(?:NAME\s+)?"
+    lists = {m.group(1): m.group(2).split() for m in
+             re.finditer(r"set\(\s*(\w+)\s+([^)]*)\)", text)}
+    names = []
+    for var, items, body in re.findall(
+            r"foreach\(\s*(\w+)\s+([^)]*)\)(.*?)endforeach", text, re.S):
+        if not re.search(head + r"\$\{" + var + r"\}", body):
+            continue
+        for item in items.split():
+            ref = re.fullmatch(r"\$\{(\w+)\}", item)
+            names += lists.get(ref.group(1), []) if ref else [item]
+    names += [n for n in re.findall(head + r"([\w${}]+)", text)
+              if "$" not in n]
+    return names
+
+
+def cmake_executables(root: str) -> set:
+    """Executables defined by bench/, examples/ and tests/ CMakeLists.txt."""
     names = set()
     for sub in ("bench", "examples", "tests"):
         path = os.path.join(root, sub, "CMakeLists.txt")
         if not os.path.exists(path):
             continue
         with open(path, encoding="utf-8") as f:
-            text = re.sub(r"#.*", "", f.read())
-        lists = {m.group(1): m.group(2).split() for m in
-                 re.finditer(r"set\(\s*(\w+)\s+([^)]*)\)", text)}
-        for var, items, body in re.findall(
-                r"foreach\(\s*(\w+)\s+([^)]*)\)(.*?)endforeach", text, re.S):
-            if not re.search(r"add_executable\(\s*\$\{" + var + r"\}", body):
-                continue
-            for item in items.split():
-                ref = re.fullmatch(r"\$\{(\w+)\}", item)
-                names.update(lists.get(ref.group(1), []) if ref else [item])
-        names.update(re.findall(r"add_executable\(\s*([A-Za-z_]\w*)", text))
+            names.update(cmake_names(f.read(), "add_executable"))
     return names
+
+
+def suite_count_drift(root: str, readme: str) -> list:
+    """README "N suites" counts that differ from tests/ add_test calls."""
+    with open(os.path.join(root, "tests", "CMakeLists.txt"),
+              encoding="utf-8") as f:
+        suites = len(cmake_names(f.read(), "add_test"))
+    return [f"README.md says {n} suites; tests/CMakeLists.txt registers "
+            f"{suites}" for n in re.findall(r"\b(\d+) suites\b", readme)
+            if int(n) != suites]
 
 
 def unbuilt_binaries(root: str) -> list:
@@ -197,12 +219,21 @@ def main() -> None:
                   unbuilt)
         ok = False
 
+    try:
+        drift = suite_count_drift(root, readme)
+    except OSError as e:
+        print(f"validate_docs: cannot read inputs: {e}", file=sys.stderr)
+        sys.exit(2)
+    if drift:
+        fail_list("README's ctest suite count", drift)
+        ok = False
+
     if not ok:
         sys.exit(1)
     print(f"validate_docs: OK: {len(flags)} CLI flags documented, "
           f"{len(missing_index) + len(indexed)} docs indexed, "
           f"no dead links in {len(markdown_files(root))} markdown files, "
-          f"every named binary built")
+          f"every named binary built, suite count matches")
 
 
 if __name__ == "__main__":

@@ -195,9 +195,10 @@ std::uint64_t CondLanes(Cond c, std::int64_t d0, std::int64_t k,
 
 void Cpu::BuildChunkPlans() {
   chunk_plans_.clear();
-  for (std::uint32_t pc = 0; pc < decoded_.size(); ++pc) {
-    const DecodedInstr& d = decoded_[pc];
-    if (!d.latch_candidate || d.ins.cond == Cond::kAl) continue;
+  for (std::uint32_t pc = 0; pc < program_.size(); ++pc) {
+    if (!latch_candidate(pc) || program_.code()[pc].cond == Cond::kAl) {
+      continue;
+    }
     // TSlot::chunk holds the index + 1 in one byte.
     if (chunk_plans_.size() == 0xFF) break;
     ChunkPlan plan;
@@ -208,7 +209,8 @@ void Cpu::BuildChunkPlans() {
 }
 
 bool Cpu::PlanChunk(std::uint32_t latch, ChunkPlan& plan) const {
-  const std::uint32_t head = static_cast<std::uint32_t>(decoded_[latch].ins.imm);
+  const std::vector<Instruction>& code = program_.code();
+  const std::uint32_t head = static_cast<std::uint32_t>(code[latch].imm);
   if (head >= latch) return false;
   constexpr int kRegs = isa::kNumScalarRegs;
 
@@ -223,7 +225,7 @@ bool Cpu::PlanChunk(std::uint32_t latch, ChunkPlan& plan) const {
   std::uint32_t step[kRegs] = {};
   int compares = 0;
   for (std::uint32_t pc = head; pc < latch; ++pc) {
-    const Instruction& ins = decoded_[pc].ins;
+    const Instruction& ins = code[pc];
     OpRegs u;
     if (!RegsOf(ins, u)) return false;
     if (ins.op == Opcode::kCmp || ins.op == Opcode::kCmpi) ++compares;
@@ -270,7 +272,7 @@ bool Cpu::PlanChunk(std::uint32_t latch, ChunkPlan& plan) const {
   };
   const std::uint32_t line_bytes = l1_mask_ + 1;
   for (std::uint32_t pc = head; pc < latch; ++pc) {
-    const Instruction& ins = decoded_[pc].ins;
+    const Instruction& ins = code[pc];
     const POp& lowered = tslots_[pc].a;
     plan.stall += lowered.extra;  // mul/mla stall; 0 for the rest
     ChunkOp o;
@@ -293,7 +295,7 @@ bool Cpu::PlanChunk(std::uint32_t latch, ChunkPlan& plan) const {
         c.bytes = AccessBytes(ins.op);
         c.run = static_cast<std::uint8_t>((lowered.flags >> kPopRunShift) &
                                           (kMemRuns - 1));
-        c.store = decoded_[pc].is_store;
+        c.store = isa::IsStore(ins.op);
         c.disp = static_cast<std::uint32_t>(ins.imm) + off[ins.rn];
         c.stride = stride(ins.rn);
         // A stream that leaves its line after one lane never chunks.

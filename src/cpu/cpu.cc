@@ -8,7 +8,6 @@ namespace dsa::cpu {
 using isa::Cond;
 using isa::Instruction;
 using isa::Opcode;
-using isa::VecType;
 
 bool CpuState::CondHolds(Cond c) const {
   switch (c) {
@@ -32,24 +31,7 @@ Cpu::Cpu(const prog::Program& program, mem::Memory& memory,
   l1_shift_ = l1_->line_shift();
   l1_mask_ = hierarchy_.l1_line_mask();
   l1_hit_ = hierarchy_.l1_hit_latency();
-  decoded_.resize(program.size());
   predict_.assign(program.size(), kUntrained);
-  for (std::size_t pc = 0; pc < program.size(); ++pc) {
-    const Instruction& ins = program.at(static_cast<std::uint32_t>(pc));
-    DecodedInstr& d = decoded_[pc];
-    d.ins = ins;
-    d.src = &ins;
-    d.is_vector = isa::IsVector(ins.op);
-    d.is_store = ins.op == Opcode::kStr || ins.op == Opcode::kStrh ||
-                 ins.op == Opcode::kStrb || ins.op == Opcode::kVst1 ||
-                 ins.op == Opcode::kVstLane;
-    d.static_taken = static_cast<std::uint32_t>(ins.imm) <= pc;
-    d.latch_candidate = ins.op == Opcode::kB && d.static_taken;
-    if (d.is_vector) {
-      d.neon_extra =
-          static_cast<std::uint16_t>(cfg_.neon.LatencyOf(ins.op) - 1);
-    }
-  }
   // The reference twin only ever steps, so the threaded stream would be
   // dead weight there.
   if (!reference_path_) BuildThreaded();
@@ -64,18 +46,14 @@ std::uint64_t Cpu::Cycles() const {
 }
 
 bool Cpu::PredictTaken(std::uint32_t pc) {
+  std::uint8_t ctr = kUntrained;
   if (reference_path_) {
     const auto it = predictor_.find(pc);
-    // Static fallback: backward taken, forward not-taken.
-    if (it == predictor_.end()) {
-      const Instruction& ins = program_.at(pc);
-      return static_cast<std::uint32_t>(ins.imm) <= pc;
-    }
-    return it->second >= 2;
+    if (it != predictor_.end()) ctr = it->second;
+  } else {
+    ctr = predict_[pc];
   }
-  const std::uint8_t ctr = predict_[pc];
-  if (ctr == kUntrained) return decoded_[pc].static_taken;
-  return ctr >= 2;
+  return ctr == kUntrained ? static_taken(pc) : ctr >= 2;
 }
 
 void Cpu::TrainPredictor(std::uint32_t pc, bool taken) {
@@ -121,14 +99,36 @@ std::uint32_t AsBits(float f) {
 
 }  // namespace
 
-template <bool kRef>
-std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
-                            const StepCtx& ctx) {
-  const DecodedInstr& dec = ctx.dtab[pc];
-  const Instruction& ins = kRef ? program_.at(pc) : dec.ins;
-  const bool is_vector = kRef ? isa::IsVector(ins.op) : dec.is_vector;
+void Cpu::FlushAccum(const StepAccum& a) {
+  stats_.retired_total += a.steps;
+  stats_.retired_vector += a.vec;
+  stats_.retired_scalar += a.steps - a.vec;
+  stats_.issue_slots += a.steps;
+  host_steps_ += a.steps;
+  stats_.mem_stall_cycles += a.mem_stall;
+  stats_.other_stall_cycles += a.other_stall;
+  stats_.mem_reads += a.mem_reads;
+  stats_.mem_writes += a.mem_writes;
+  stats_.branches += a.branches;
+  stats_.mispredicts += a.mispredicts;
+}
+
+Retired Cpu::Step() {
+  Retired r;
+  if (state_.halted) return r;
+  if (state_.pc >= program_.size()) {
+    state_.halted = true;
+    return r;
+  }
+  // The scope publishes pc and the stat deltas on every exit, including
+  // an out-of-range access, which throws before either moves.
+  BatchScope b(*this);
+  StepAccum& a = b.a;
+  const std::uint32_t pc = b.pc;
+  const Instruction& ins = program_.at(pc);
+  const bool is_vector = isa::IsVector(ins.op);
   r.pc = pc;
-  r.instr = dec.src;  // == &program_[pc], stable beyond this step
+  r.instr = &ins;  // stable beyond this step
 
   auto& regs = state_.regs;
   std::uint32_t next_pc = pc + 1;
@@ -143,29 +143,12 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       const std::uint32_t addr = regs[ins.rn] + ins.imm;
       const std::uint32_t bytes =
           ins.op == Opcode::kLdr ? 4 : (ins.op == Opcode::kLdrh ? 2 : 1);
-      if constexpr (kRef) {
-        if (ins.op == Opcode::kLdr) {
-          regs[ins.rd] = memory_.Read32(addr);
-        } else if (ins.op == Opcode::kLdrh) {
-          regs[ins.rd] = memory_.Read16(addr);
-        } else {
-          regs[ins.rd] = memory_.Read8(addr);
-        }
+      if (ins.op == Opcode::kLdr) {
+        regs[ins.rd] = memory_.Read32(addr);
+      } else if (ins.op == Opcode::kLdrh) {
+        regs[ins.rd] = memory_.Read16(addr);
       } else {
-        if (static_cast<std::size_t>(addr) + bytes > ctx.msize) {
-          memory_.FailRange(addr, bytes);
-        }
-        if (ins.op == Opcode::kLdr) {
-          std::uint32_t v;
-          std::memcpy(&v, ctx.mbase + addr, 4);
-          regs[ins.rd] = v;
-        } else if (ins.op == Opcode::kLdrh) {
-          std::uint16_t v;
-          std::memcpy(&v, ctx.mbase + addr, 2);
-          regs[ins.rd] = v;
-        } else {
-          regs[ins.rd] = ctx.mbase[addr];
-        }
+        regs[ins.rd] = memory_.Read8(addr);
       }
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, bytes);
@@ -182,27 +165,12 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       const std::uint32_t addr = regs[ins.rn] + ins.imm;
       const std::uint32_t bytes =
           ins.op == Opcode::kStr ? 4 : (ins.op == Opcode::kStrh ? 2 : 1);
-      if constexpr (kRef) {
-        if (ins.op == Opcode::kStr) {
-          memory_.Write32(addr, regs[ins.rd]);
-        } else if (ins.op == Opcode::kStrh) {
-          memory_.Write16(addr, static_cast<std::uint16_t>(regs[ins.rd]));
-        } else {
-          memory_.Write8(addr, static_cast<std::uint8_t>(regs[ins.rd]));
-        }
+      if (ins.op == Opcode::kStr) {
+        memory_.Write32(addr, regs[ins.rd]);
+      } else if (ins.op == Opcode::kStrh) {
+        memory_.Write16(addr, static_cast<std::uint16_t>(regs[ins.rd]));
       } else {
-        if (static_cast<std::size_t>(addr) + bytes > ctx.msize) {
-          memory_.FailRange(addr, bytes);
-        }
-        if (ins.op == Opcode::kStr) {
-          const std::uint32_t v = regs[ins.rd];
-          std::memcpy(ctx.mbase + addr, &v, 4);
-        } else if (ins.op == Opcode::kStrh) {
-          const std::uint16_t v = static_cast<std::uint16_t>(regs[ins.rd]);
-          std::memcpy(ctx.mbase + addr, &v, 2);
-        } else {
-          ctx.mbase[addr] = static_cast<std::uint8_t>(regs[ins.rd]);
-        }
+        memory_.Write8(addr, static_cast<std::uint8_t>(regs[ins.rd]));
       }
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, bytes);
@@ -297,31 +265,13 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       break;
     case Opcode::kB: {
       const bool taken = state_.CondHolds(ins.cond);
-      bool predicted;
-      if constexpr (kRef) {
-        predicted = PredictTaken(pc);
-      } else {
-        const std::uint8_t ctr = ctx.ptab[pc];
-        predicted = ctr == kUntrained ? dec.static_taken : ctr >= 2;
-      }
+      const bool predicted = PredictTaken(pc);
       if (taken) next_pc = static_cast<std::uint32_t>(ins.imm);
       if (predicted != taken) {
         stall += cfg_.branch_mispredict_penalty;
         ++a.mispredicts;
       }
-      if constexpr (kRef) {
-        TrainPredictor(pc, taken);
-      } else {
-        std::uint8_t& ctr = ctx.ptab[pc];
-        // Same first-training quirk as TrainPredictor: seed weak (2/1),
-        // then update -- first taken lands at 3, first not-taken at 0.
-        if (ctr == kUntrained) ctr = taken ? 2 : 1;
-        if (taken) {
-          if (ctr < 3) ++ctr;
-        } else if (ctr > 0) {
-          --ctr;
-        }
-      }
+      TrainPredictor(pc, taken);
       r.branch_taken = taken;
       ++a.branches;
       break;
@@ -345,18 +295,10 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
     // ---- vector (inline NEON instructions from static vectorization) ----
     case Opcode::kVld1: {
       const std::uint32_t addr = regs[ins.rn];
-      if constexpr (kRef) {
-        memory_.ReadBlock(addr, state_.vregs.q(ins.rd).bytes.data(), 16);
-      } else {
-        if (static_cast<std::size_t>(addr) + 16 > ctx.msize) {
-          memory_.FailRange(addr, 16);
-        }
-        std::memcpy(state_.vregs.q(ins.rd).bytes.data(), ctx.mbase + addr,
-                    16);
-      }
+      memory_.ReadBlock(addr, state_.vregs.q(ins.rd).bytes.data(), 16);
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, 16);
-      stall += kRef ? cfg_.neon.LatencyOf(ins.op) - 1 : dec.neon_extra;
+      stall += cfg_.neon.LatencyOf(ins.op) - 1;
       r.has_mem = true;
       r.mem_addr = addr;
       r.mem_bytes = 16;
@@ -365,18 +307,10 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
     }
     case Opcode::kVst1: {
       const std::uint32_t addr = regs[ins.rn];
-      if constexpr (kRef) {
-        memory_.WriteBlock(addr, state_.vregs.q(ins.rd).bytes.data(), 16);
-      } else {
-        if (static_cast<std::size_t>(addr) + 16 > ctx.msize) {
-          memory_.FailRange(addr, 16);
-        }
-        std::memcpy(ctx.mbase + addr, state_.vregs.q(ins.rd).bytes.data(),
-                    16);
-      }
+      memory_.WriteBlock(addr, state_.vregs.q(ins.rd).bytes.data(), 16);
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, 16);
-      stall += kRef ? cfg_.neon.LatencyOf(ins.op) - 1 : dec.neon_extra;
+      stall += cfg_.neon.LatencyOf(ins.op) - 1;
       r.has_mem = true;
       r.mem_addr = addr;
       r.mem_bytes = 16;
@@ -387,24 +321,13 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
     case Opcode::kVldLane: {
       const std::uint32_t addr = regs[ins.rn];
       const int bytes = isa::LaneBytes(ins.vt);
-      std::uint32_t v = 0;
-      if constexpr (kRef) {
-        if (bytes == 1) v = memory_.Read8(addr);
-        else if (bytes == 2) v = memory_.Read16(addr);
-        else v = memory_.Read32(addr);
+      std::uint32_t v;
+      if (bytes == 1) {
+        v = memory_.Read8(addr);
+      } else if (bytes == 2) {
+        v = memory_.Read16(addr);
       } else {
-        if (static_cast<std::size_t>(addr) + bytes > ctx.msize) {
-          memory_.FailRange(addr, static_cast<std::size_t>(bytes));
-        }
-        if (bytes == 1) {
-          v = ctx.mbase[addr];
-        } else if (bytes == 2) {
-          std::uint16_t h;
-          std::memcpy(&h, ctx.mbase + addr, 2);
-          v = h;
-        } else {
-          std::memcpy(&v, ctx.mbase + addr, 4);
-        }
+        v = memory_.Read32(addr);
       }
       state_.vregs.q(ins.rd).SetLane(ins.vt, ins.imm, v);
       regs[ins.rn] += ins.post_inc;
@@ -419,25 +342,12 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
       const std::uint32_t addr = regs[ins.rn];
       const int bytes = isa::LaneBytes(ins.vt);
       const std::uint32_t v = state_.vregs.q(ins.rd).Lane(ins.vt, ins.imm);
-      if constexpr (kRef) {
-        if (bytes == 1) memory_.Write8(addr, static_cast<std::uint8_t>(v));
-        else if (bytes == 2) {
-          memory_.Write16(addr, static_cast<std::uint16_t>(v));
-        } else {
-          memory_.Write32(addr, v);
-        }
+      if (bytes == 1) {
+        memory_.Write8(addr, static_cast<std::uint8_t>(v));
+      } else if (bytes == 2) {
+        memory_.Write16(addr, static_cast<std::uint16_t>(v));
       } else {
-        if (static_cast<std::size_t>(addr) + bytes > ctx.msize) {
-          memory_.FailRange(addr, static_cast<std::size_t>(bytes));
-        }
-        if (bytes == 1) {
-          ctx.mbase[addr] = static_cast<std::uint8_t>(v);
-        } else if (bytes == 2) {
-          const std::uint16_t h = static_cast<std::uint16_t>(v);
-          std::memcpy(ctx.mbase + addr, &h, 2);
-        } else {
-          std::memcpy(ctx.mbase + addr, &v, 4);
-        }
+        memory_.Write32(addr, v);
       }
       regs[ins.rn] += ins.post_inc;
       mem_stall += MemAccessLatency(addr, bytes);
@@ -473,7 +383,7 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
         state_.vregs.q(ins.rd) = neon::ExecuteLaneOp(
             ins.op, ins.vt, state_.vregs.q(ins.rn), state_.vregs.q(ins.rm),
             state_.vregs.q(ins.ra));
-        stall += kRef ? cfg_.neon.LatencyOf(ins.op) - 1 : dec.neon_extra;
+        stall += cfg_.neon.LatencyOf(ins.op) - 1;
       } else {
         throw std::logic_error("unhandled opcode");
       }
@@ -487,35 +397,8 @@ std::uint32_t Cpu::StepBody(std::uint32_t pc, Retired& r, StepAccum& a,
   a.other_stall += stall;
 
   r.next_pc = next_pc;
-  if (next_pc >= ctx.psize && !state_.halted) state_.halted = true;
-  return next_pc;
-}
-
-void Cpu::FlushAccum(const StepAccum& a) {
-  stats_.retired_total += a.steps;
-  stats_.retired_vector += a.vec;
-  stats_.retired_scalar += a.steps - a.vec;
-  stats_.issue_slots += a.steps;
-  host_steps_ += a.steps;
-  stats_.mem_stall_cycles += a.mem_stall;
-  stats_.other_stall_cycles += a.other_stall;
-  stats_.mem_reads += a.mem_reads;
-  stats_.mem_writes += a.mem_writes;
-  stats_.branches += a.branches;
-  stats_.mispredicts += a.mispredicts;
-}
-
-Retired Cpu::Step() {
-  Retired r;
-  if (state_.halted) return r;
-  if (state_.pc >= program_.size()) {
-    state_.halted = true;
-    return r;
-  }
-  const StepCtx ctx = MakeCtx();
-  BatchScope b(*this);
-  b.pc = reference_path_ ? StepBody<true>(b.pc, r, b.a, ctx)
-                         : StepBody<false>(b.pc, r, b.a, ctx);
+  if (next_pc >= program_.size() && !state_.halted) state_.halted = true;
+  b.pc = next_pc;
   return r;
 }
 

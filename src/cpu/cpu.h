@@ -5,9 +5,9 @@
 // bandwidth and stall cycles; the DSA observes the retired stream exactly as
 // in Figure 31 of the dissertation (analysis hooked at fetch/retire).
 // Two interpreter cores execute it (docs/DISPATCH.md): the threaded core
-// (dispatch.cc) runs every batched loop, the per-step core (StepBody)
-// runs Step() — single observed retires, tracker windows, traced and
-// reference runs.
+// (dispatch.cc) runs every batched loop, the per-step core (Step())
+// runs single observed retires, tracker windows, traced and reference
+// runs, on every Cpu alike.
 #pragma once
 
 #include <array>
@@ -83,11 +83,11 @@ struct CpuStats {
 class Cpu {
  public:
   // Two interpreter cores (docs/DISPATCH.md): the batched loops below run
-  // on the predecoded threaded-code engine, and Step() runs the per-step
-  // core (StepBody, one decode switch per instruction). `reference_path`
-  // makes this a reference twin: it forces the pre-optimization code
-  // paths (per-step opcode re-derivation, unordered_map branch
-  // predictor), builds no threaded stream and is driven through Step()
+  // on the threaded-code engine, which the constructor lowers from the
+  // program, and Step() is the per-step core (one switch over the
+  // program's Instruction, Memory's checked accessors). `reference_path`
+  // makes this a reference twin: it selects the unordered_map branch
+  // predictor, builds no threaded stream and is driven through Step()
   // only; the batched loops throw std::logic_error on it. Simulated
   // results are bit-identical either way (tests/test_reference_path.cc,
   // tests/test_dispatch.cc).
@@ -216,29 +216,20 @@ class Cpu {
     }
     tslots_[pc].flags = f;
   }
-  // Predecoded latch-candidate bit (kB with a backward target) — the only
-  // opcode an idle engine can react to; FillObserveClasses keys on it.
+  // Latch candidate: a kB with a backward target, the only opcode an idle
+  // engine can react to; FillObserveClasses and the lowering key on it.
   [[nodiscard]] bool latch_candidate(std::uint32_t pc) const {
-    return pc < decoded_.size() && decoded_[pc].latch_candidate;
+    return pc < program_.size() &&
+           program_.code()[pc].op == isa::Opcode::kB && static_taken(pc);
   }
 
  private:
-  // Per-PC instruction properties precomputed once at construction (the
-  // DecodedProgram side table) so Step() never re-derives per-opcode facts.
-  struct DecodedInstr {
-    // Embedded copy of the instruction word: the interpreter reads every
-    // field from the decode-table cache line instead of chasing a pointer
-    // into the program (one dependent load per step fewer).
-    isa::Instruction ins;
-    const isa::Instruction* src = nullptr;  // canonical &program_[pc], the
-                                            // stable pointer Retired carries
-    std::uint16_t neon_extra = 0;  // NeonTiming::LatencyOf(op) - 1
-    bool is_vector = false;
-    bool is_store = false;  // opcodes that set Retired::mem_is_write
-    bool static_taken = false;  // untrained-branch fallback: backward taken
-    bool latch_candidate = false;  // kB with a backward target: the only
-                                   // opcode an idle DSA engine reacts to
-  };
+  // Static branch rule for the instruction at `pc` < program_.size():
+  // a backward (or self) target is taken. It picks the latch candidates
+  // and is both predictors' answer for a branch never trained.
+  [[nodiscard]] bool static_taken(std::uint32_t pc) const {
+    return static_cast<std::uint32_t>(program_.code()[pc].imm) <= pc;
+  }
 
   // Per-batch stat deltas accumulated in registers by the hot loops and
   // flushed once at scope exit (BatchScope). Keeping these out of stats_
@@ -275,35 +266,23 @@ class Cpu {
 
   void FlushAccum(const StepAccum& a);
 
-  // Loop-invariant table pointers hoisted out of the stepping loops. The
+  // Loop-invariant table pointers hoisted out of the threaded loops. The
   // interpreter's byte-wise memory writes may alias any object under the
   // strict-aliasing rules, so without the hoist the compiler re-loads the
   // vectors' data pointers on every step — a dependent load in front of
   // the opcode dispatch.
   struct StepCtx {
-    const DecodedInstr* dtab;  // decoded_.data()
-    std::uint8_t* ptab;        // predict_.data()
-    std::uint32_t psize;       // program_.size()
-    std::uint8_t* mbase;       // memory_.data()
-    std::size_t msize;         // memory_.size()
+    const isa::Instruction* code;  // program_.code().data()
+    std::uint8_t* ptab;            // predict_.data()
+    std::uint32_t psize;           // program_.size()
+    std::uint8_t* mbase;           // memory_.data()
+    std::size_t msize;             // memory_.size()
   };
   [[nodiscard]] StepCtx MakeCtx() {
-    return {decoded_.data(), predict_.data(),
+    return {program_.code().data(), predict_.data(),
             static_cast<std::uint32_t>(program_.size()), memory_.data(),
             memory_.size()};
   }
-
-  // Executes exactly one instruction at `pc` (caller guarantees !halted
-  // and pc < ctx.psize), fills the caller's Retired record and returns the
-  // follow-on pc. Architectural side effects apply immediately; stat
-  // deltas go to `a`. kRef selects the pre-optimization code paths
-  // (per-step opcode re-derivation, map predictor); state, stats and
-  // memory effects are identical across both instantiations.
-  template <bool kRef>
-  [[gnu::always_inline]] inline std::uint32_t StepBody(std::uint32_t pc,
-                                                       Retired& r,
-                                                       StepAccum& a,
-                                                       const StepCtx& ctx);
 
   // ---- threaded-code dispatch engine (src/cpu/dispatch.cc) -------------
   //
@@ -538,7 +517,6 @@ class Cpu {
   std::uint32_t l1_shift_ = 0;
   std::uint32_t l1_mask_ = 0;
   std::uint32_t l1_hit_ = 0;
-  std::vector<DecodedInstr> decoded_;
   // Threaded-code stream: one slot per pc (empty on a reference Cpu).
   std::vector<TSlot> tslots_;
   std::uint32_t fused_pairs_ = 0;

@@ -24,8 +24,8 @@
 // DSA_C_LATCH in the five latch handlers).
 //
 // Bit-identity contract: every simulated stat and architectural effect is
-// identical to stepping the same instructions through Step() (StepBody)
-// under sim::Run's per-step loops — same check order at the loop head
+// identical to stepping the same instructions through Step() under
+// sim::Run's per-step loops — same check order at the loop head
 // (free/skip: halted, budget, out-of-range, interest; covered: halted,
 // region peek, out-of-range), same budget semantics (a pair straddling
 // budget exhaustion retires only its head), same predictor update
@@ -211,22 +211,22 @@ constexpr PairRule kBodyPairs[] = {
 }  // namespace
 
 void Cpu::BuildThreaded() {
-  const std::size_t n = decoded_.size();
+  const std::vector<Instruction>& code = program_.code();
+  const std::size_t n = code.size();
   tslots_.assign(n, TSlot{});
   fused_pairs_ = 0;
 
   std::uint32_t mem_index = 0;  // memory instructions so far, pc order
-  for (std::size_t pc = 0; pc < n; ++pc) {
-    const DecodedInstr& d = decoded_[pc];
-    const Instruction& ins = d.ins;
+  for (std::uint32_t pc = 0; pc < n; ++pc) {
+    const Instruction& ins = code[pc];
     TSlot& s = tslots_[pc];
     s.h = s.hp = PlainHandler(ins.op);
     // Latch candidates default to the observe-exit class: a Cpu whose
     // observation classes are never filled (direct RunToInteresting
     // callers, tests) batches exactly like the pre-relevance skip loop.
     // DsaEngine::FillObserveClasses rewrites the two obs bits at run time.
-    if (d.latch_candidate) s.flags |= kSlotLatch | kSlotObsExit;
-    if (d.is_store) s.flags |= kSlotStore;
+    if (latch_candidate(pc)) s.flags |= kSlotLatch | kSlotObsExit;
+    if (isa::IsStore(ins.op)) s.flags |= kSlotStore;
 
     POp& p = s.a;
     p.imm = ins.imm;
@@ -238,7 +238,7 @@ void Cpu::BuildThreaded() {
     p.cond = static_cast<std::uint8_t>(ins.cond);
     p.vt = static_cast<std::uint8_t>(ins.vt);
     p.op = static_cast<std::uint8_t>(ins.op);
-    if (d.static_taken) p.flags |= kPopStaticTaken;
+    if (static_taken(pc)) p.flags |= kPopStaticTaken;
     // Way-predicted run slot (cpu.h MemRuns): consecutive memory
     // instructions get distinct runs, so any loop body with at most
     // kMemRuns of them keeps one run per stream. A fused pair's second
@@ -263,7 +263,7 @@ void Cpu::BuildThreaded() {
         p.extra = static_cast<std::uint32_t>(isa::LaneBytes(ins.vt));
         break;
       default:
-        if (d.is_vector) p.extra = d.neon_extra;
+        if (isa::IsVector(ins.op)) p.extra = cfg_.neon.LatencyOf(ins.op) - 1;
         break;
     }
   }
@@ -276,8 +276,8 @@ void Cpu::BuildThreaded() {
   const auto fuse_pass = [&](const PairRule* rules, std::size_t count) {
     for (std::size_t pc = 0; pc + 1 < n; ++pc) {
       if (consumed[pc] || consumed[pc + 1]) continue;
-      const Opcode head = decoded_[pc].ins.op;
-      const Opcode second = decoded_[pc + 1].ins.op;
+      const Opcode head = code[pc].op;
+      const Opcode second = code[pc + 1].op;
       for (std::size_t i = 0; i < count; ++i) {
         if (rules[i].head == head && rules[i].second == second) {
           tslots_[pc].h = rules[i].id;
@@ -295,9 +295,8 @@ void Cpu::BuildThreaded() {
   for (std::size_t pc = 0; pc + 2 < n; ++pc) {
     if (consumed[pc] || consumed[pc + 1] || consumed[pc + 2]) continue;
     for (const TripleRule& rule : kLatchTriples) {
-      if (decoded_[pc].ins.op == rule.head &&
-          decoded_[pc + 1].ins.op == rule.second &&
-          decoded_[pc + 2].ins.op == rule.third) {
+      if (code[pc].op == rule.head && code[pc + 1].op == rule.second &&
+          code[pc + 2].op == rule.third) {
         tslots_[pc].h = rule.id;
         tslots_[pc].b = tslots_[pc + 1].a;
         consumed[pc] = consumed[pc + 1] = consumed[pc + 2] = 1;
@@ -314,7 +313,7 @@ void Cpu::BuildThreaded() {
 //
 // Each DSA_C_* macro is the architectural + accounting effect of one
 // opcode, reading its fields from a POp (`s->a` for plain handlers, also
-// `s->b` for the second member of a fused pair). They mirror StepBody's
+// `s->b` for the second member of a fused pair). They mirror Step()'s
 // cases line for line, against the batch-local `lr` / `cmp_diff` / `acc`.
 
 #define DSA_MEMCHECK(addr_, n_)                                           \
@@ -542,7 +541,7 @@ void Cpu::BuildThreaded() {
   }
 
 // Leave the batch with control at `np_`, halting on fall-off-the-end
-// exactly like StepBody's tail does.
+// exactly like Step()'s tail does.
 #define DSA_EXIT_AT(np_)                                                  \
   do {                                                                    \
     pc = (np_);                                                           \
@@ -552,7 +551,7 @@ void Cpu::BuildThreaded() {
 
 // Retire boundary: advance to `np_` and re-enter the dispatch head. The
 // out-of-range halt is checked before the next instruction consumes
-// budget (matching the per-step run loop, where StepBody halts on
+// budget (matching the per-step run loop, where Step() halts on
 // fall-off and the `while (!halted)` head exits before `++steps`).
 #define DSA_NEXT(np_)                                                     \
   do {                                                                    \
@@ -565,15 +564,17 @@ void Cpu::BuildThreaded() {
     goto next_dispatch;                                                   \
   } while (0)
 
-// Budget check between the members of a fused group (free mode only:
-// the skip loop never dispatches fused, covered steps are budget-exempt).
-// When the budget dies mid-group only the first `off_` members have
-// retired, so control rests on the next member's own (plain) slot —
-// identical to stepping them one at a time and stopping.
-#define DSA_FUSE_MID(off_)                                                \
+// Advance to the next member of a fused group, so `pc` always names the
+// member about to execute: a fault in a later member publishes that
+// member's pc. Then the budget check between members (free mode only:
+// the skip loop never dispatches fused, covered steps are budget-exempt):
+// when the budget dies mid-group the leading members have retired and
+// control rests on the next member's own (plain) slot. Both are
+// identical to stepping the members one at a time.
+#define DSA_FUSE_MID                                                      \
+  ++pc;                                                                   \
   if constexpr (K == TKind::kFree) {                                      \
     if (++bsteps > max_steps) {                                           \
-      pc += (off_);                                                       \
       ex = TExit::kBudget;                                                \
       goto done;                                                          \
     }                                                                     \
@@ -855,14 +856,14 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
       // kLatchExec: the engine only reacts to this latch when it is
       // *taken* (not-taken retires are provably inert — HandleLatch
       // returns before any stage counter). Execute it inline either way;
-      // on taken, materialize the exact record StepBody would produce
+      // on taken, materialize the exact record Step() would produce
       // (kB: no mem fields, branch_taken, resolved next_pc) and exit
       // without counting it as skipped — the caller hands it to Observe.
       // next_ != pc + 1 is a valid taken proxy: kSlotObsExecExit is only
       // ever set on backward branches (imm <= pc).
       if ((s->flags & kSlotObsExecExit) != 0 && next_ != pc + 1) {
         obs->pc = pc;
-        obs->instr = ctx.dtab[pc].src;
+        obs->instr = ctx.code + pc;
         obs->branch_taken = true;
         obs->next_pc = next_;
         pc = next_;
@@ -1022,127 +1023,127 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     DSA_NEXT(pc + 1);
   }
   LBad:
-    // Same exception point as StepBody's default case; the catch below
+    // Same exception point as Step()'s default case; the catch below
     // publishes exact pre-instruction state.
     throw std::logic_error("unhandled opcode");
 
     // ---- superinstructions ---------------------------------------------
   LFCmpB: {
     DSA_C_CMP(s->a);
-    DSA_FUSE_MID(1)
-    std::uint32_t next_ = pc + 2;
-    DSA_C_B(s->b, pc + 1, next_);
-    DSA_C_LATCH(pc + 1, next_)
-    DSA_CHUNK(pc + 1, next_)
+    DSA_FUSE_MID
+    std::uint32_t next_ = pc + 1;
+    DSA_C_B(s->b, pc, next_);
+    DSA_C_LATCH(pc, next_)
+    DSA_CHUNK(pc, next_)
     DSA_NEXT(next_);
   }
   LFCmpiB: {
     DSA_C_CMPI(s->a);
-    DSA_FUSE_MID(1)
-    std::uint32_t next_ = pc + 2;
-    DSA_C_B(s->b, pc + 1, next_);
-    DSA_C_LATCH(pc + 1, next_)
-    DSA_CHUNK(pc + 1, next_)
+    DSA_FUSE_MID
+    std::uint32_t next_ = pc + 1;
+    DSA_C_B(s->b, pc, next_);
+    DSA_C_LATCH(pc, next_)
+    DSA_CHUNK(pc, next_)
     DSA_NEXT(next_);
   }
   LFSubiCmpi:
     DSA_C_BIN(s->a, lr[p_.rn] - static_cast<std::uint32_t>(p_.imm));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_CMPI(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFAddiCmpi:
     DSA_C_BIN(s->a, lr[p_.rn] + static_cast<std::uint32_t>(p_.imm));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_CMPI(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFLdrLdr:
     DSA_C_LDR(s->a);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_LDR(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFLdrbLdrb:
     DSA_C_LDRB(s->a);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_LDRB(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFLdrbStrb:
     DSA_C_LDRB(s->a);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_STRB(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFLdrbAdd:
     DSA_C_LDRB(s->a);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_BIN(s->b, lr[p_.rn] + lr[p_.rm]);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFMlaStr:
     DSA_C_MLA(s->a);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_STR(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFFaddStr:
     DSA_C_BINX(s->a, AsBits(AsFloat(lr[p_.rn]) + AsFloat(lr[p_.rm])));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_STR(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFAddStr:
     DSA_C_BIN(s->a, lr[p_.rn] + lr[p_.rm]);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_STR(s->b);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFFmulFadd:
     DSA_C_BINX(s->a, AsBits(AsFloat(lr[p_.rn]) * AsFloat(lr[p_.rm])));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_BINX(s->b, AsBits(AsFloat(lr[p_.rn]) + AsFloat(lr[p_.rm])));
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFLsrAnd:
     DSA_C_BIN(s->a, lr[p_.rn] >> (lr[p_.rm] & 31));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_BIN(s->b, lr[p_.rn] & lr[p_.rm]);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFAndAdd:
     DSA_C_BIN(s->a, lr[p_.rn] & lr[p_.rm]);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_BIN(s->b, lr[p_.rn] + lr[p_.rm]);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFEorAnd:
     DSA_C_BIN(s->a, lr[p_.rn] ^ lr[p_.rm]);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_BIN(s->b, lr[p_.rn] & lr[p_.rm]);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFLslAdd:
     DSA_C_BIN(s->a, lr[p_.rn] << (lr[p_.rm] & 31));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_BIN(s->b, lr[p_.rn] + lr[p_.rm]);
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
   LFAddSubi:
     DSA_C_BIN(s->a, lr[p_.rn] + lr[p_.rm]);
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_BIN(s->b, lr[p_.rn] - static_cast<std::uint32_t>(p_.imm));
-    DSA_NEXT(pc + 2);
+    DSA_NEXT(pc + 1);
 
     // Induction latch triples: the branch member's operands live in its
-    // own slot (`tab[pc + 2].a`), so TSlot stays two POps wide.
+    // own slot (`tab[pc].a`), so TSlot stays two POps wide.
   LFSubiCmpiB: {
     DSA_C_BIN(s->a, lr[p_.rn] - static_cast<std::uint32_t>(p_.imm));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_CMPI(s->b);
-    DSA_FUSE_MID(2)
-    std::uint32_t next_ = pc + 3;
-    DSA_C_B(tab[pc + 2].a, pc + 2, next_);
-    DSA_C_LATCH(pc + 2, next_)
-    DSA_CHUNK(pc + 2, next_)
+    DSA_FUSE_MID
+    std::uint32_t next_ = pc + 1;
+    DSA_C_B(tab[pc].a, pc, next_);
+    DSA_C_LATCH(pc, next_)
+    DSA_CHUNK(pc, next_)
     DSA_NEXT(next_);
   }
   LFAddiCmpiB: {
     DSA_C_BIN(s->a, lr[p_.rn] + static_cast<std::uint32_t>(p_.imm));
-    DSA_FUSE_MID(1)
+    DSA_FUSE_MID
     DSA_C_CMPI(s->b);
-    DSA_FUSE_MID(2)
-    std::uint32_t next_ = pc + 3;
-    DSA_C_B(tab[pc + 2].a, pc + 2, next_);
-    DSA_C_LATCH(pc + 2, next_)
-    DSA_CHUNK(pc + 2, next_)
+    DSA_FUSE_MID
+    std::uint32_t next_ = pc + 1;
+    DSA_C_B(tab[pc].a, pc, next_);
+    DSA_C_LATCH(pc, next_)
+    DSA_CHUNK(pc, next_)
     DSA_NEXT(next_);
   }
 

@@ -177,6 +177,11 @@ bool IsMemAccess(Opcode op) {
          c == InstrClass::kVecMem;
 }
 
+bool IsStore(Opcode op) {
+  return ClassOf(op) == InstrClass::kMemWrite || op == Opcode::kVst1 ||
+         op == Opcode::kVstLane;
+}
+
 std::string Instruction::ToAsm() const {
   std::ostringstream os;
   os << ToString(op);

@@ -122,6 +122,8 @@ enum class InstrClass : std::uint8_t {
 [[nodiscard]] InstrClass ClassOf(Opcode op);
 [[nodiscard]] bool IsVector(Opcode op);
 [[nodiscard]] bool IsMemAccess(Opcode op);
+// Writes memory: the scalar stores, vst1 and the lane store.
+[[nodiscard]] bool IsStore(Opcode op);
 
 // Number of lanes a 128-bit register holds for a lane type.
 [[nodiscard]] constexpr int LaneCount(VecType t) {

@@ -128,7 +128,7 @@ struct SystemConfig {
   fault::FaultPlan faults;
   std::uint64_t max_steps = 400'000'000;
   // Forces the pre-optimization code paths throughout the stack (CPU
-  // predecode/predictor, cache MRU + range fast paths, engine observation
+  // branch predictor, cache MRU + range fast paths, engine observation
   // gating) and the per-step run loop with its own covered-region loop —
   // the reference twin of the threaded core. Every simulated stat is
   // bit-identical to the default fast path; tests/test_reference_path.cc

@@ -1,19 +1,22 @@
 // Threaded core vs reference twin (docs/DISPATCH.md): every batched loop
-// runs on the predecoded threaded-code engine, and SystemConfig::
-// reference_path swaps in the per-step twin (StepBody<kRef>, sim::Run's
-// per-step loops and its own covered-region loop). Every simulated stat
-// must be bit-identical across the twins; only host wall time may differ.
+// runs on the threaded-code engine, Step() is the one per-step core on
+// every Cpu, and SystemConfig::reference_path makes the reference twin
+// (map branch predictor, no threaded stream, sim::Run's per-step loops
+// and its own covered-region loop). Every simulated stat must be
+// bit-identical across the twins; only host wall time may differ.
 // This suite is the fine-grained companion to the bench oracle's
 // differential gate: streaming and generated programs, faulted runs,
 // fused-nest glue accounting, way-predicted memory runs under one-set
 // pressure and their slow-path share, loop chunks (their share of MM and
 // RGB-Gray iterations and the programs at their boundaries: carried
 // stores, int32 wrap, shared runs, straddles, max_iterations, step
-// budget), plus direct-Cpu superinstruction
-// tests (fused group semantics == stepping the members one by one,
-// including budget exhaustion at a group midpoint and branches into a
-// group's later members). The workload x mode matrix and the
-// Original-DSA config live in test_reference_path.cc.
+// budget), direct-Cpu superinstruction tests (fused group semantics ==
+// stepping the members one by one, including budget exhaustion at a
+// group midpoint and branches into a group's later members), and the
+// exception points of every memory opcode and every fused pair whose
+// second member accesses memory (RunFree, non-reference Step() and the
+// reference twin leave the same state). The workload x mode matrix and
+// the Original-DSA config live in test_reference_path.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -396,10 +399,51 @@ TEST(DispatchChunks, SharedRunAndStraddlingStreamMatchReference) {
 
 // ---- superinstruction fusion, direct Cpu ---------------------------------
 
+// Asserts that two Cpus over separate memories left the same state:
+// architectural state (vector registers included), every CpuStats
+// counter, the cycle model, both cache levels and memory contents.
+void ExpectSameState(cpu::Cpu& a, cpu::Cpu& b, const std::string& tag) {
+  const cpu::CpuState& x = a.state();
+  const cpu::CpuState& y = b.state();
+  EXPECT_EQ(x.halted, y.halted) << tag;
+  EXPECT_EQ(x.pc, y.pc) << tag;
+  EXPECT_EQ(x.cmp_diff, y.cmp_diff) << tag;
+  for (int r = 0; r < isa::kNumScalarRegs; ++r) {
+    EXPECT_EQ(x.regs[r], y.regs[r]) << tag << ": r" << r;
+  }
+  for (int q = 0; q < isa::kNumVecRegs; ++q) {
+    EXPECT_EQ(x.vregs.q(q).bytes, y.vregs.q(q).bytes) << tag << ": q" << q;
+  }
+  const cpu::CpuStats& s = a.stats();
+  const cpu::CpuStats& t = b.stats();
+  EXPECT_EQ(s.retired_total, t.retired_total) << tag;
+  EXPECT_EQ(s.retired_scalar, t.retired_scalar) << tag;
+  EXPECT_EQ(s.retired_vector, t.retired_vector) << tag;
+  EXPECT_EQ(s.mem_reads, t.mem_reads) << tag;
+  EXPECT_EQ(s.mem_writes, t.mem_writes) << tag;
+  EXPECT_EQ(s.branches, t.branches) << tag;
+  EXPECT_EQ(s.mispredicts, t.mispredicts) << tag;
+  EXPECT_EQ(s.issue_slots, t.issue_slots) << tag;
+  EXPECT_EQ(s.mem_stall_cycles, t.mem_stall_cycles) << tag;
+  EXPECT_EQ(s.other_stall_cycles, t.other_stall_cycles) << tag;
+  EXPECT_EQ(s.neon_busy_cycles, t.neon_busy_cycles) << tag;
+  EXPECT_EQ(s.dsa_overhead_cycles, t.dsa_overhead_cycles) << tag;
+  EXPECT_EQ(a.Cycles(), b.Cycles()) << tag;
+  for (const bool l1 : {true, false}) {
+    const char* level = l1 ? ": L1" : ": L2";
+    const mem::Cache& c = l1 ? a.hierarchy().l1() : a.hierarchy().l2();
+    const mem::Cache& d = l1 ? b.hierarchy().l1() : b.hierarchy().l2();
+    EXPECT_EQ(c.stats().hits, d.stats().hits) << tag << level;
+    EXPECT_EQ(c.stats().misses, d.stats().misses) << tag << level;
+  }
+  EXPECT_EQ(a.hierarchy().dram_accesses(), b.hierarchy().dram_accesses())
+      << tag;
+  EXPECT_TRUE(a.memory().raw() == b.memory().raw())
+      << tag << ": memory differs";
+}
+
 // Two CPUs over the same program with separate (identically seeded)
-// memories: the threaded core and a reference twin. Comparisons cover
-// architectural state, every CpuStats counter, the cycle model, and
-// memory contents.
+// memories: the threaded core and a reference twin.
 struct TwinRig {
   explicit TwinRig(prog::Program p, std::size_t mem = 1 << 16)
       : program(std::move(p)),
@@ -467,37 +511,7 @@ struct TwinRig {
     ExpectEqual(tag);
   }
 
-  void ExpectEqual(const std::string& tag) {
-    EXPECT_EQ(ref.state().halted, th.state().halted) << tag;
-    EXPECT_EQ(ref.state().pc, th.state().pc) << tag;
-    EXPECT_EQ(ref.state().cmp_diff, th.state().cmp_diff) << tag;
-    for (int r = 0; r < isa::kNumScalarRegs; ++r) {
-      EXPECT_EQ(ref.state().regs[r], th.state().regs[r])
-          << tag << ": r" << r;
-    }
-    const cpu::CpuStats& a = ref.stats();
-    const cpu::CpuStats& b = th.stats();
-    EXPECT_EQ(a.retired_total, b.retired_total) << tag;
-    EXPECT_EQ(a.retired_scalar, b.retired_scalar) << tag;
-    EXPECT_EQ(a.retired_vector, b.retired_vector) << tag;
-    EXPECT_EQ(a.mem_reads, b.mem_reads) << tag;
-    EXPECT_EQ(a.mem_writes, b.mem_writes) << tag;
-    EXPECT_EQ(a.branches, b.branches) << tag;
-    EXPECT_EQ(a.mispredicts, b.mispredicts) << tag;
-    EXPECT_EQ(a.issue_slots, b.issue_slots) << tag;
-    EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles) << tag;
-    EXPECT_EQ(a.other_stall_cycles, b.other_stall_cycles) << tag;
-    EXPECT_EQ(a.neon_busy_cycles, b.neon_busy_cycles) << tag;
-    EXPECT_EQ(a.dsa_overhead_cycles, b.dsa_overhead_cycles) << tag;
-    EXPECT_EQ(ref.Cycles(), th.Cycles()) << tag;
-    ASSERT_EQ(mem_ref.size(), mem_th.size());
-    for (std::uint32_t addr = 0; addr < mem_ref.size(); ++addr) {
-      if (mem_ref.Read8(addr) != mem_th.Read8(addr)) {
-        ADD_FAILURE() << tag << ": memory differs at " << addr;
-        break;
-      }
-    }
-  }
+  void ExpectEqual(const std::string& tag) { ExpectSameState(ref, th, tag); }
 
   prog::Program program;
   mem::Memory mem_ref;
@@ -778,6 +792,155 @@ TEST(DispatchFusion, BranchIntoPairMiddleExecutesPlainSecondMember) {
   // Four stores of r2 == 1 at 0x100..0x10c.
   for (std::uint32_t a = 0x100; a < 0x110; a += 4) {
     EXPECT_EQ(rig.mem_th.Read32(a), 1u) << a;
+  }
+}
+
+// ---- exception points ----------------------------------------------------
+
+// One program on three Cpus over private 64 KiB memories: the threaded
+// core (RunFree, fused), a non-reference Cpu driven through Step(), and
+// the reference twin. The program ends in an access past the end of
+// memory; every path must throw std::out_of_range at the same retire
+// and publish the same state.
+constexpr std::size_t kFaultMem = 1 << 16;
+
+struct FaultSide {
+  FaultSide(const prog::Program& p, bool reference)
+      : memory(kFaultMem),
+        hierarchy(mem::Hierarchy::Config{}),
+        cpu(p, memory, hierarchy, {}, reference) {
+    hierarchy.set_reference_path(reference);
+    for (std::uint32_t a = 0x100; a < 0x200; a += 4) {
+      memory.Write32(a, a * 2654435761u);
+    }
+    for (std::uint32_t a = kFaultMem - 64; a < kFaultMem; a += 4) {
+      memory.Write32(a, a * 40503u + 11);
+    }
+  }
+
+  // Steps under sim::Run's per-step budget rule until the fault; returns
+  // the step count, the faulting step included.
+  std::uint64_t StepToFault(const std::string& tag) {
+    std::uint64_t steps = 0;
+    try {
+      while (!cpu.halted() && ++steps <= 10000) cpu.Step();
+      ADD_FAILURE() << tag << ": no out_of_range";
+    } catch (const std::out_of_range&) {
+    }
+    return steps;
+  }
+
+  mem::Memory memory;
+  mem::Hierarchy hierarchy;
+  cpu::Cpu cpu;
+};
+
+// Prologue shared by every faulting program: a three-iteration loop with
+// loads, a store, a vld1 and a fused subi+cmpi+b latch, so registers,
+// vregs, the predictor, both caches and memory hold non-trivial state
+// when the fault hits. It ends on a movi, which heads no fused group.
+void FaultPrologue(Assembler& as) {
+  as.Movi(5, 0x100);
+  as.Movi(6, 3);
+  const Assembler::Label loop = as.NewLabel();
+  as.Bind(loop);
+  as.Ldr(7, 5, 4);
+  as.Str(7, 5, 0, 0x80);
+  as.Vld1(isa::VecType::kI32, 1, 5, /*writeback=*/false);
+  as.AluImm(Opcode::kSubi, 6, 6, 1);
+  as.Cmpi(6, 0);
+  as.B(Cond::kNe, loop);
+  as.Cmpi(7, 9);
+  as.Movi(2, 0x3f800000);  // 1.0f
+  as.Movi(3, 0x40000000);  // 2.0f
+  as.Movi(4, 5);
+}
+
+struct FaultCase {
+  const char* name;
+  std::uint32_t base;  // r1 at the faulting sequence
+  std::uint32_t fused;  // fused groups the faulting sequence forms
+  void (*emit)(Assembler& as);
+};
+
+TEST(DispatchFaults, EveryMemoryOpFaultsAtTheSamePointOnAllPaths) {
+  using isa::VecType;
+  // Plain accesses straddle the end of memory; each fused pair's head
+  // stays in range and its second member faults. Post-increments must
+  // not apply on a fault.
+  const FaultCase cases[] = {
+      {"ldr", kFaultMem - 3, 0, [](Assembler& as) { as.Ldr(8, 1, 4); }},
+      {"ldrh", kFaultMem - 1, 0, [](Assembler& as) { as.Ldrh(8, 1, 2); }},
+      {"ldrb", kFaultMem, 0, [](Assembler& as) { as.Ldrb(8, 1, 1); }},
+      {"str", kFaultMem - 2, 0, [](Assembler& as) { as.Str(4, 1, 4); }},
+      {"strh", kFaultMem - 1, 0, [](Assembler& as) { as.Strh(4, 1, 2); }},
+      {"strb", kFaultMem, 0, [](Assembler& as) { as.Strb(4, 1, 1); }},
+      {"vld1", kFaultMem - 8, 0,
+       [](Assembler& as) { as.Vld1(VecType::kI32, 2, 1); }},
+      {"vst1", kFaultMem - 15, 0,
+       [](Assembler& as) { as.Vst1(VecType::kI32, 1, 1); }},
+      {"vld lane", kFaultMem - 2, 0,
+       [](Assembler& as) { as.VldLane(VecType::kI32, 1, 2, 1); }},
+      {"vst lane", kFaultMem - 1, 0,
+       [](Assembler& as) { as.VstLane(VecType::kI16, 1, 3, 1); }},
+      {"ldr+ldr", kFaultMem - 4, 1,
+       [](Assembler& as) {
+         as.Ldr(8, 1);
+         as.Ldr(9, 1, 4, 4);
+       }},
+      {"ldrb+ldrb", kFaultMem - 1, 1,
+       [](Assembler& as) {
+         as.Ldrb(8, 1);
+         as.Ldrb(9, 1, 1, 1);
+       }},
+      {"ldrb+strb", kFaultMem - 1, 1,
+       [](Assembler& as) {
+         as.Ldrb(8, 1);
+         as.Strb(8, 1, 1, 1);
+       }},
+      {"mla+str", kFaultMem - 2, 1,
+       [](Assembler& as) {
+         as.Mla(8, 2, 4, 3);
+         as.Str(8, 1, 4);
+       }},
+      {"fadd+str", kFaultMem - 2, 1,
+       [](Assembler& as) {
+         as.Alu(Opcode::kFadd, 8, 2, 3);
+         as.Str(8, 1, 4);
+       }},
+      {"add+str", kFaultMem - 2, 1,
+       [](Assembler& as) {
+         as.Alu(Opcode::kAdd, 8, 2, 4);
+         as.Str(8, 1, 4);
+       }},
+  };
+  for (const FaultCase& c : cases) {
+    const std::string tag = c.name;
+    Assembler as;
+    FaultPrologue(as);
+    as.Movi(1, static_cast<std::int32_t>(c.base));
+    c.emit(as);
+    as.Halt();
+    const prog::Program program = as.Finish();
+
+    FaultSide threaded(program, /*reference=*/false);
+    FaultSide stepped(program, /*reference=*/false);
+    FaultSide ref(program, /*reference=*/true);
+    // The prologue's latch triple, plus the group under test.
+    EXPECT_EQ(threaded.cpu.fused_pairs(), 1u + c.fused) << tag;
+
+    std::uint64_t steps = 0;
+    EXPECT_THROW(threaded.cpu.RunFree(10000, steps), std::out_of_range)
+        << tag;
+    const std::uint64_t stepped_steps = stepped.StepToFault(tag);
+    const std::uint64_t ref_steps = ref.StepToFault(tag);
+    EXPECT_EQ(steps, ref_steps) << tag;
+    EXPECT_EQ(stepped_steps, ref_steps) << tag;
+    // The faulting instruction is the last before the halt.
+    EXPECT_EQ(ref.cpu.state().pc, program.size() - 2) << tag;
+    EXPECT_EQ(ref.cpu.state().regs[1], c.base) << tag;
+    ExpectSameState(threaded.cpu, ref.cpu, tag + " threaded vs reference");
+    ExpectSameState(stepped.cpu, ref.cpu, tag + " Step() vs reference");
   }
 }
 

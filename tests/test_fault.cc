@@ -378,23 +378,42 @@ TEST(DsaErrorBoundary, StepLimitCarriesWorkloadAndStepContext) {
 }
 
 TEST(DsaErrorBoundary, OutOfRangeAccessIsWrappedWithContext) {
-  prog::Assembler as;
-  as.Movi(0, 0x7ffffff0);  // far outside the 64 kB image
-  as.Ldr(1, 0, 4);
-  as.Halt();
-  Workload wl;
-  wl.name = "oob";
-  wl.mem_bytes = 1 << 16;
-  wl.scalar = as.Finish();
-  wl.check = [](const mem::Memory&) { return true; };
-  try {
-    (void)::dsa::sim::Run(wl, RunMode::kScalar, {});
-    FAIL() << "expected DsaError";
-  } catch (const DsaError& e) {
-    EXPECT_EQ(e.code(), DsaErrorCode::kMemOutOfRange);
-    EXPECT_EQ(e.workload(), "oob");
-    EXPECT_NE(std::string(e.what()).find("[mem-out-of-range]"),
-              std::string::npos);
+  // A plain load far outside the 64 kB image, and a fused ldr+ldr pair
+  // whose second member runs off its end: the fault's pc is the second
+  // member's on the fast path as on the reference twin.
+  prog::Assembler plain;
+  plain.Movi(0, 0x7ffffff0);
+  plain.Ldr(1, 0, 4);
+  plain.Halt();
+  prog::Assembler pair;
+  pair.Movi(0, 65532);
+  pair.Ldr(1, 0);
+  pair.Ldr(2, 0, 0, 4);
+  pair.Halt();
+  for (prog::Assembler* as : {&plain, &pair}) {
+    Workload wl;
+    wl.name = "oob";
+    wl.mem_bytes = 1 << 16;
+    wl.scalar = as->Finish();
+    wl.check = [](const mem::Memory&) { return true; };
+    std::string what[2];
+    for (const bool reference : {false, true}) {
+      SystemConfig cfg;
+      cfg.reference_path = reference;
+      try {
+        (void)::dsa::sim::Run(wl, RunMode::kScalar, cfg);
+        ADD_FAILURE() << "expected DsaError";
+      } catch (const DsaError& e) {
+        EXPECT_EQ(e.code(), DsaErrorCode::kMemOutOfRange);
+        EXPECT_EQ(e.workload(), "oob");
+        EXPECT_EQ(e.loop_pc(), wl.scalar.size() - 2);
+        EXPECT_EQ(e.step(), wl.scalar.size() - 1);
+        EXPECT_NE(std::string(e.what()).find("[mem-out-of-range]"),
+                  std::string::npos);
+        what[reference] = e.what();
+      }
+    }
+    EXPECT_EQ(what[0], what[1]);
   }
 }
 

@@ -68,6 +68,17 @@ TEST_P(AllOpcodes, MemAccessFlagConsistentWithClass) {
   EXPECT_EQ(IsMemAccess(op), mem_class) << ToString(op);
 }
 
+TEST_P(AllOpcodes, StoreFlagIsTheFiveStoreOpcodes) {
+  const Opcode op = GetParam();
+  const bool store = op == Opcode::kStr || op == Opcode::kStrh ||
+                     op == Opcode::kStrb || op == Opcode::kVst1 ||
+                     op == Opcode::kVstLane;
+  EXPECT_EQ(IsStore(op), store) << ToString(op);
+  if (store) {
+    EXPECT_TRUE(IsMemAccess(op)) << ToString(op);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AllOpcodes,
     ::testing::Values(
