@@ -430,10 +430,11 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
     }
     const int fds_before = CountFds(daemon_pid);
 
-    // Hostile traffic concurrent with a real sweep.
+    // Hostile traffic concurrent with a real sweep: nine rounds, so the
+    // client fires every one of its attacks once.
     const pid_t chaos_pid =
         Spawn(chaos, {"--socket", socket_path, "--seed",
-                      std::to_string(a.seed * 1000 + round), "--rounds", "6",
+                      std::to_string(a.seed * 1000 + round), "--rounds", "9",
                       "--slow-ms", "20"});
     dsa::serve::ClientOptions so;
     so.socket_path = socket_path;

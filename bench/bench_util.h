@@ -137,7 +137,13 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       o.runner.jobs = static_cast<int>(ParseCountArg(arg, value()));
       jobs_given = true;
     } else if (arg == "--repeats") {
-      o.runner.repeats = static_cast<int>(ParseCountArg(arg, value()));
+      const long n = ParseCountArg(arg, value());
+      if (n < 1 || n > sim::kMaxRepeats) {
+        std::fprintf(stderr, "--repeats must be in [1, %d], got %ld\n",
+                     sim::kMaxRepeats, n);
+        std::exit(2);
+      }
+      o.runner.repeats = static_cast<int>(n);
     } else if (arg == "--json") {
       o.json_path = value();
     } else if (arg == "--filter") {

@@ -1,11 +1,14 @@
 // dsa_chaos_client — seeded hostile-protocol client for the dsa_serve
-// daemon (docs/SERVING.md). Each round draws one attack from a seeded
-// stream — random garbage bytes, a truncated frame, a bad magic, an
-// oversize length header, a mid-frame disconnect, a slow-loris header
-// drip, a CRC-valid frame whose payload is not JSON, a frame with the
-// wrong record type — fires it at the socket, and then proves the daemon
-// is still answering well-behaved requests with a deadline-bounded ping.
-// The same --seed replays the same attack sequence byte-for-byte.
+// daemon (docs/SERVING.md). It knows nine attacks: random garbage bytes,
+// a truncated frame, a bad magic, an oversize length header, a mid-frame
+// disconnect, a slow-loris header drip, a CRC-valid frame whose payload
+// is not JSON, a frame with the wrong record type, and a CRC-valid
+// request nested far past the JSON parser's depth bound. Each round
+// fires one attack at the socket, then proves the daemon is still
+// answering well-behaved requests with a deadline-bounded ping. Attacks
+// are dealt from a seeded shuffle, so each block of nine rounds (1-9,
+// 10-18, ...) fires every attack once. The same --seed replays the same
+// attack sequence byte-for-byte.
 //
 // Exit codes: 0 — the daemon survived every round responsive;
 //             1 — a post-attack ping failed (daemon hung, died or
@@ -15,18 +18,22 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "mem/splitmix.h"
 #include "resilience/journal.h"
+#include "resilience/mini_json.h"
 #include "serve/client.h"
 #include "serve/flags.h"
 #include "serve/proto.h"
@@ -127,9 +134,9 @@ constexpr std::string_view kPing =
 const char* const kAttackNames[] = {
     "random-bytes",   "truncated-frame", "bad-magic",
     "oversize-header", "mid-frame-disconnect", "slow-loris",
-    "non-json-payload", "wrong-type",
+    "non-json-payload", "wrong-type",      "deep-nesting",
 };
-constexpr int kNumAttacks = 8;
+constexpr int kNumAttacks = 9;
 
 void Attack(int which, SplitMix64& rng, const ChaosArgs& a) {
   const int fd = ConnectTo(a.socket_path);
@@ -182,10 +189,21 @@ void Attack(int which, SplitMix64& rng, const ChaosArgs& a) {
       BlindWrite(fd, frame.data(), frame.size());
       break;
     }
-    case 7:
-    default: {  // wrong record type in a CRC-valid frame
+    case 7: {  // wrong record type in a CRC-valid frame
       const std::string frame =
           EncodeFrame(kMagic, 'Z', "{\"schema\":\"dsa-serve/1\"}");
+      BlindWrite(fd, frame.data(), frame.size());
+      break;
+    }
+    case 8:
+    default: {  // deep-nesting: a CRC-valid request of 20k-100k '[' + ']'
+      // A parser that recursed once per level without a bound would
+      // overflow the reader thread's stack at these depths.
+      const std::size_t depth = 20'000 + rng.Next() % 80'001;
+      static_assert(20'000 > dsa::resilience::kMaxJsonDepth);
+      const std::string json =
+          std::string(depth, '[') + std::string(depth, ']');
+      const std::string frame = EncodeFrame(kMagic, kFrameRequest, json);
       BlindWrite(fd, frame.data(), frame.size());
       break;
     }
@@ -215,8 +233,16 @@ int main(int argc, char** argv) {
   }
   // One seed reproduces one attack byte sequence exactly.
   SplitMix64 rng = SplitMix64::Keyed(a.seed, 1);
+  std::array<int, kNumAttacks> deck{};
   for (std::uint64_t round = 0; round < a.rounds; ++round) {
-    const int which = static_cast<int>(rng.Next() % kNumAttacks);
+    const auto slot = static_cast<std::size_t>(round % kNumAttacks);
+    if (slot == 0) {  // a fresh Fisher-Yates shuffle of every attack
+      std::iota(deck.begin(), deck.end(), 0);
+      for (std::size_t i = deck.size() - 1; i > 0; --i) {
+        std::swap(deck[i], deck[rng.Next() % (i + 1)]);
+      }
+    }
+    const int which = deck[slot];
     if (a.verbose) {
       std::printf("[dsa_chaos_client] round %" PRIu64 "/%" PRIu64 ": %s\n",
                   round + 1, a.rounds, kAttackNames[which]);

@@ -1,11 +1,12 @@
 // dsa_serve — the crash-tolerant simulation daemon (docs/SERVING.md).
 // Binds a Unix-domain socket, answers sweep requests from the persistent
-// result cache, simulates misses on a respawning worker pool with fork
+// result cache, simulates misses on a fixed worker pool with fork
 // isolation and a per-workload circuit breaker, and drains gracefully on
 // SIGINT/SIGTERM (exit 3). All flag values are parsed strictly: a typo
 // is a usage error (exit 2), never a silent default.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "serve/daemon.h"
@@ -71,7 +72,9 @@ int main(int argc, char** argv) {
     }
     return v;
   };
-  const auto count_value = [&](int& i, const std::string& flag) {
+  // A positive count, at most `max`.
+  const auto count_value = [&](int& i, const std::string& flag,
+                               long max = std::numeric_limits<int>::max()) {
     long v = 0;
     std::string err;
     if (!dsa::serve::ParseCountText(value(i, flag), v, &err)) {
@@ -81,6 +84,11 @@ int main(int argc, char** argv) {
     if (v < 1) {
       std::fprintf(stderr, "%s expects a positive count, got %ld\n",
                    flag.c_str(), v);
+      std::exit(2);
+    }
+    if (v > max) {
+      std::fprintf(stderr, "%s must be at most %ld, got %ld\n", flag.c_str(),
+                   max, v);
       std::exit(2);
     }
     return static_cast<int>(v);
@@ -111,7 +119,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--probe-after") {
       opts.breaker_probe_after = count_value(i, arg);
     } else if (arg == "--repeats") {
-      opts.repeats = count_value(i, arg);
+      opts.repeats = count_value(i, arg, dsa::sim::kMaxRepeats);
     } else if (arg == "--io-faults") {
       opts.io_fault_plan = value(i, arg);
     } else if (arg == "--read-deadline-ms") {

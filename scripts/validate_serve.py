@@ -11,7 +11,7 @@ contract in docs/SERVING.md:
     output digest,
   * the cells_ok / cells_failed / cells_cached tallies reconcile with
     the cells array,
-  * the cache, pool and breaker telemetry blocks are present with sane
+  * the cache and breaker telemetry blocks are present with sane
     values (breaker states in closed/open/half-open), including the
     cache store_failures / fsync_failures degradation counters,
   * when a "health" block is present (a `dsa_submit --health` probe) it
@@ -128,8 +128,6 @@ def check_telemetry(resp: dict) -> None:
     counters(resp.get("cache"), "cache",
              ("hits", "misses", "stores", "quarantined", "store_failures",
               "fsync_failures"))
-    counters(resp.get("pool"), "pool",
-             ("executed", "escaped", "respawns", "discarded", "live_workers"))
     breaker = resp.get("breaker")
     if not isinstance(breaker, list):
         err("breaker: missing census array")

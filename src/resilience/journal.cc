@@ -355,6 +355,7 @@ bool ParseOutcome(const JsonValue& j, sim::JobOutcome& out) {
   const JsonValue* nruns = j.Find("runs");
   if (nruns == nullptr) return false;
   const std::uint64_t n = nruns->AsU64();
+  if (n > static_cast<std::uint64_t>(sim::kMaxRepeats)) return false;
   if (n > 0) {
     const JsonValue* result = j.Find("result");
     if (result == nullptr) return false;

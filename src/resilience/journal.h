@@ -59,7 +59,8 @@ void PutFrameHeader(std::string& out, std::string_view magic,
 // One cell as a JSON object. ParseOutcome rebuilds an equivalent
 // JobOutcome from the parsed object in place: the canonical run is
 // replicated `runs` times so the determinism oracle sees the recorded
-// sample count. False on any missing or ill-typed field.
+// sample count. False on any missing or ill-typed field, and on a run
+// count above sim::kMaxRepeats.
 [[nodiscard]] std::string SerializeOutcome(const sim::JobOutcome& out);
 [[nodiscard]] bool ParseOutcome(const JsonValue& cell, sim::JobOutcome& out);
 

@@ -60,8 +60,20 @@ class Parser {
     SkipWs();
     if (pos_ >= text_.size()) return false;
     switch (text_[pos_]) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
+      case '{':
+      case '[': {
+        // The one recursion: bounded, so no input can exhaust the stack.
+        if (depth_ == kMaxJsonDepth) {
+          Fail(("at most " + std::to_string(kMaxJsonDepth) +
+                " levels of nesting").c_str());
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.type = JsonValue::Type::kString;
         return ParseString(out.raw);
@@ -218,6 +230,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // objects and arrays open around pos_
   std::string error_;
 };
 

@@ -47,8 +47,15 @@ class JsonValue {
   }
 };
 
+// The deepest nesting of objects and arrays ParseJson accepts. The
+// deepest document this repository writes nests 6 levels (a DSA cell's
+// cache entry); the bound keeps the recursive descent's stack use small
+// whatever a request frame or a cache file holds.
+inline constexpr int kMaxJsonDepth = 64;
+
 // Parses `text` into `out`. Returns false (and fills `error` with
-// position + reason when non-null) on malformed input or trailing junk.
+// position + reason when non-null) on malformed input, trailing junk, or
+// nesting deeper than kMaxJsonDepth.
 [[nodiscard]] bool ParseJson(std::string_view text, JsonValue& out,
                              std::string* error = nullptr);
 

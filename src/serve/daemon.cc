@@ -171,7 +171,8 @@ int AdmissionControl::depth() const {
 Daemon::Daemon(DaemonOptions opts)
     : opts_(std::move(opts)),
       breaker_(opts_.breaker_threshold, opts_.breaker_probe_after),
-      admission_(opts_.queue_limit, opts_.client_quota) {}
+      admission_(opts_.queue_limit, opts_.client_quota),
+      pool_(opts_.workers) {}
 
 Daemon::~Daemon() {
 #if DSA_HAVE_SERVE
@@ -265,8 +266,6 @@ bool Daemon::Init(std::string* error) {
   // write() returning EPIPE is handled instead.
   std::signal(SIGPIPE, SIG_IGN);
   resilience::InstallDrainHandler();
-  pool_ = std::make_unique<WorkerPool>(
-      PoolOptions{.workers = opts_.workers});
   return true;
 #else
   (void)error;
@@ -300,7 +299,6 @@ int Daemon::Serve() {
     readers_cv_.wait(lock, [this] { return readers_ == 0; });
   }
   if (dispatcher_.joinable()) dispatcher_.join();
-  pool_->Shutdown();
   ::close(listen_fd_);
   listen_fd_ = -1;
   (void)::unlink(opts_.socket_path.c_str());
@@ -486,7 +484,7 @@ void Daemon::ProcessRequest(Request& req) {
   }
   if (req.kind == "ping" || req.kind == "health") {
     const std::string body =
-        BuildResponse("ok", "", {}, {}, /*health=*/req.kind == "health");
+        BuildResponse("ok", "", {}, /*health=*/req.kind == "health");
     (void)SendFrame(req.fd, kFrameResponse, body);
     ::close(req.fd);
     return;
@@ -509,48 +507,20 @@ void Daemon::ProcessRequest(Request& req) {
   }
 
   std::vector<sim::JobOutcome> cells(picks.size());
-  std::vector<bool> cached(picks.size(), false);
   std::mutex done_mu;
   std::condition_variable done_cv;
   std::size_t remaining = picks.size();
   for (std::size_t i = 0; i < picks.size(); ++i) {
-    bool queued = pool_->Submit([this, &picks, &cells, &cached, &done_mu,
-                                 &done_cv, &remaining, deadline, i] {
-      bool was_cached = false;
-      RunCell(*picks[i], deadline, cells[i], was_cached);
+    pool_.Submit([this, &picks, &cells, &done_mu, &done_cv, &remaining,
+                  deadline, i] {
+      RunCell(*picks[i], deadline, cells[i]);
       std::lock_guard<std::mutex> lock(done_mu);
-      cached[i] = was_cached;
       if (--remaining == 0) done_cv.notify_all();
     });
-    if (!queued) {
-      // Pool refused (shutdown or every worker retired): classify the
-      // cell instead of losing it.
-      Refuse(*picks[i], "skipped", "overload: worker pool unavailable",
-             cells[i]);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--remaining == 0) done_cv.notify_all();
-    }
   }
   {
     std::unique_lock<std::mutex> lock(done_mu);
-    while (remaining != 0) {
-      if (done_cv.wait_for(lock, std::chrono::milliseconds(500),
-                           [&remaining] { return remaining == 0; })) {
-        break;
-      }
-      // Backstop against a hang: if every pool worker has been retired,
-      // queued tasks were discarded and will never report back — claim
-      // the cells that never started (their key is still empty; every
-      // RunCell path fills it first) as refused.
-      if (pool_->stats().live_workers == 0) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          if (!cells[i].key.empty()) continue;
-          Refuse(*picks[i], "skipped", "overload: worker pool retired",
-                 cells[i]);
-          --remaining;
-        }
-      }
-    }
+    done_cv.wait(lock, [&remaining] { return remaining == 0; });
   }
 
   const auto cells_done = std::chrono::steady_clock::now();
@@ -560,7 +530,7 @@ void Daemon::ProcessRequest(Request& req) {
   } else if (cells_done >= deadline) {
     status = "deadline";
   }
-  const std::string body = BuildResponse(status, "", cells, cached);
+  const std::string body = BuildResponse(status, "", cells);
   (void)SendFrame(req.fd, kFrameResponse, body);
   ::close(req.fd);
   queue_stage_.Add(now - req.received);
@@ -571,7 +541,7 @@ void Daemon::ProcessRequest(Request& req) {
 
 void Daemon::RunCell(const JobTable::Entry& entry,
                      std::chrono::steady_clock::time_point deadline,
-                     sim::JobOutcome& out, bool& cached) {
+                     sim::JobOutcome& out) {
   const sim::BatchJob& job = entry.job;
   const std::string& key = entry.cache_key.job_key;
 
@@ -579,7 +549,6 @@ void Daemon::RunCell(const JobTable::Entry& entry,
   // restarts and is served bit-identically without re-simulation.
   if (cache_.open() && cache_.Load(entry.cache_key, out)) {
     out.restored = true;
-    cached = true;
     return;
   }
 
@@ -647,7 +616,7 @@ void Daemon::RunCell(const JobTable::Entry& entry,
 void Daemon::RespondError(int fd, const std::string& status,
                           const std::string& error) {
 #if DSA_HAVE_SERVE
-  (void)SendFrame(fd, kFrameResponse, BuildResponse(status, error, {}, {}));
+  (void)SendFrame(fd, kFrameResponse, BuildResponse(status, error, {}));
   ::close(fd);
 #endif
 }
@@ -655,7 +624,6 @@ void Daemon::RespondError(int fd, const std::string& status,
 std::string Daemon::BuildResponse(const std::string& status,
                                   const std::string& error,
                                   const std::vector<sim::JobOutcome>& cells,
-                                  const std::vector<bool>& cached,
                                   bool health) {
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;
@@ -667,22 +635,20 @@ std::string Daemon::BuildResponse(const std::string& status,
   w.Key("error").Str(error);
   w.Key("engine").Str(kEngineVersion);
   w.Key("cells").Array();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const sim::JobOutcome& c = cells[i];
-    const bool hit = i < cached.size() && cached[i];
+  for (const sim::JobOutcome& c : cells) {
     if (c.cell_status == "ok") {
       ++ok;
     } else {
       ++failed;
     }
-    if (hit) ++from_cache;
+    if (c.restored) ++from_cache;
     w.Object();
     w.Key("job").Str(c.key);
     w.Key("workload").Str(c.workload_key);
     w.Key("mode").Str(ToString(c.mode));
     w.Key("config_tag").Str(c.config_tag);
     w.Key("cell_status").Str(c.cell_status);
-    w.Key("cached").Bool(hit);
+    w.Key("cached").Bool(c.restored);
     w.Key("attempts").U64(c.attempts);
     w.Key("error").Str(c.error);
     if (c.cell_status == "ok" && !c.runs.empty()) {
@@ -709,17 +675,6 @@ std::string Daemon::BuildResponse(const std::string& status,
   w.Key("store_failures").U64(cs.store_failures);
   w.Key("fsync_failures").U64(cs.fsync_failures);
   w.End();
-
-  if (pool_ != nullptr) {
-    const PoolStats ps = pool_->stats();
-    w.Key("pool").Object();
-    w.Key("executed").U64(ps.executed);
-    w.Key("escaped").U64(ps.escaped);
-    w.Key("respawns").U64(ps.respawns);
-    w.Key("discarded").U64(ps.discarded);
-    w.Key("live_workers").U64(ps.live_workers);
-    w.End();
-  }
 
   w.Key("breaker").Array();
   for (const sim::BreakerCensusEntry& e : breaker_.Census()) {

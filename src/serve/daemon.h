@@ -1,21 +1,21 @@
 // The crash-tolerant simulation daemon (dsa_serve, docs/SERVING.md): a
 // long-lived process on a Unix-domain socket that answers sweep requests
 // from the persistent result cache when it can and simulates the misses
-// on a respawning worker pool, with every failure classified through the
-// DsaError taxonomy into a per-cell status — exactly the statuses a CLI
-// sweep reports, because both paths execute through sim::ExecuteCell.
+// on the worker pool the BatchRunner also runs on (sim/pool.h), with
+// every failure classified through the DsaError taxonomy into a per-cell
+// status — exactly the statuses a CLI sweep reports, because both paths
+// execute through sim::ExecuteCell.
 //
 // Crash tolerance story, layer by layer:
 //   - a cell that SIGSEGVs/OOMs/overruns its deadline is contained by
 //     the fork isolate (--isolate) and poisons only its own cell;
-//   - a task whose exception escapes in-process kills one pool worker,
-//     which is respawned with bounded exponential backoff (pool.h);
 //   - a workload that fails repeatedly trips its circuit breaker and is
 //     failed fast instead of re-simulated (resilience/breaker.h);
 //   - the daemon itself dying (kill -9) loses at most the in-flight
 //     cells: completed cells were promoted to the persistent cache with
 //     fsync + atomic rename, so a restarted daemon serves them
-//     bit-identically (cache.h);
+//     bit-identically (cache.h). An exception that escapes a cell task
+//     ends the process through std::terminate and takes this path;
 //   - SIGINT/SIGTERM drain gracefully: in-flight cells finish, queued
 //     work is rejected with the typed "overload" status, exit code 3.
 #pragma once
@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,7 +34,7 @@
 
 #include "resilience/breaker.h"
 #include "serve/cache.h"
-#include "serve/pool.h"
+#include "sim/pool.h"
 #include "sim/runner.h"
 
 namespace dsa::serve {
@@ -175,15 +174,15 @@ class Daemon {
   void ProcessRequest(Request& req);
   void RespondError(int fd, const std::string& status,
                     const std::string& error);
+  // A cell is reported `cached` when it was restored from the cache.
   [[nodiscard]] std::string BuildResponse(
       const std::string& status, const std::string& error,
-      const std::vector<sim::JobOutcome>& cells,
-      const std::vector<bool>& cached, bool health = false);
+      const std::vector<sim::JobOutcome>& cells, bool health = false);
   // One cell, end to end: cache probe -> breaker -> ExecuteCell under
   // the isolate -> breaker record -> cache store -> kill_after drill.
   void RunCell(const JobTable::Entry& entry,
                std::chrono::steady_clock::time_point deadline,
-               sim::JobOutcome& out, bool& cached);
+               sim::JobOutcome& out);
 
   // Latency of one sweep stage in fixed log2-microsecond buckets: bucket
   // b counts the samples in [2^(b-1), 2^b) us (bucket 0: under 1 us; the
@@ -201,7 +200,6 @@ class Daemon {
   ResultCache cache_;
   resilience::CircuitBreaker breaker_;
   AdmissionControl admission_;
-  std::unique_ptr<WorkerPool> pool_;
   int listen_fd_ = -1;
 
   std::mutex mu_;
@@ -234,6 +232,10 @@ class Daemon {
   std::atomic<std::uint64_t> corrupt_frames_{0};
   std::atomic<std::uint64_t> read_timeouts_{0};
   std::atomic<std::uint64_t> refused_connections_{0};
+
+  // Runs the cells of a sweep. Last: destruction drains and joins it
+  // while every member its tasks touch is still alive.
+  sim::WorkerPool pool_;
 };
 
 }  // namespace dsa::serve

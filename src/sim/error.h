@@ -28,10 +28,6 @@ enum class DsaErrorCode : std::uint8_t {
   kDeadline,     // cell exceeded its wall-clock deadline and was killed
   kOutOfMemory,  // child hit its memory cap (rlimit -> bad_alloc) or OOM
   kBreakerOpen,  // per-workload circuit breaker refused the cell
-  // Admission control of the serving daemon (src/serve, docs/SERVING.md)
-  // refused the work: request queue full, client over quota, or a
-  // graceful drain in progress. Never raised for CLI sweeps.
-  kOverload,
   // Host-I/O failure (src/resilience/iofault.h): a write/fsync/rename/
   // open the durability story depends on failed — disk full, flaky
   // medium, fd exhaustion. The cell result itself is unaffected (the
@@ -52,7 +48,6 @@ enum class DsaErrorCode : std::uint8_t {
     case DsaErrorCode::kDeadline: return "deadline";
     case DsaErrorCode::kOutOfMemory: return "oom";
     case DsaErrorCode::kBreakerOpen: return "breaker-open";
-    case DsaErrorCode::kOverload: return "overload";
     case DsaErrorCode::kIoFault: return "io-fault";
   }
   return "?";
@@ -66,7 +61,6 @@ enum class DsaErrorCode : std::uint8_t {
     case DsaErrorCode::kDeadline: return "timeout";
     case DsaErrorCode::kOutOfMemory: return "oom";
     case DsaErrorCode::kBreakerOpen: return "skipped";
-    case DsaErrorCode::kOverload: return "skipped";  // refused, not executed
     case DsaErrorCode::kIoFault: return "faulted";   // host I/O, not the cell
     default: return "faulted";
   }

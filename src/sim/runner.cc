@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "mem/json.h"
@@ -21,6 +22,21 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+// Fills in the defaults: hardware_concurrency workers, at least one
+// repeat, sim::Run as the run function.
+RunnerOptions Normalized(RunnerOptions opts) {
+  if (opts.jobs <= 0) {
+    opts.jobs = static_cast<int>(std::thread::hardware_concurrency());
+    if (opts.jobs <= 0) opts.jobs = 1;
+  }
+  if (opts.repeats < 1) opts.repeats = 1;
+  if (!opts.run_fn) {
+    opts.run_fn = [](const Workload& wl, RunMode mode,
+                     const SystemConfig& cfg) { return Run(wl, mode, cfg); };
+  }
+  return opts;
+}
+
 }  // namespace
 
 std::string WorkloadKey(const BatchJob& job) {
@@ -36,30 +52,9 @@ std::string JobKey(const BatchJob& job) {
 }
 
 BatchRunner::BatchRunner(RunnerOptions opts)
-    : opts_(std::move(opts)), start_(std::chrono::steady_clock::now()) {
-  if (opts_.jobs <= 0) {
-    opts_.jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (opts_.jobs <= 0) opts_.jobs = 1;
-  }
-  if (opts_.repeats < 1) opts_.repeats = 1;
-  if (!opts_.run_fn) {
-    opts_.run_fn = [](const Workload& wl, RunMode mode,
-                      const SystemConfig& cfg) { return Run(wl, mode, cfg); };
-  }
-  workers_.reserve(static_cast<std::size_t>(opts_.jobs));
-  for (int i = 0; i < opts_.jobs; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-BatchRunner::~BatchRunner() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
+    : opts_(Normalized(std::move(opts))),
+      start_(std::chrono::steady_clock::now()),
+      pool_(opts_.jobs) {}
 
 std::string BatchRunner::Submit(BatchJob job) {
   std::string key = JobKey(job);
@@ -89,6 +84,7 @@ std::string BatchRunner::Submit(BatchJob job) {
     pending->done = true;
   }
   pending->job = std::move(job);
+  Pending* queued = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // A concurrent Submit of the same key may have won the race.
@@ -96,12 +92,12 @@ std::string BatchRunner::Submit(BatchJob job) {
     if (pending->done) {
       ++restored_cells_;
     } else {
-      queue_.push_back(pending.get());
+      queued = pending.get();
       ++in_flight_;
     }
     jobs_.emplace(key, std::move(pending));
   }
-  queue_cv_.notify_one();
+  if (queued != nullptr) pool_.Submit([this, queued] { RunPending(*queued); });
   return key;
 }
 
@@ -117,43 +113,31 @@ std::array<std::string, 4> BatchRunner::SubmitMatrix(
   return keys;
 }
 
-void BatchRunner::WorkerLoop() {
-  for (;;) {
-    Pending* p = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      p = queue_.front();
-      queue_.pop_front();
-    }
-    const bool drained = opts_.drain != nullptr &&
-                         opts_.drain->load(std::memory_order_relaxed);
-    if (drained) {
-      // Graceful drain: never start new work, but let in-flight cells
-      // finish so the cell store and the partial report stay consistent.
-      JobOutcome& out = p->outcome;
-      out.key = p->key;
-      out.workload_key = WorkloadKey(p->job);
-      out.mode = p->job.mode;
-      out.config_tag = p->job.config_tag;
-      out.cell_status = "cancelled";
-      out.error = "drained: batch interrupted before this cell executed";
-    } else {
-      Execute(*p);
-      if (opts_.on_outcome) opts_.on_outcome(p->outcome);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (drained) interrupted_ = true;
-      p->done = true;
-      --in_flight_;
-    }
-    done_cv_.notify_all();
+void BatchRunner::RunPending(Pending& p) {
+  const bool drained = opts_.drain != nullptr &&
+                       opts_.drain->load(std::memory_order_relaxed);
+  if (drained) {
+    // Graceful drain: never start new work, but let in-flight cells
+    // finish so the cell store and the partial report stay consistent.
+    JobOutcome& out = p.outcome;
+    out.key = p.key;
+    out.workload_key = WorkloadKey(p.job);
+    out.mode = p.job.mode;
+    out.config_tag = p.job.config_tag;
+    out.cell_status = "cancelled";
+    out.error = "drained: batch interrupted before this cell executed";
+  } else {
+    ExecuteCell(p.job, opts_, p.outcome);
+    p.outcome.key = p.key;  // the memo key (== JobKey(p.job) by Submit)
+    if (opts_.on_outcome) opts_.on_outcome(p.outcome);
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (drained) interrupted_ = true;
+    p.done = true;
+    --in_flight_;
+  }
+  done_cv_.notify_all();
 }
 
 void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
@@ -204,11 +188,6 @@ void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
     if (rep == 0) out.wall_ms = ElapsedMs(t0);
   }
   out.cell_status = "ok";
-}
-
-void BatchRunner::Execute(Pending& p) {
-  ExecuteCell(p.job, opts_, p.outcome);
-  p.outcome.key = p.key;  // the memo key (== JobKey(p.job) by Submit)
 }
 
 const JobOutcome& BatchRunner::Get(const std::string& key) {

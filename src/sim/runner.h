@@ -1,10 +1,11 @@
 // Parallel experiment runner: executes a batch of {workload, RunMode,
-// SystemConfig} jobs on a thread pool (each sim::Run() is a pure function
-// of its inputs, so jobs are embarrassingly parallel), memoizes results so
-// a scalar baseline — or any cell shared between tables — is executed once
-// per batch, and cross-checks every job with the differential-consistency
-// oracle (sim/oracle.h). Emits the machine-readable BENCH_*.json next to
-// the human-readable tables the bench drivers print.
+// SystemConfig} jobs on the worker pool (sim/pool.h; each sim::Run() is a
+// pure function of its inputs, so jobs are embarrassingly parallel),
+// memoizes results so a scalar baseline — or any cell shared between
+// tables — is executed once per batch, and cross-checks every job with
+// the differential-consistency oracle (sim/oracle.h). Emits the
+// machine-readable BENCH_*.json next to the human-readable tables the
+// bench drivers print.
 #pragma once
 
 #include <array>
@@ -12,16 +13,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/oracle.h"
+#include "sim/pool.h"
 #include "sim/system.h"
 
 namespace dsa::sim {
@@ -71,6 +71,12 @@ struct JobOutcome {
 
   [[nodiscard]] const RunResult& result() const { return runs.at(0); }
 };
+
+// The most executions one cell may record. The `--repeats` flags refuse
+// more, and the record parser (resilience::ParseOutcome) reads a larger
+// run count as corruption, so a forged count cannot make a reader
+// allocate without bound.
+inline constexpr int kMaxRepeats = 1000;
 
 struct RunnerOptions {
   int jobs = 0;      // worker threads; <= 0 uses hardware_concurrency
@@ -136,7 +142,6 @@ void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
 class BatchRunner {
  public:
   explicit BatchRunner(RunnerOptions opts = {});
-  ~BatchRunner();
 
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;
@@ -184,25 +189,24 @@ class BatchRunner {
     JobOutcome outcome;
   };
 
-  void WorkerLoop();
-  void Execute(Pending& p);
+  // One queued cell, run on a pool thread.
+  void RunPending(Pending& p);
 
   RunnerOptions opts_;
   std::chrono::steady_clock::time_point start_;
 
   std::mutex mu_;
-  std::condition_variable queue_cv_;
   std::condition_variable done_cv_;
   std::map<std::string, std::unique_ptr<Pending>> jobs_;
-  std::deque<Pending*> queue_;
   std::uint64_t in_flight_ = 0;
   std::uint64_t memo_hits_ = 0;
   std::uint64_t restored_cells_ = 0;
   bool interrupted_ = false;  // a worker observed the drain flag
-  bool stop_ = false;
 
-  std::vector<std::thread> workers_;
   std::map<std::string, JobOutcome> outcomes_;  // filled by Finish()
+  // Last: destruction runs the queued cells, then joins, while every
+  // member above is still alive.
+  WorkerPool pool_;
 };
 
 // Resilience census for the bench JSON, filled by the resilience layer

@@ -103,6 +103,17 @@ TEST(MiniJson, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("{\"a\": 1", v, &err));
   EXPECT_FALSE(ParseJson("{\"a\": 1} trailing", v, &err));
   EXPECT_FALSE(ParseJson("", v, &err));
+  // Nesting is bounded, so no input can exhaust the parser's stack.
+  const std::string deep =
+      std::string(100'000, '[') + std::string(100'000, ']');
+  EXPECT_FALSE(ParseJson(deep, v, &err));
+  EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+  const auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '[') +
+           std::string(static_cast<std::size_t>(levels), ']');
+  };
+  EXPECT_TRUE(ParseJson(nested(kMaxJsonDepth), v));
+  EXPECT_FALSE(ParseJson(nested(kMaxJsonDepth + 1), v));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
-// BatchRunner tests: thread-pool scheduling, baseline memoization (the
+// BatchRunner tests: the worker pool it runs on, baseline memoization (the
 // scalar run of a workload executes once per batch no matter how many
 // tables ask for it), JSON emission round-trip, and determinism of the
 // batch results across worker counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "sim/pool.h"
 #include "sim/runner.h"
 #include "workloads/workloads.h"
 
@@ -32,6 +35,36 @@ RunnerOptions CountingOptions(std::atomic<int>& counter, int jobs = 2,
     return Run(wl, mode, cfg);
   };
   return o;
+}
+
+// The worker pool the runner and the serving daemon run on: it runs
+// every submitted task, and destruction runs the tasks still queued
+// before it joins.
+TEST(WorkerPoolTest, ExecutesSubmittedTasks) {
+  std::atomic<bool> open{false};
+  std::atomic<int> ran{0};
+  std::thread opener;
+  {
+    WorkerPool pool(2);
+    for (int i = 0; i < 2; ++i) {
+      pool.Submit([&open, &ran] {
+        while (!open.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ++ran;
+      });
+    }
+    for (int i = 0; i < 16; ++i) pool.Submit([&ran] { ++ran; });
+    // Both threads hold a gated task, so the other 16 wait in the queue.
+    EXPECT_EQ(ran.load(), 0);
+    // The gate opens 50 ms from now, while the pool is being destroyed.
+    opener = std::thread([&open] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      open = true;
+    });
+  }
+  opener.join();
+  EXPECT_EQ(ran.load(), 18);
 }
 
 TEST(BatchRunner, ExecutesAllModesAndReportsCleanOracle) {

@@ -2,11 +2,12 @@
 // parsing, wire-protocol framing over a socketpair, workload/config
 // digests, the persistent result cache (round trip, corruption
 // quarantine, version invalidation, Load/Scrub agreement), resuming CLI
-// sweeps from it (`--cache DIR`), the respawning worker pool,
-// admission control, the job table against SweepJobs and KeyFor, and
-// the daemon end to end over a real Unix-domain socket — submit,
-// cache-hit resubmit with bit-identical results, malformed requests,
-// request deadlines, the lazily built job table and the graceful drain.
+// sweeps from it (`--cache DIR`), admission control, the job table
+// against SweepJobs and KeyFor, and the daemon end to end over a real
+// Unix-domain socket — submit, cache-hit resubmit with bit-identical
+// results, malformed and over-deep requests, request deadlines, the
+// lazily built job table and the graceful drain. (The worker pool the
+// daemon runs its cells on is tested with the runner, test_runner.cc.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,7 +32,6 @@
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/flags.h"
-#include "serve/pool.h"
 #include "serve/proto.h"
 #include "sim/runner.h"
 #include "workloads/workloads.h"
@@ -690,6 +690,10 @@ TEST(ResultCacheScrub, AgreesWithLoadOnEveryFixture) {
       {"wrong-entry-schema",
        edited(std::string(kCacheEntrySchema), "dsa-serve-cache/0"), own,
        false},
+      // A run count no --repeats can produce: replicating it would
+      // exhaust memory, so it is corruption, not a cell.
+      {"forged-run-count",
+       edited("\"runs\":1,", "\"runs\":1000000000000,"), own, false},
   };
   for (const Fixture& f : fixtures) {
     SCOPED_TRACE(f.name);
@@ -919,69 +923,6 @@ TEST(CacheBenchJson, FsyncRefusalsSurfaceAsATypedWarning) {
   ASSERT_NE(warning, nullptr);
   EXPECT_NE(warning->AsString().find("[io-fault]"), std::string::npos);
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool: respawn with backoff, retirement, drain.
-
-TEST(WorkerPoolTest, ExecutesSubmittedTasks) {
-  WorkerPool pool(PoolOptions{.workers = 2});
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(pool.Submit([&ran] { ++ran; }));
-  }
-  pool.Drain();
-  EXPECT_EQ(ran.load(), 16);
-  EXPECT_EQ(pool.stats().executed, 16u);
-  EXPECT_EQ(pool.stats().escaped, 0u);
-}
-
-TEST(WorkerPoolTest, EscapedTaskKillsOnlyItsWorkerAndRespawns) {
-  WorkerPool pool(
-      PoolOptions{.workers = 1, .backoff_base_ms = 1, .max_strikes = 5});
-  ASSERT_TRUE(pool.Submit([] { throw std::runtime_error("poison"); }));
-  // Wait for the respawn, then prove the pool still executes.
-  std::atomic<bool> ran{false};
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pool.stats().live_workers > 0 &&
-        pool.Submit([&ran] { ran = true; })) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  pool.Drain();
-  EXPECT_TRUE(ran.load());
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.escaped, 1u);
-  EXPECT_GE(stats.respawns, 1u);
-  EXPECT_EQ(stats.executed, 1u);
-}
-
-TEST(WorkerPoolTest, RepeatOffenderIsRetiredAndSubmitRefuses) {
-  WorkerPool pool(
-      PoolOptions{.workers = 1, .backoff_base_ms = 1, .max_strikes = 2});
-  for (int i = 0; i < 2; ++i) {
-    // Serialize the escapes so both strikes land on the same worker.
-    ASSERT_TRUE(pool.Submit([] { throw std::runtime_error("poison"); }));
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (pool.stats().escaped != static_cast<std::uint64_t>(i + 1) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  // After max_strikes consecutive escapes the slot retires for good.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (pool.stats().live_workers != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(pool.stats().live_workers, 0);
-  EXPECT_FALSE(pool.Submit([] {}));
-  pool.Drain();  // must not hang with every worker gone
 }
 
 // ---------------------------------------------------------------------------
@@ -1414,6 +1355,34 @@ TEST_F(DaemonE2E, SeededProtocolFuzzNoHangNoFdLeak) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_LE(fds, baseline + 2) << "fd leak after hostile traffic";
+}
+
+// A CRC-valid request nested far past the JSON parser's depth bound is
+// a typed bad-request (client exit 4), and the daemon keeps answering.
+// An unbounded recursive parse overflowed the reader thread's stack.
+TEST_F(DaemonE2E, OverDeepRequestIsABadRequestNotACrash) {
+  DaemonOptions opts;
+  opts.socket_path = SocketPath("deep");
+  Start(std::move(opts));
+  for (const std::size_t depth : {std::size_t{20'000}, std::size_t{100'000}}) {
+    SCOPED_TRACE(depth);
+    const int fd = RawConnect(socket_path_);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(SendFrame(fd, kFrameRequest,
+                          std::string(depth, '[') + std::string(depth, ']')));
+    char type = 0;
+    std::string json;
+    ASSERT_EQ(RecvFrame(fd, type, json), RecvStatus::kOk);
+    ::close(fd);
+    resilience::JsonValue resp;
+    ASSERT_TRUE(resilience::ParseJson(json, resp));
+    EXPECT_EQ(Field(resp, "status"), "bad-request");
+  }
+  ClientOptions ping;
+  ping.socket_path = socket_path_;
+  ping.ping = true;
+  ping.quiet = true;
+  EXPECT_EQ(Submit(ping), 0);
 }
 
 TEST_F(DaemonE2E, SlowLorisCannotStallOtherClients) {
