@@ -284,11 +284,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     // finishes its in-flight cells (and stores them) before exiting 3.
     o.supervisor = std::make_shared<resilience::Supervisor>(o.resilience);
     o.supervisor->Attach(o.runner);
-    if (o.resilience.isolate && !resilience::IsolationAvailable()) {
-      std::fprintf(stderr,
-                   "warning: fork() unavailable on this platform; --isolate "
-                   "falls back to in-process execution\n");
-    }
   }
   if (!o.cache_dir.empty()) {
     o.cache = std::make_shared<serve::ResultCache>();

@@ -1,9 +1,10 @@
 // dsa_serve — the crash-tolerant simulation daemon (docs/SERVING.md).
 // Binds a Unix-domain socket, answers sweep requests from the persistent
-// result cache, simulates misses on a fixed worker pool with fork
-// isolation and a per-workload circuit breaker, and drains gracefully on
-// SIGINT/SIGTERM (exit 3). All flag values are parsed strictly: a typo
-// is a usage error (exit 2), never a silent default.
+// result cache, simulates misses on a fixed worker pool under the bench
+// drivers' resilience::Supervisor (fork isolation, per-workload circuit
+// breaker), and drains gracefully on SIGINT/SIGTERM (exit 3). All flag
+// values are parsed strictly: a typo is a usage error (exit 2), never a
+// silent default.
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -109,15 +110,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--default-deadline-ms") {
       opts.default_deadline_ms = u64_value(i, arg);
     } else if (arg == "--isolate") {
-      opts.isolate = true;
+      opts.resilience.isolate = true;
     } else if (arg == "--cell-deadline-ms") {
-      opts.cell_deadline_ms = u64_value(i, arg);
+      opts.resilience.deadline_ms = u64_value(i, arg);
     } else if (arg == "--mem-limit-mb") {
-      opts.mem_limit_mb = u64_value(i, arg);
+      opts.resilience.mem_limit_mb = u64_value(i, arg);
     } else if (arg == "--breaker") {
-      opts.breaker_threshold = count_value(i, arg);
+      opts.resilience.breaker_threshold = count_value(i, arg);
     } else if (arg == "--probe-after") {
-      opts.breaker_probe_after = count_value(i, arg);
+      opts.resilience.breaker_probe_after = count_value(i, arg);
     } else if (arg == "--repeats") {
       opts.repeats = count_value(i, arg, dsa::sim::kMaxRepeats);
     } else if (arg == "--io-faults") {

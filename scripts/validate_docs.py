@@ -2,9 +2,12 @@
 """Doc-drift validator: keeps README and docs/ in sync with the code.
 
 Five checks, all derived from the repository itself so they cannot rot:
-  * README.md's flag table and the flags bench/bench_util.h (the shared
-    bench CLI) parses agree both ways: every parsed flag has a row, and
-    every flag a row names is still parsed,
+  * each flag table and the flags its binary parses (`arg == "--..."`
+    tests; `--help` exempt) agree both ways: every parsed flag has a
+    row, and every flag a row names is still parsed. The tables are
+    README.md's (bench/bench_util.h, the shared bench CLI) and
+    docs/SERVING.md's `dsa_serve` and `dsa_submit` tables
+    (bench/dsa_serve.cc, bench/dsa_submit.cc),
   * every docs/*.md file has a row in README.md's documentation index,
   * every intra-repository markdown link in README.md, docs/*.md and the
     top-level *.md files resolves to an existing file (anchors and
@@ -31,26 +34,35 @@ def fail_list(title: str, items: list) -> None:
         print(f"  - {it}", file=sys.stderr)
 
 
-def parsed_bench_flags(root: str) -> set:
-    """Flags the shared bench CLI actually parses (arg == "--..." tests)."""
-    path = os.path.join(root, "bench", "bench_util.h")
-    with open(path, encoding="utf-8") as f:
+# (doc, table header's first cell, source that parses the flags)
+FLAG_TABLES = [
+    ("README.md", "flag", "bench/bench_util.h"),
+    ("docs/SERVING.md", "`dsa_serve` flag", "bench/dsa_serve.cc"),
+    ("docs/SERVING.md", "`dsa_submit` flag", "bench/dsa_submit.cc"),
+]
+
+
+def parsed_flags(root: str, source: str) -> set:
+    """Flags a source actually parses (arg == "--..." tests), but --help."""
+    with open(os.path.join(root, source), encoding="utf-8") as f:
         src = f.read()
-    return set(re.findall(r'arg == "(--[a-z-]+)"', src))
+    return set(re.findall(r'arg == "(--[a-z-]+)"', src)) - {"--help"}
 
 
-def documented_flags(readme: str) -> set:
-    """Flags named in the rows of README's flag table (| flag | meaning |).
+def documented_flags(text: str, header: str) -> set:
+    """Flags named in the rows of the table headed | header | meaning |.
 
     A row may document several flags at once (`--deadline-ms N` /
     `--mem-limit-mb N`), so collect every --flag token inside the row's
     code spans. Other tables (the documentation index) mention flags of
-    other binaries and are not the shared CLI's contract.
+    other binaries and are not the table's contract.
     """
     flags = set()
     in_table = False
-    for line in readme.splitlines():
-        if re.fullmatch(r"\|\s*flag\s*\|\s*meaning\s*\|\s*", line):
+    head = re.compile(r"\|\s*" + re.escape(header) +
+                      r"\s*\|\s*meaning\s*\|\s*")
+    for line in text.splitlines():
+        if head.fullmatch(line):
             in_table = True
             continue
         if not in_table:
@@ -175,28 +187,29 @@ def unbuilt_binaries(root: str) -> list:
 def main() -> None:
     root = sys.argv[1] if len(sys.argv) > 1 else \
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    readme_path = os.path.join(root, "README.md")
+    ok = True
+    n_flags = 0
     try:
-        with open(readme_path, encoding="utf-8") as f:
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
             readme = f.read()
-        flags = parsed_bench_flags(root)
+        for doc, header, source in FLAG_TABLES:
+            with open(os.path.join(root, doc), encoding="utf-8") as f:
+                documented = documented_flags(f.read(), header)
+            flags = parsed_flags(root, source)
+            n_flags += len(flags)
+            table = f"{doc}'s {header} table"
+            undocumented = sorted(flags - documented)
+            if undocumented:
+                fail_list(f"{source} flags missing from {table}",
+                          undocumented)
+                ok = False
+            stale = sorted(documented - flags)
+            if stale:
+                fail_list(f"{table} flags {source} no longer parses", stale)
+                ok = False
     except OSError as e:
         print(f"validate_docs: cannot read inputs: {e}", file=sys.stderr)
         sys.exit(2)
-
-    ok = True
-
-    documented = documented_flags(readme)
-    undocumented = sorted(flags - documented)
-    if undocumented:
-        fail_list("bench CLI flags missing from README's flag table",
-                  undocumented)
-        ok = False
-    stale = sorted(documented - flags)
-    if stale:
-        fail_list("README flag-table flags the bench CLI no longer parses",
-                  stale)
-        ok = False
 
     indexed = doc_index_entries(readme)
     docs_dir = os.path.join(root, "docs")
@@ -230,7 +243,8 @@ def main() -> None:
 
     if not ok:
         sys.exit(1)
-    print(f"validate_docs: OK: {len(flags)} CLI flags documented, "
+    print(f"validate_docs: OK: {n_flags} CLI flags documented in "
+          f"{len(FLAG_TABLES)} tables, "
           f"{len(missing_index) + len(indexed)} docs indexed, "
           f"no dead links in {len(markdown_files(root))} markdown files, "
           f"every named binary built, suite count matches")

@@ -1,17 +1,12 @@
 #include "resilience/iofault.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <mutex>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define DSA_HAVE_IOFAULT_FS 1
-#else
-#define DSA_HAVE_IOFAULT_FS 0
-#endif
 
 namespace dsa::resilience {
 
@@ -94,7 +89,6 @@ IoFaultCensus GetIoFaultCensus() {
 }
 
 ssize_t IoWrite(int fd, const void* buf, std::size_t count) {
-#if DSA_HAVE_IOFAULT_FS
   if (IoFaultsActive()) {
     // Decide under the lock, act outside it: the injected decision must
     // be a deterministic function of the opportunity sequence, but the
@@ -129,58 +123,30 @@ ssize_t IoWrite(int fd, const void* buf, std::size_t count) {
     count = shortened;
   }
   return ::write(fd, buf, count);
-#else
-  (void)fd;
-  (void)buf;
-  (void)count;
-  errno = ENOSYS;
-  return -1;
-#endif
 }
 
 int IoFsync(int fd) {
-#if DSA_HAVE_IOFAULT_FS
   if (IoFaultsActive() && Fires(IoFaultKind::kFsyncFail)) {
     errno = EIO;
     return -1;
   }
   return ::fsync(fd);
-#else
-  (void)fd;
-  errno = ENOSYS;
-  return -1;
-#endif
 }
 
 int IoRename(const char* from, const char* to) {
-#if DSA_HAVE_IOFAULT_FS
   if (IoFaultsActive() && Fires(IoFaultKind::kRenameFail)) {
     errno = EIO;
     return -1;
   }
   return ::rename(from, to);
-#else
-  (void)from;
-  (void)to;
-  errno = ENOSYS;
-  return -1;
-#endif
 }
 
 int IoOpen(const char* path, int flags, unsigned mode) {
-#if DSA_HAVE_IOFAULT_FS
   if (IoFaultsActive() && Fires(IoFaultKind::kOpenFail)) {
     errno = EMFILE;
     return -1;
   }
   return ::open(path, flags, static_cast<mode_t>(mode));
-#else
-  (void)path;
-  (void)flags;
-  (void)mode;
-  errno = ENOSYS;
-  return -1;
-#endif
 }
 
 }  // namespace dsa::resilience

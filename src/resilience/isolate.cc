@@ -1,5 +1,11 @@
 #include "resilience/isolate.h"
 
+#include <poll.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -10,22 +16,9 @@
 #include "resilience/mini_json.h"
 #include "sim/error.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DSA_HAVE_FORK 1
-#include <poll.h>
-#include <signal.h>
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define DSA_HAVE_FORK 0
-#endif
-
 namespace dsa::resilience {
 
 namespace {
-
-#if DSA_HAVE_FORK
 
 // Pipe frame (journal.h codec): "DSAI" magic, u32 payload length, u32
 // CRC-32, payload. The payload is one byte of record type ('R' result /
@@ -145,16 +138,11 @@ ChildStatus SuperviseChild(pid_t pid, int read_fd, std::string& buffer,
   }
 }
 
-#endif  // DSA_HAVE_FORK
-
 }  // namespace
-
-bool IsolationAvailable() { return DSA_HAVE_FORK != 0; }
 
 sim::RunResult RunIsolated(const std::function<sim::RunResult()>& fn,
                            const IsolateOptions& opts,
                            const std::string& label) {
-#if DSA_HAVE_FORK
   int fds[2];
   if (::pipe(fds) != 0) {
     throw sim::DsaError(sim::DsaErrorCode::kTransient,
@@ -221,13 +209,6 @@ sim::RunResult RunIsolated(const std::function<sim::RunResult()>& fn,
   throw sim::DsaError(sim::DsaErrorCode::kCrash,
                       label + ": child exited with status " +
                           std::to_string(code) + " without a result");
-#else
-  (void)opts;
-  (void)label;
-  // No fork on this platform: clean in-process fallback, documented in
-  // docs/RESILIENCE.md (a crash then takes the batch down, as before).
-  return fn();
-#endif
 }
 
 }  // namespace dsa::resilience

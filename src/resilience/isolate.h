@@ -3,8 +3,7 @@
 // pipe, so a hard crash (SIGSEGV/SIGABRT), a runaway loop or an
 // out-of-memory condition in one cell is classified into the DsaError
 // taxonomy instead of killing the whole batch. Opt-in via --isolate
-// (docs/RESILIENCE.md); on platforms without fork the supervisor falls
-// back to in-process execution.
+// (docs/RESILIENCE.md).
 #pragma once
 
 #include <cstdint>
@@ -25,9 +24,6 @@ struct IsolateOptions {
   // shadow mappings that an address-space cap would break.
   std::uint64_t mem_limit_mb = 0;
 };
-
-// True when fork-based isolation is available on this platform.
-[[nodiscard]] bool IsolationAvailable();
 
 // Runs `fn` in a forked child and returns its result. `label` names the
 // cell in error messages. Throws sim::DsaError with code:

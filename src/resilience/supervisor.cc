@@ -12,17 +12,15 @@ namespace {
 
 std::atomic<bool> g_drain{false};
 
-#if defined(__unix__) || defined(__APPLE__)
 extern "C" void DrainSignalHandler(int /*sig*/) {
   // Async-signal-safe: one atomic store.
   g_drain.store(true, std::memory_order_relaxed);
 }
-#endif
 
-}  // namespace
-
+// Installs the SIGINT/SIGTERM graceful-drain handler (idempotent). The
+// static flag is unsynchronized: call from one thread, before workers
+// run cells (Attach's callers do).
 void InstallDrainHandler() {
-#if defined(__unix__) || defined(__APPLE__)
   static bool installed = false;
   if (installed) return;
   installed = true;
@@ -32,15 +30,16 @@ void InstallDrainHandler() {
   sa.sa_flags = SA_RESTART;
   (void)::sigaction(SIGINT, &sa, nullptr);
   (void)::sigaction(SIGTERM, &sa, nullptr);
-#endif
 }
+
+}  // namespace
 
 Supervisor::Supervisor(SupervisorOptions opts)
     : opts_(std::move(opts)),
       breaker_(opts_.breaker_threshold, opts_.breaker_probe_after) {}
 
 void Supervisor::Attach(sim::RunnerOptions& ro) {
-  if (opts_.install_signal_drain) InstallDrainHandler();
+  InstallDrainHandler();
   ro.drain = &g_drain;
 
   // Wrap whatever run function the driver installed (sim::Run when none)
@@ -50,13 +49,9 @@ void Supervisor::Attach(sim::RunnerOptions& ro) {
     inner = [](const sim::Workload& wl, sim::RunMode mode,
                const sim::SystemConfig& cfg) { return sim::Run(wl, mode, cfg); };
   }
-  const bool isolate = opts_.isolate && IsolationAvailable();
-  IsolateOptions iso;
-  iso.deadline_ms = opts_.deadline_ms;
-  iso.mem_limit_mb = opts_.mem_limit_mb;
-  ro.run_fn = [this, inner, isolate, iso](const sim::Workload& wl,
-                                          sim::RunMode mode,
-                                          const sim::SystemConfig& cfg) {
+  const IsolateOptions iso{opts_.deadline_ms, opts_.mem_limit_mb};
+  ro.run_fn = [this, inner, iso](const sim::Workload& wl, sim::RunMode mode,
+                                 const sim::SystemConfig& cfg) {
     if (breaker_.enabled() && !breaker_.Allow(wl.name)) {
       throw sim::DsaError(sim::DsaErrorCode::kBreakerOpen,
                           "circuit breaker open for workload '" + wl.name +
@@ -64,9 +59,10 @@ void Supervisor::Attach(sim::RunnerOptions& ro) {
     }
     try {
       sim::RunResult r =
-          isolate ? RunIsolated([&] { return inner(wl, mode, cfg); }, iso,
-                                wl.name + "@" + std::string(ToString(mode)))
-                  : inner(wl, mode, cfg);
+          opts_.isolate
+              ? RunIsolated([&] { return inner(wl, mode, cfg); }, iso,
+                            wl.name + "@" + std::string(ToString(mode)))
+              : inner(wl, mode, cfg);
       breaker_.Record(wl.name, /*success=*/true);
       return r;
     } catch (...) {

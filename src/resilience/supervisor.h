@@ -1,11 +1,12 @@
-// Supervisor: the one object a bench driver instantiates to make its
-// BatchRunner resilient. It composes the resilience pieces
+// Supervisor: the one object that decides what happens to a cell around
+// sim::ExecuteCell, for the bench drivers' BatchRunner and the serving
+// daemon (src/serve/daemon.cc) alike. It composes the resilience pieces
 // (docs/RESILIENCE.md) behind the runner's existing seams:
 //   - process isolation -> wraps RunnerOptions::run_fn (isolate.h)
-//   - circuit breaker   -> fail-fast inside the wrapped run_fn
-//                                                      (breaker.h)
-//   - graceful drain    -> SIGINT/SIGTERM set a process-wide flag the
-//     runner polls; in-flight cells finish, queued cells become
+//   - circuit breaker   -> fail-fast inside the wrapped run_fn; it gates
+//                          and records every attempt (breaker.h)
+//   - graceful drain    -> SIGINT/SIGTERM set a process-wide flag that
+//     ExecuteCell polls; in-flight cells finish, queued cells become
 //     "cancelled" and the JSON reports run_status "interrupted".
 // Persistence is not a supervisor piece: the cell store (`--cache DIR`,
 // serve/cache.h) attaches to restore_fn/on_outcome on its own, and every
@@ -21,13 +22,6 @@
 
 namespace dsa::resilience {
 
-// Installs the SIGINT/SIGTERM graceful-drain handler (idempotent): the
-// handler sets Supervisor::DrainFlag(), an async-signal-safe atomic
-// store. Supervisor::Attach calls this; it is exposed for long-lived
-// drivers that drain without a Supervisor (the serving daemon,
-// src/serve/daemon.cc).
-void InstallDrainHandler();
-
 struct SupervisorOptions {
   // Process isolation (--isolate): run each cell in a forked child.
   bool isolate = false;
@@ -38,9 +32,6 @@ struct SupervisorOptions {
   // one workload; 0 disables.
   int breaker_threshold = 0;
   int breaker_probe_after = 2;
-  // SIGINT/SIGTERM graceful drain (on by default when a supervisor is
-  // constructed; tests can opt out to keep gtest's signal handling).
-  bool install_signal_drain = true;
 
   [[nodiscard]] bool any() const {
     return isolate || breaker_threshold > 0 || deadline_ms > 0 ||
@@ -52,21 +43,24 @@ class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions opts);
 
-  // Installs the resilience seams into the runner options. Call before
-  // constructing the BatchRunner. The existing run_fn (test seam / fault
-  // injection) keeps working — it becomes the inner function the
-  // isolation wrapper executes.
+  // Installs the resilience seams into the runner options and the
+  // SIGINT/SIGTERM drain handler (once per process; the handler sets
+  // DrainFlag(), an async-signal-safe atomic store). Call from one thread
+  // before any cell runs: before constructing the BatchRunner, or in
+  // Daemon::Init. The existing run_fn (test seam / fault injection) keeps
+  // working — it becomes the inner function the isolation wrapper
+  // executes. Attaching several RunnerOptions shares one breaker.
   void Attach(sim::RunnerOptions& ro);
 
   // Census for WriteBenchJson, after runner.Finish().
   [[nodiscard]] sim::BenchJsonExtras Extras(
       const sim::BatchReport& report) const;
 
-  [[nodiscard]] CircuitBreaker& breaker() { return breaker_; }
+  [[nodiscard]] const CircuitBreaker& breaker() const { return breaker_; }
   [[nodiscard]] const SupervisorOptions& options() const { return opts_; }
 
   // The process-wide drain flag (set by SIGINT/SIGTERM once a supervisor
-  // with install_signal_drain has attached, or manually by tests).
+  // has attached, or manually by tests).
   [[nodiscard]] static std::atomic<bool>& DrainFlag();
   [[nodiscard]] static bool DrainRequested();
 

@@ -1,5 +1,10 @@
 #include "serve/cache.h"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -19,16 +24,6 @@
 #include "resilience/iofault.h"
 #include "resilience/journal.h"
 #include "resilience/mini_json.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define DSA_HAVE_CACHE_FS 1
-#else
-#define DSA_HAVE_CACHE_FS 0
-#endif
 
 namespace dsa::serve {
 
@@ -135,12 +130,8 @@ bool ParseEntry(const std::string& data, CacheKey& key, sim::JobOutcome& cell) {
 // armed rename-fail plan must target the Store publish rename, not the
 // cleanup.
 void Quarantine(const std::string& path) {
-#if DSA_HAVE_CACHE_FS
   const std::string aside = path + ".quarantine";
   if (::rename(path.c_str(), aside.c_str()) != 0) (void)::unlink(path.c_str());
-#else
-  (void)path;
-#endif
 }
 
 }  // namespace
@@ -258,7 +249,6 @@ CacheKey KeyFor(const sim::BatchJob& job) {
 }
 
 bool ResultCache::Open(const std::string& dir, std::string* error) {
-#if DSA_HAVE_CACHE_FS
   if (dir.empty()) {
     if (error != nullptr) *error = "cache: empty directory path";
     return false;
@@ -276,11 +266,6 @@ bool ResultCache::Open(const std::string& dir, std::string* error) {
   }
   dir_ = dir;
   return true;
-#else
-  (void)dir;
-  if (error != nullptr) *error = "cache: filesystem API unavailable";
-  return false;
-#endif
 }
 
 bool ResultCache::Load(const CacheKey& key, sim::JobOutcome& out) {
@@ -304,7 +289,6 @@ bool ResultCache::Load(const CacheKey& key, sim::JobOutcome& out) {
 }
 
 bool ResultCache::Store(const CacheKey& key, const sim::JobOutcome& out) {
-#if DSA_HAVE_CACHE_FS
   if (!open()) return false;
   mem::JsonBuilder w;
   w.Object();
@@ -381,16 +365,10 @@ bool ResultCache::Store(const CacheKey& key, const sim::JobOutcome& out) {
   ++stats_.stores;
   if (dir_fsync_failed) ++stats_.fsync_failures;
   return true;
-#else
-  (void)key;
-  (void)out;
-  return false;
-#endif
 }
 
 ScrubStats ResultCache::Scrub() {
   ScrubStats s;
-#if DSA_HAVE_CACHE_FS
   if (!open()) return s;
   std::vector<std::string> entries;
   if (DIR* d = ::opendir(dir_.c_str())) {
@@ -417,7 +395,6 @@ ScrubStats ResultCache::Scrub() {
     Quarantine(path);
     ++s.quarantined;
   }
-#endif
   std::lock_guard<std::mutex> lock(mu_);
   scrub_stats_ = s;
   return s;

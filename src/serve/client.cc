@@ -1,5 +1,9 @@
 #include "serve/client.h"
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -10,15 +14,6 @@
 #include "mem/json.h"
 #include "resilience/mini_json.h"
 #include "serve/proto.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#define DSA_HAVE_SERVE 1
-#else
-#define DSA_HAVE_SERVE 0
-#endif
 
 namespace dsa::serve {
 
@@ -39,8 +34,6 @@ std::string Field(const resilience::JsonValue& obj, std::string_view name) {
   const resilience::JsonValue* v = obj.Find(name);
   return v != nullptr ? v->AsString() : std::string();
 }
-
-#if DSA_HAVE_SERVE
 
 // One request/response exchange. Returns the exit code; sets
 // `transient` when a code-5 failure is a transport transient (daemon
@@ -98,12 +91,9 @@ int Attempt(const ClientOptions& opts, std::string& json, bool& got_response,
   return 0;
 }
 
-#endif  // DSA_HAVE_SERVE
-
 }  // namespace
 
 int Submit(const ClientOptions& opts) {
-#if DSA_HAVE_SERVE
   std::string json;
   bool got_response = false;
   bool transient = false;
@@ -168,11 +158,6 @@ int Submit(const ClientOptions& opts) {
   // overload / deadline / bad-request: the request was refused before or
   // instead of simulation — an admission verdict, not a cell failure.
   return 4;
-#else
-  (void)opts;
-  std::fprintf(stderr, "[dsa_submit] unix sockets unavailable\n");
-  return 5;
-#endif
 }
 
 }  // namespace dsa::serve

@@ -1,5 +1,11 @@
 #include "serve/daemon.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cctype>
@@ -15,25 +21,12 @@
 
 #include "mem/json.h"
 #include "resilience/iofault.h"
-#include "resilience/isolate.h"
 #include "resilience/journal.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
 #include "serve/flags.h"
 #include "serve/proto.h"
-#include "sim/error.h"
 #include "workloads/workloads.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
-#include <unistd.h>
-#define DSA_HAVE_SERVE 1
-#else
-#define DSA_HAVE_SERVE 0
-#endif
 
 namespace dsa::serve {
 
@@ -50,15 +43,18 @@ bool Matches(const std::string& lower_key, const std::string& needle) {
   return needle.empty() || lower_key.find(needle) != std::string::npos;
 }
 
-// A cell that never ran: its identity from the table, a typed status.
-void Refuse(const JobTable::Entry& e, const char* status, std::string why,
-            sim::JobOutcome& out) {
-  out.key = e.cache_key.job_key;
-  out.workload_key = sim::WorkloadKey(e.job);
-  out.mode = e.job.mode;
-  out.config_tag = e.job.config_tag;
-  out.cell_status = status;
-  out.error = std::move(why);
+// The request's deadline: `received` plus `ms`, saturating. No deadline
+// (0) and one past steady_clock's range are both time_point::max(), so
+// no client value can overflow the clock arithmetic.
+std::chrono::steady_clock::time_point DeadlineOf(
+    std::chrono::steady_clock::time_point received, std::uint64_t ms) {
+  using Clock = std::chrono::steady_clock;
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - received);
+  if (ms == 0 || ms >= static_cast<std::uint64_t>(room.count())) {
+    return Clock::time_point::max();
+  }
+  return received + std::chrono::milliseconds(ms);
 }
 
 }  // namespace
@@ -170,38 +166,31 @@ int AdmissionControl::depth() const {
 
 Daemon::Daemon(DaemonOptions opts)
     : opts_(std::move(opts)),
-      breaker_(opts_.breaker_threshold, opts_.breaker_probe_after),
+      supervisor_(opts_.resilience),
       admission_(opts_.queue_limit, opts_.client_quota),
       pool_(opts_.workers) {}
 
 Daemon::~Daemon() {
-#if DSA_HAVE_SERVE
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     ::unlink(opts_.socket_path.c_str());
   }
-#endif
 }
 
 bool Daemon::Init(std::string* error) {
-#if DSA_HAVE_SERVE
   if (opts_.socket_path.empty()) {
     if (error != nullptr) *error = "--socket is required";
     return false;
   }
-  if (!opts_.crash_cell.empty() && !opts_.isolate) {
+  const resilience::SupervisorOptions& so = opts_.resilience;
+  if (!opts_.crash_cell.empty() && !so.isolate) {
     if (error != nullptr) *error = "--crash-cell requires --isolate";
     return false;
   }
-  if ((opts_.cell_deadline_ms > 0 || opts_.mem_limit_mb > 0) &&
-      !opts_.isolate) {
+  if ((so.deadline_ms > 0 || so.mem_limit_mb > 0) && !so.isolate) {
     if (error != nullptr) {
       *error = "--cell-deadline-ms/--mem-limit-mb require --isolate";
     }
-    return false;
-  }
-  if (opts_.isolate && !resilience::IsolationAvailable()) {
-    if (error != nullptr) *error = "--isolate: fork unavailable here";
     return false;
   }
   if (!opts_.cache_dir.empty() && !cache_.Open(opts_.cache_dir, error)) {
@@ -265,17 +254,23 @@ bool Daemon::Init(std::string* error) {
   // SIGPIPE would kill the daemon when a client hangs up mid-response;
   // write() returning EPIPE is handled instead.
   std::signal(SIGPIPE, SIG_IGN);
-  resilience::InstallDrainHandler();
+  // Cells run through the CLI's path: the supervisor wraps run_fn with
+  // its breaker and isolate and points drain at its flag. Attached here,
+  // on the caller's thread, before any pool thread runs a cell.
+  run_opts_.repeats = opts_.repeats;
+  supervisor_.Attach(run_opts_);
+  if (!opts_.crash_cell.empty()) {
+    crash_opts_.repeats = opts_.repeats;
+    crash_opts_.run_fn = [](const sim::Workload&, sim::RunMode,
+                            const sim::SystemConfig&) -> sim::RunResult {
+      std::abort();  // crash drill; --isolate keeps it in the child
+    };
+    supervisor_.Attach(crash_opts_);
+  }
   return true;
-#else
-  (void)error;
-  if (error != nullptr) *error = "serving requires unix sockets";
-  return false;
-#endif
 }
 
 int Daemon::Serve() {
-#if DSA_HAVE_SERVE
   dispatcher_ = std::thread(&Daemon::DispatcherMain, this);
   std::printf("[dsa_serve] listening on %s (workers=%d cache=%s)\n",
               opts_.socket_path.c_str(), opts_.workers,
@@ -305,13 +300,9 @@ int Daemon::Serve() {
   std::printf("[dsa_serve] drained after %" PRIu64 " requests, exiting 3\n",
               requests_served_.load());
   return 3;
-#else
-  return 1;
-#endif
 }
 
 void Daemon::AcceptOne() {
-#if DSA_HAVE_SERVE
   const int fd = ::accept(listen_fd_, nullptr, nullptr);
   if (fd < 0) return;
   // The frame read happens on a short-lived reader thread, not here: a
@@ -336,11 +327,9 @@ void Daemon::AcceptOne() {
     --readers_;
     readers_cv_.notify_all();
   }
-#endif
 }
 
 void Daemon::HandleConnection(int fd) {
-#if DSA_HAVE_SERVE
   // Decrement-and-notify runs under mu_ on every exit path so Serve()'s
   // teardown wait cannot miss the last reader.
   const auto reader_done = [this] {
@@ -439,11 +428,9 @@ void Daemon::HandleConnection(int fd) {
   RespondError(fd, "overload", "overload: daemon draining");
   admission_.Done(r.client);
   reader_done();
-#endif
 }
 
 void Daemon::DispatcherMain() {
-#if DSA_HAVE_SERVE
   for (;;) {
     Request req;
     {
@@ -465,16 +452,11 @@ void Daemon::DispatcherMain() {
     admission_.Done(req.client);
     ++requests_served_;
   }
-#endif
 }
 
 void Daemon::ProcessRequest(Request& req) {
-#if DSA_HAVE_SERVE
   const auto now = std::chrono::steady_clock::now();
-  const auto deadline =
-      req.deadline_ms > 0
-          ? req.received + std::chrono::milliseconds(req.deadline_ms)
-          : std::chrono::steady_clock::time_point::max();
+  const auto deadline = DeadlineOf(req.received, req.deadline_ms);
   if (now >= deadline) {
     // Expired while queued: refuse without burning simulation time.
     RespondError(req.fd, "deadline",
@@ -536,15 +518,11 @@ void Daemon::ProcessRequest(Request& req) {
   queue_stage_.Add(now - req.received);
   cells_stage_.Add(cells_done - now);
   respond_stage_.Add(std::chrono::steady_clock::now() - cells_done);
-#endif
 }
 
 void Daemon::RunCell(const JobTable::Entry& entry,
                      std::chrono::steady_clock::time_point deadline,
                      sim::JobOutcome& out) {
-  const sim::BatchJob& job = entry.job;
-  const std::string& key = entry.cache_key.job_key;
-
   // 1. Persistent cache: a completed cell survives any number of daemon
   // restarts and is served bit-identically without re-simulation.
   if (cache_.open() && cache_.Load(entry.cache_key, out)) {
@@ -552,52 +530,27 @@ void Daemon::RunCell(const JobTable::Entry& entry,
     return;
   }
 
-  // 2. Drain / request deadline: unstarted cells are abandoned, typed.
-  if (resilience::Supervisor::DrainRequested()) {
-    Refuse(entry, "cancelled", "cancelled: daemon draining", out);
-    return;
-  }
+  // 2. Request deadline: unstarted cells are abandoned, typed.
   if (std::chrono::steady_clock::now() >= deadline) {
-    Refuse(entry, "cancelled", "cancelled: request deadline expired", out);
+    out.key = entry.cache_key.job_key;
+    out.workload_key = sim::WorkloadKey(entry.job);
+    out.mode = entry.job.mode;
+    out.config_tag = entry.job.config_tag;
+    out.cell_status = "cancelled";
+    out.error = "cancelled: request deadline expired";
     return;
   }
 
-  // 3. Circuit breaker: a workload that keeps dying is failed fast.
-  if (breaker_.enabled() && !breaker_.Allow(job.workload.name)) {
-    Refuse(entry, "skipped",
-           sim::DsaError(sim::DsaErrorCode::kBreakerOpen,
-                         "circuit breaker open for " + job.workload.name)
-               .what(),
-           out);
-    return;
-  }
+  // 3. Execute through the CLI's path: ExecuteCell cancels the cell on a
+  // drain, and the supervisor's run_fn gates it on the breaker and runs
+  // it in the isolate. Cancelled and skipped cells never ran.
+  const bool crash_this =
+      !opts_.crash_cell.empty() &&
+      entry.cache_key.job_key.find(opts_.crash_cell) != std::string::npos;
+  sim::ExecuteCell(entry.job, crash_this ? crash_opts_ : run_opts_, out);
+  if (out.cell_status == "cancelled" || out.cell_status == "skipped") return;
 
-  // 4. Execute through the same classification path as a CLI sweep.
-  sim::RunnerOptions ro;
-  ro.repeats = opts_.repeats;
-  const bool crash_this = !opts_.crash_cell.empty() &&
-                          key.find(opts_.crash_cell) != std::string::npos;
-  ro.run_fn = [this, crash_this, &key](const sim::Workload& wl,
-                                       sim::RunMode mode,
-                                       const sim::SystemConfig& cfg) {
-    if (opts_.isolate) {
-      const resilience::IsolateOptions io{opts_.cell_deadline_ms,
-                                          opts_.mem_limit_mb};
-      return resilience::RunIsolated(
-          [&] {
-            if (crash_this) std::abort();  // crash drill, child only
-            return sim::Run(wl, mode, cfg);
-          },
-          io, key);
-    }
-    return sim::Run(wl, mode, cfg);
-  };
-  sim::ExecuteCell(job, ro, out);
-  if (breaker_.enabled()) {
-    breaker_.Record(job.workload.name, out.cell_status == "ok");
-  }
-
-  // 5. Promote to the cache, then the kill drill (in that order: the
+  // 4. Promote to the cache, then the kill drill (in that order: the
   // soak test relies on every *completed* cell being durable before the
   // daemon dies).
   if (out.cell_status == "ok" && cache_.open()) {
@@ -615,10 +568,8 @@ void Daemon::RunCell(const JobTable::Entry& entry,
 
 void Daemon::RespondError(int fd, const std::string& status,
                           const std::string& error) {
-#if DSA_HAVE_SERVE
   (void)SendFrame(fd, kFrameResponse, BuildResponse(status, error, {}));
   ::close(fd);
-#endif
 }
 
 std::string Daemon::BuildResponse(const std::string& status,
@@ -677,7 +628,7 @@ std::string Daemon::BuildResponse(const std::string& status,
   w.End();
 
   w.Key("breaker").Array();
-  for (const sim::BreakerCensusEntry& e : breaker_.Census()) {
+  for (const sim::BreakerCensusEntry& e : supervisor_.breaker().Census()) {
     w.Object();
     w.Key("workload").Str(e.workload);
     w.Key("state").Str(e.state);

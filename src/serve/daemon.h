@@ -4,20 +4,23 @@
 // on the worker pool the BatchRunner also runs on (sim/pool.h), with
 // every failure classified through the DsaError taxonomy into a per-cell
 // status — exactly the statuses a CLI sweep reports, because both paths
-// execute through sim::ExecuteCell.
+// execute through sim::ExecuteCell with run_fn wrapped by the same
+// resilience::Supervisor.
 //
 // Crash tolerance story, layer by layer:
 //   - a cell that SIGSEGVs/OOMs/overruns its deadline is contained by
-//     the fork isolate (--isolate) and poisons only its own cell;
-//   - a workload that fails repeatedly trips its circuit breaker and is
-//     failed fast instead of re-simulated (resilience/breaker.h);
+//     the supervisor's fork isolate (--isolate) and poisons only its own
+//     cell;
+//   - a workload that fails repeatedly trips the supervisor's circuit
+//     breaker and is failed fast instead of re-simulated;
 //   - the daemon itself dying (kill -9) loses at most the in-flight
 //     cells: completed cells were promoted to the persistent cache with
 //     fsync + atomic rename, so a restarted daemon serves them
 //     bit-identically (cache.h). An exception that escapes a cell task
 //     ends the process through std::terminate and takes this path;
-//   - SIGINT/SIGTERM drain gracefully: in-flight cells finish, queued
-//     work is rejected with the typed "overload" status, exit code 3.
+//   - SIGINT/SIGTERM drain gracefully: in-flight cells finish, cells not
+//     yet started are "cancelled" by ExecuteCell, queued requests are
+//     rejected with the typed "overload" status, exit code 3.
 #pragma once
 
 #include <array>
@@ -32,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "resilience/breaker.h"
+#include "resilience/supervisor.h"
 #include "serve/cache.h"
 #include "sim/pool.h"
 #include "sim/runner.h"
@@ -72,15 +75,13 @@ struct DaemonOptions {
   int queue_limit = 8;   // admission: max requests queued + in flight
   int client_quota = 4;  // admission: max per client name
   // Deadline applied to requests that do not carry their own; 0 = none.
+  // One past steady_clock's range is none too.
   std::uint64_t default_deadline_ms = 0;
-  // Per-cell containment (resilience/isolate.h): fork isolation, cell
-  // wall-clock deadline, child address-space cap.
-  bool isolate = false;
-  std::uint64_t cell_deadline_ms = 0;
-  std::uint64_t mem_limit_mb = 0;
-  // Per-workload circuit breaker; 0 disables.
-  int breaker_threshold = 0;
-  int breaker_probe_after = 2;
+  // Per-cell containment, the CLI's supervisor options: fork isolation
+  // (--isolate), cell wall-clock deadline (--cell-deadline-ms), child
+  // address-space cap (--mem-limit-mb) and the per-workload circuit
+  // breaker (--breaker, --probe-after).
+  resilience::SupervisorOptions resilience;
   // Executions per cell (>= 2 feeds the determinism oracle's data; the
   // daemon default is 1 — cache hits make repeats pointless).
   int repeats = 1;
@@ -101,8 +102,8 @@ struct DaemonOptions {
   // the kill-and-restart soak can die mid-sweep deterministically.
   std::uint64_t kill_after = 0;
   // abort() inside the isolated child of every cell whose JobKey
-  // contains this substring (requires isolate) — exercises the
-  // "crashed" classification end to end.
+  // contains this substring (requires resilience.isolate) — exercises
+  // the "crashed" classification end to end.
   std::string crash_cell;
 };
 
@@ -145,7 +146,8 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  // Opens the cache, binds the socket, installs the drain handler.
+  // Opens the cache, binds the socket, attaches the supervisor (which
+  // installs the drain handler).
   [[nodiscard]] bool Init(std::string* error = nullptr);
 
   // Accept loop; returns the process exit code (3 after a graceful
@@ -178,8 +180,9 @@ class Daemon {
   [[nodiscard]] std::string BuildResponse(
       const std::string& status, const std::string& error,
       const std::vector<sim::JobOutcome>& cells, bool health = false);
-  // One cell, end to end: cache probe -> breaker -> ExecuteCell under
-  // the isolate -> breaker record -> cache store -> kill_after drill.
+  // One cell, end to end: cache probe -> request deadline -> ExecuteCell
+  // under the supervisor (drain, breaker, isolate) -> cache store ->
+  // kill_after drill.
   void RunCell(const JobTable::Entry& entry,
                std::chrono::steady_clock::time_point deadline,
                sim::JobOutcome& out);
@@ -198,7 +201,12 @@ class Daemon {
 
   DaemonOptions opts_;
   ResultCache cache_;
-  resilience::CircuitBreaker breaker_;
+  resilience::Supervisor supervisor_;
+  // The options every cell executes with, attached to supervisor_ in
+  // Init; crash_opts_ (attached only with --crash-cell) runs an inner
+  // run_fn that aborts, for the cells the crash drill picks.
+  sim::RunnerOptions run_opts_;
+  sim::RunnerOptions crash_opts_;
   AdmissionControl admission_;
   int listen_fd_ = -1;
 

@@ -1,23 +1,16 @@
 #include "serve/proto.h"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <string_view>
 
 #include "resilience/iofault.h"
 #include "resilience/journal.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define DSA_HAVE_SOCKETS 1
-#else
-#define DSA_HAVE_SOCKETS 0
-#endif
-
 namespace dsa::serve {
 
 namespace {
-
-#if DSA_HAVE_SOCKETS
 
 constexpr std::string_view kMagic(kProtoMagic, sizeof(kProtoMagic));
 
@@ -55,8 +48,6 @@ int ReadExact(int fd, char* data, std::size_t len, std::size_t& bytes_read) {
   return 1;
 }
 
-#endif  // DSA_HAVE_SOCKETS
-
 }  // namespace
 
 std::string_view ToString(RecvStatus s) {
@@ -70,20 +61,12 @@ std::string_view ToString(RecvStatus s) {
 }
 
 bool SendFrame(int fd, char type, const std::string& json) {
-#if DSA_HAVE_SOCKETS
   if (json.size() + 1 > kMaxFrameBytes) return false;
   const std::string frame = resilience::EncodeFrame(kMagic, type, json);
   return WriteAll(fd, frame.data(), frame.size());
-#else
-  (void)fd;
-  (void)type;
-  (void)json;
-  return false;
-#endif
 }
 
 RecvStatus RecvFrame(int fd, char& type, std::string& json) {
-#if DSA_HAVE_SOCKETS
   std::string frame(resilience::kFrameHeaderBytes, '\0');
   std::size_t got = 0;
   const int hr = ReadExact(fd, frame.data(), frame.size(), got);
@@ -103,12 +86,6 @@ RecvStatus RecvFrame(int fd, char& type, std::string& json) {
   return resilience::DecodeFrame(frame, kMagic, type, json)
              ? RecvStatus::kOk
              : RecvStatus::kCorrupt;
-#else
-  (void)fd;
-  (void)type;
-  (void)json;
-  return RecvStatus::kError;
-#endif
 }
 
 }  // namespace dsa::serve

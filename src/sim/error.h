@@ -18,37 +18,28 @@ namespace dsa::sim {
 enum class DsaErrorCode : std::uint8_t {
   kStepLimit,      // run loop exceeded SystemConfig::max_steps (watchdog)
   kMemOutOfRange,  // memory access outside the workload's address space
-  kBadWorkload,    // workload variant missing or malformed
   kTransient,      // retryable harness failure (runner backoff applies)
   kInternal,       // invariant violation inside the simulator itself
   // Process-level failures surfaced by the resilience layer
-  // (src/resilience, docs/RESILIENCE.md). Only raised for cells executed
-  // under --isolate, where a hard crash is contained in a forked child.
+  // (src/resilience, docs/RESILIENCE.md). The first three are only raised
+  // for cells executed under --isolate, where a hard crash is contained
+  // in a forked child.
   kCrash,        // child died on a signal (SIGSEGV/SIGABRT/...) or bad exit
   kDeadline,     // cell exceeded its wall-clock deadline and was killed
   kOutOfMemory,  // child hit its memory cap (rlimit -> bad_alloc) or OOM
   kBreakerOpen,  // per-workload circuit breaker refused the cell
-  // Host-I/O failure (src/resilience/iofault.h): a write/fsync/rename/
-  // open the durability story depends on failed — disk full, flaky
-  // medium, fd exhaustion. The cell result itself is unaffected (the
-  // cell store degrades to recompute-without-promote and counts the
-  // failure), but the failure is typed so nothing claims durability it
-  // did not deliver.
-  kIoFault,
 };
 
 [[nodiscard]] constexpr std::string_view ToString(DsaErrorCode c) {
   switch (c) {
     case DsaErrorCode::kStepLimit: return "step-limit";
     case DsaErrorCode::kMemOutOfRange: return "mem-out-of-range";
-    case DsaErrorCode::kBadWorkload: return "bad-workload";
     case DsaErrorCode::kTransient: return "transient";
     case DsaErrorCode::kInternal: return "internal";
     case DsaErrorCode::kCrash: return "crash";
     case DsaErrorCode::kDeadline: return "deadline";
     case DsaErrorCode::kOutOfMemory: return "oom";
     case DsaErrorCode::kBreakerOpen: return "breaker-open";
-    case DsaErrorCode::kIoFault: return "io-fault";
   }
   return "?";
 }
@@ -61,7 +52,6 @@ enum class DsaErrorCode : std::uint8_t {
     case DsaErrorCode::kDeadline: return "timeout";
     case DsaErrorCode::kOutOfMemory: return "oom";
     case DsaErrorCode::kBreakerOpen: return "skipped";
-    case DsaErrorCode::kIoFault: return "faulted";   // host I/O, not the cell
     default: return "faulted";
   }
 }

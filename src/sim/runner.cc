@@ -114,26 +114,14 @@ std::array<std::string, 4> BatchRunner::SubmitMatrix(
 }
 
 void BatchRunner::RunPending(Pending& p) {
-  const bool drained = opts_.drain != nullptr &&
-                       opts_.drain->load(std::memory_order_relaxed);
-  if (drained) {
-    // Graceful drain: never start new work, but let in-flight cells
-    // finish so the cell store and the partial report stay consistent.
-    JobOutcome& out = p.outcome;
-    out.key = p.key;
-    out.workload_key = WorkloadKey(p.job);
-    out.mode = p.job.mode;
-    out.config_tag = p.job.config_tag;
-    out.cell_status = "cancelled";
-    out.error = "drained: batch interrupted before this cell executed";
-  } else {
-    ExecuteCell(p.job, opts_, p.outcome);
-    p.outcome.key = p.key;  // the memo key (== JobKey(p.job) by Submit)
-    if (opts_.on_outcome) opts_.on_outcome(p.outcome);
+  ExecuteCell(p.job, opts_, p.outcome);
+  p.outcome.key = p.key;  // the memo key (== JobKey(p.job) by Submit)
+  // A cell the drain cancelled never ran: nothing to publish.
+  if (opts_.on_outcome && p.outcome.cell_status != "cancelled") {
+    opts_.on_outcome(p.outcome);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (drained) interrupted_ = true;
     p.done = true;
     --in_flight_;
   }
@@ -146,6 +134,14 @@ void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
   out.workload_key = WorkloadKey(job);
   out.mode = job.mode;
   out.config_tag = job.config_tag;
+
+  // Graceful drain: never start new work, but let in-flight cells
+  // finish so the cell store and the partial report stay consistent.
+  if (opts.drain != nullptr && opts.drain->load(std::memory_order_relaxed)) {
+    out.cell_status = "cancelled";
+    out.error = "cancelled: drain requested before this cell executed";
+    return;
+  }
 
   // Watchdog: cap the cell's interpreter step budget so a runaway loop
   // trips DsaError{kStepLimit} instead of wedging the worker thread.
@@ -226,7 +222,6 @@ BatchReport BatchRunner::Finish() {
     }
     report.memo_hits = memo_hits_;
     report.restored_cells = restored_cells_;
-    report.interrupted = interrupted_;
   }
 
   report.distinct_jobs = outcomes_.size();
@@ -238,6 +233,7 @@ BatchReport BatchRunner::Finish() {
       // an interruption (BatchReport::interrupted, run_status in the
       // JSON), not a correctness violation of anything that ran.
       ++report.cancelled_cells;
+      report.interrupted = true;
       continue;
     }
     if (!out.error.empty()) {

@@ -91,8 +91,10 @@ struct RunnerOptions {
   int max_retries = 2;
   int retry_backoff_ms = 10;  // doubles per attempt
   // Test seam: replaces sim::Run (instrumented or fault-injecting runs).
-  // The resilience layer (src/resilience/supervisor.h) also hooks here to
-  // wrap execution in a forked child with a deadline and circuit breaker.
+  // resilience::Supervisor::Attach (src/resilience/supervisor.h) also
+  // hooks here to wrap execution in its circuit breaker and, under
+  // --isolate, a forked child with a deadline — for the bench drivers
+  // and the serving daemon alike.
   std::function<RunResult(const Workload&, RunMode, const SystemConfig&)>
       run_fn;
   // Resume seam: consulted once per distinct job at Submit time, outside
@@ -102,13 +104,14 @@ struct RunnerOptions {
   // DIR`) restores completed cells through this.
   std::function<bool(const BatchJob& job, JobOutcome& out)> restore_fn;
   // Completion hook: called from the worker thread right after a cell
-  // finished executing (not for restored or drained cells). The cell
+  // finished executing (not for restored or cancelled cells). The cell
   // store publishes "ok" cells through this; it must not call back into
   // the runner.
   std::function<void(const JobOutcome&)> on_outcome;
   // Graceful-drain flag (owned by the caller, typically set from a
-  // SIGINT/SIGTERM handler): once true, queued cells are marked
-  // "cancelled" instead of executed; in-flight cells finish normally.
+  // SIGINT/SIGTERM handler): once true, ExecuteCell marks each cell it is
+  // handed "cancelled" instead of executing it; in-flight cells finish
+  // normally.
   std::atomic<bool>* drain = nullptr;
 };
 
@@ -124,7 +127,7 @@ struct BatchReport {
   // reconciles exactly like the uninterrupted one.
   std::uint64_t restored_cells = 0;
   std::uint64_t cancelled_cells = 0;
-  bool interrupted = false;  // the drain flag fired during the batch
+  bool interrupted = false;  // the drain cancelled at least one cell
   double wall_ms = 0;        // batch wall time (construction→Finish)
   [[nodiscard]] bool ok() const { return violations.empty(); }
 };
@@ -132,10 +135,13 @@ struct BatchReport {
 // Executes one cell — `opts.repeats` runs of `opts.run_fn` under the
 // step-budget watchdog override, the transient-only retry policy and the
 // DsaError -> cell_status mapping — filling `out` (keys, runs, status,
-// attempts, first-run wall time). The BatchRunner's workers execute
-// through this, and so does the serving daemon (src/serve/daemon.cc), so
-// a cell failing under dsa_serve is classified exactly like the same
-// cell failing in a CLI sweep. `opts.run_fn` must be set.
+// attempts, first-run wall time). A raised `opts.drain` cancels the cell
+// before its first attempt (attempts 0). The BatchRunner's workers
+// execute through this, and so does the serving daemon
+// (src/serve/daemon.cc), both with run_fn wrapped by the same
+// resilience::Supervisor, so a cell failing, skipped or drained under
+// dsa_serve is classified exactly like the same cell in a CLI sweep.
+// `opts.run_fn` must be set.
 void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
                  JobOutcome& out);
 
@@ -201,7 +207,6 @@ class BatchRunner {
   std::uint64_t in_flight_ = 0;
   std::uint64_t memo_hits_ = 0;
   std::uint64_t restored_cells_ = 0;
-  bool interrupted_ = false;  // a worker observed the drain flag
 
   std::map<std::string, JobOutcome> outcomes_;  // filled by Finish()
   // Last: destruction runs the queued cells, then joins, while every

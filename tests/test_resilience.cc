@@ -146,13 +146,9 @@ TEST(FrameCodec, EncodesTheDocumentedByteLayout) {
 // ---------------------------------------------------------------------------
 // Isolation: crash/deadline/OOM classification with surviving siblings.
 
-#if defined(__unix__) || defined(__APPLE__)
-
 TEST(Isolate, ClassifiesSignalDeathAsCrashedWhileSiblingsComplete) {
-  ASSERT_TRUE(IsolationAvailable());
   SupervisorOptions so;
   so.isolate = true;
-  so.install_signal_drain = false;
   Supervisor sup(so);
   RunnerOptions o;
   o.jobs = 2;
@@ -180,10 +176,8 @@ TEST(Isolate, ClassifiesSignalDeathAsCrashedWhileSiblingsComplete) {
 }
 
 TEST(Isolate, ClassifiesSegfaultAsCrashed) {
-  ASSERT_TRUE(IsolationAvailable());
   SupervisorOptions so;
   so.isolate = true;
-  so.install_signal_drain = false;
   Supervisor sup(so);
   RunnerOptions o;
   o.jobs = 1;
@@ -211,11 +205,9 @@ TEST(Isolate, ClassifiesSegfaultAsCrashed) {
 }
 
 TEST(Isolate, KillsCellsPastTheirDeadline) {
-  ASSERT_TRUE(IsolationAvailable());
   SupervisorOptions so;
   so.isolate = true;
   so.deadline_ms = 150;
-  so.install_signal_drain = false;
   Supervisor sup(so);
   RunnerOptions o;
   o.jobs = 2;
@@ -247,11 +239,9 @@ TEST(Isolate, KillsCellsPastTheirDeadline) {
 
 #if !DSA_UNDER_SANITIZER
 TEST(Isolate, ClassifiesAllocationBeyondTheMemoryCapAsOom) {
-  ASSERT_TRUE(IsolationAvailable());
   SupervisorOptions so;
   so.isolate = true;
   so.mem_limit_mb = 128;
-  so.install_signal_drain = false;
   Supervisor sup(so);
   RunnerOptions o;
   o.jobs = 1;
@@ -307,8 +297,6 @@ TEST(Isolate, ReturnsIdenticalResultsToInProcessExecution) {
   EXPECT_EQ(SerializeRunResult(isolated), SerializeRunResult(in_process));
 }
 
-#endif  // __unix__ || __APPLE__
-
 // ---------------------------------------------------------------------------
 // Circuit breaker.
 
@@ -357,7 +345,6 @@ TEST(Breaker, SkipsCellsOfAFailingWorkloadInTheRunner) {
   SupervisorOptions so;
   so.breaker_threshold = 2;
   so.breaker_probe_after = 2;
-  so.install_signal_drain = false;
   Supervisor sup(so);
   RunnerOptions o;
   o.jobs = 1;  // serialize so the transition sequence is deterministic
@@ -426,7 +413,6 @@ TEST(Drain, CancelsQueuedCellsAndMarksTheBatchInterrupted) {
 TEST(Drain, SupervisorReportsInterruptedRunStatus) {
   Supervisor::DrainFlag().store(false);
   SupervisorOptions so;
-  so.install_signal_drain = false;
   so.breaker_threshold = 0;
   Supervisor sup(so);
   RunnerOptions o;
@@ -800,7 +786,6 @@ TEST(Breaker, ProbeDyingWithNonDsaErrorReopensInsteadOfWedging) {
   SupervisorOptions so;
   so.breaker_threshold = 2;
   so.breaker_probe_after = 2;
-  so.install_signal_drain = false;
   Supervisor sup(so);
   RunnerOptions o;
   o.jobs = 1;  // serialize so the transition sequence is deterministic

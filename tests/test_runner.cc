@@ -67,6 +67,24 @@ TEST(WorkerPoolTest, ExecutesSubmittedTasks) {
   EXPECT_EQ(ran.load(), 18);
 }
 
+// A raised drain flag cancels a cell before its first attempt: run_fn is
+// never called, and the cell carries the one drain message.
+TEST(ExecuteCellTest, DrainCancelsBeforeTheFirstAttempt) {
+  std::atomic<int> calls{0};
+  std::atomic<bool> drain{true};
+  RunnerOptions o = CountingOptions(calls);
+  o.drain = &drain;
+  const BatchJob job{SmallVecAdd(), RunMode::kDsa, {}, "", ""};
+  JobOutcome out;
+  ExecuteCell(job, o, out);
+  EXPECT_EQ(out.cell_status, "cancelled");
+  EXPECT_EQ(out.attempts, 0u);
+  EXPECT_TRUE(out.runs.empty());
+  EXPECT_EQ(out.key, JobKey(job));
+  EXPECT_NE(out.error.find("drain"), std::string::npos) << out.error;
+  EXPECT_EQ(calls.load(), 0);
+}
+
 TEST(BatchRunner, ExecutesAllModesAndReportsCleanOracle) {
   RunnerOptions o;
   o.jobs = 4;

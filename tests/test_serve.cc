@@ -5,10 +5,15 @@
 // sweeps from it (`--cache DIR`), admission control, the job table
 // against SweepJobs and KeyFor, and the daemon end to end over a real
 // Unix-domain socket — submit, cache-hit resubmit with bit-identical
-// results, malformed and over-deep requests, request deadlines, the
-// lazily built job table and the graceful drain. (The worker pool the
+// results, malformed and over-deep requests, request deadlines (far ones
+// included), the breaker behaving as the CLI supervisor's, the lazily
+// built job table and the graceful drain. (The worker pool the
 // daemon runs its cells on is tested with the runner, test_runner.cc.)
 #include <gtest/gtest.h>
+#include <dirent.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -33,18 +38,9 @@
 #include "serve/daemon.h"
 #include "serve/flags.h"
 #include "serve/proto.h"
+#include "sim/error.h"
 #include "sim/runner.h"
 #include "workloads/workloads.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <dirent.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#define DSA_SERVE_E2E 1
-#else
-#define DSA_SERVE_E2E 0
-#endif
 
 // Forking the isolate out of the daemon's multi-threaded process is fine
 // under ASan (glibc's atfork handlers serialize malloc) but not under
@@ -129,8 +125,6 @@ TEST(ServeFlags, RefusesMalformedCount) {
 
 // ---------------------------------------------------------------------------
 // Wire protocol framing.
-
-#if DSA_SERVE_E2E
 
 struct SocketPair {
   int a = -1;
@@ -246,8 +240,6 @@ TEST(Proto, OversizeLengthIsRefusedWithoutAllocation) {
   const std::string huge(kMaxFrameBytes, 'x');
   EXPECT_FALSE(SendFrame(sp.a, kFrameRequest, huge));
 }
-
-#endif  // DSA_SERVE_E2E
 
 // ---------------------------------------------------------------------------
 // Cache keys: digests are stable and sensitive.
@@ -976,8 +968,6 @@ TEST(JobTableTest, PicksTheCellsOfSweepJobsInOrderWithFreshKeys) {
 // ---------------------------------------------------------------------------
 // Daemon end to end over a real socket.
 
-#if DSA_SERVE_E2E
-
 class DaemonE2E : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -1145,7 +1135,7 @@ TEST_F(DaemonE2E, IsolatedCrashCellPoisonsOnlyItself) {
 #endif
   DaemonOptions opts;
   opts.socket_path = SocketPath("crash");
-  opts.isolate = true;
+  opts.resilience.isolate = true;
   // The Fig-16 "orig" DSA cell crashes; the extended sibling completes.
   opts.crash_cell = "BitCount@neon-dsa/orig";
   Start(std::move(opts));
@@ -1169,6 +1159,109 @@ TEST_F(DaemonE2E, IsolatedCrashCellPoisonsOnlyItself) {
   }
   EXPECT_EQ(crashed, 1);
   EXPECT_EQ(ok, 1);
+}
+
+// The daemon contains cells through the CLI's supervisor: with the same
+// breaker, one crashing cell gives the five BitCount cells the same
+// statuses, attempts, skip messages and breaker census on both front
+// ends.
+TEST_F(DaemonE2E, BreakerSkipsLikeTheCliSupervisor) {
+#if DSA_UNDER_TSAN
+  GTEST_SKIP() << "fork from the daemon's threaded process is unsupported "
+                  "under TSan";
+#endif
+  resilience::SupervisorOptions so;
+  so.isolate = true;
+  so.breaker_threshold = 1;
+  so.breaker_probe_after = 2;
+  DaemonOptions opts;
+  opts.socket_path = SocketPath("breaker");
+  opts.workers = 1;
+  opts.resilience = so;
+  opts.crash_cell = "BitCount@arm-original";
+  Start(std::move(opts));
+  const resilience::JsonValue resp = SubmitAndParse("BitCount", 1, "breaker");
+
+  // The CLI side, in-process: run_fn throws what the isolate reports for
+  // the aborting cell.
+  so.isolate = false;
+  resilience::Supervisor sup(so);
+  sim::RunnerOptions ro;
+  ro.jobs = 1;
+  ro.repeats = 1;
+  ro.oracle = false;
+  ro.run_fn = [](const Workload& wl, RunMode m, const SystemConfig& c) {
+    if (m == RunMode::kScalar) {
+      throw sim::DsaError(sim::DsaErrorCode::kCrash, "crash drill");
+    }
+    return sim::Run(wl, m, c);
+  };
+  sup.Attach(ro);
+  sim::BatchRunner runner(ro);
+  std::vector<std::string> keys;
+  for (BatchJob& job : SweepJobs("BitCount")) {
+    keys.push_back(runner.Submit(std::move(job)));
+  }
+  (void)runner.Finish();
+
+  const std::vector<std::string> want = {"crashed", "skipped", "skipped",
+                                         "ok", "ok"};
+  ASSERT_EQ(keys.size(), want.size());
+  const resilience::JsonValue* cells = resp.Find("cells");
+  ASSERT_TRUE(cells != nullptr && cells->is_array());
+  ASSERT_EQ(cells->array.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(keys[i]);
+    const resilience::JsonValue& cell = cells->array[i];
+    const JobOutcome& cli = runner.outcomes().at(keys[i]);
+    EXPECT_EQ(Field(cell, "job"), keys[i]);
+    EXPECT_EQ(Field(cell, "cell_status"), want[i]);
+    EXPECT_EQ(cli.cell_status, want[i]);
+    EXPECT_EQ(Field(cell, "attempts"), std::to_string(cli.attempts));
+    if (want[i] == "skipped") {
+      EXPECT_EQ(Field(cell, "error"), cli.error);
+    }
+  }
+
+  const resilience::JsonValue* breaker = resp.Find("breaker");
+  ASSERT_TRUE(breaker != nullptr && breaker->is_array());
+  ASSERT_EQ(breaker->array.size(), 1u);
+  const resilience::JsonValue& served = breaker->array[0];
+  const std::vector<sim::BreakerCensusEntry> census = sup.breaker().Census();
+  ASSERT_EQ(census.size(), 1u);
+  EXPECT_EQ(Field(served, "workload"), census[0].workload);
+  EXPECT_EQ(Field(served, "state"), "closed");
+  EXPECT_EQ(census[0].state, "closed");
+  EXPECT_EQ(Field(served, "failures"), std::to_string(census[0].failures));
+  EXPECT_EQ(Field(served, "trips"), "1");
+  EXPECT_EQ(census[0].trips, 1u);
+  EXPECT_EQ(Field(served, "skipped"), "2");
+  EXPECT_EQ(census[0].skipped, 2u);
+}
+
+// A deadline past steady_clock's range is no deadline: the request is
+// served, never refused as expired, and the clock arithmetic does not
+// overflow (which UBSan would stop on).
+TEST_F(DaemonE2E, FarDeadlineNeverExpires) {
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 62;
+  DaemonOptions opts;
+  opts.socket_path = SocketPath("far");
+  opts.default_deadline_ms = kFar;
+  Start(std::move(opts));
+  // 0 sends no deadline, so the daemon's default applies.
+  for (const std::uint64_t deadline_ms : {kFar, UINT64_MAX, std::uint64_t{0}}) {
+    SCOPED_TRACE(deadline_ms);
+    ClientOptions c;
+    c.socket_path = socket_path_;
+    c.filter = "BitCount@arm-original";
+    c.deadline_ms = deadline_ms;
+    c.quiet = true;
+    c.json_path = TempPath("resp_far") + ".json";
+    ASSERT_EQ(Submit(c), 0);
+    resilience::JsonValue resp;
+    ASSERT_TRUE(resilience::ParseJson(Slurp(c.json_path), resp));
+    EXPECT_EQ(Field(resp, "status"), "ok");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1537,8 +1630,6 @@ TEST(ClientRetry, BoundedBackoffRidesOutALateBindingDaemon) {
   EXPECT_EQ(exit_code, 3);
   resilience::Supervisor::DrainFlag().store(false);
 }
-
-#endif  // DSA_SERVE_E2E
 
 }  // namespace
 }  // namespace dsa::serve
