@@ -87,7 +87,8 @@ inline long ParseCountArg(const std::string& flag, const char* text) {
   return v;
 }
 
-// The unsigned twin for `--gen-seed`: any 64-bit seed is legal, but a
+// The unsigned twin for seeds and round counts (`--gen-seed`, and
+// bench_soak's `--seed` and `--rounds`): any 64-bit value is legal, but a
 // sign or an overflowing token is refused.
 inline std::uint64_t ParseU64Arg(const std::string& flag, const char* text) {
   std::uint64_t v = 0;

@@ -44,8 +44,6 @@ void Usage() {
                "\"fsync-fail@0+;seed=7\" (docs/FAULTS.md)\n"
                "  --read-deadline-ms N     per-read deadline on client "
                "connections (default 5000; 0 = none)\n"
-               "  --no-scrub               skip the boot-time cache "
-               "integrity scrub\n"
                "  --kill-after N           crash drill: SIGKILL self after "
                "N executed cells\n"
                "  --crash-cell SUBSTR      crash drill: abort cells whose "
@@ -125,8 +123,6 @@ int main(int argc, char** argv) {
       opts.io_fault_plan = value(i, arg);
     } else if (arg == "--read-deadline-ms") {
       opts.read_deadline_ms = u64_value(i, arg);
-    } else if (arg == "--no-scrub") {
-      opts.scrub = false;
     } else if (arg == "--kill-after") {
       opts.kill_after = u64_value(i, arg);
     } else if (arg == "--crash-cell") {

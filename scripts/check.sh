@@ -98,13 +98,28 @@ echo "== traced mini bench + trace validation =="
     --trace "$BUILD"/TRACE_check.json
 python3 scripts/validate_trace.py "$BUILD"/TRACE_check.json
 
-echo "== kill-and-resume soak smoke =="
-# bench_soak runs a seeded sweep, SIGKILLs itself after K cell-store
-# publishes, re-runs the sweep over the same store directory and gates on
-# the resumed bench report being bit-identical to an uninterrupted run
-# (docs/RESILIENCE.md).
-"$BUILD"/bench/bench_soak --steps small --seed 7 \
-    --dir "$BUILD"/soak_check.tmp
+echo "== soak gate (kill-and-resume + kill-and-chaos) =="
+# bench_soak runs two drills over the one cell store. The cli drill
+# SIGKILLs a seeded sweep after K cell-store publishes, re-runs it over
+# the same store directory and gates on the resumed bench report being
+# bit-identical to an uninterrupted run (docs/RESILIENCE.md). The serve
+# drill runs chaos rounds against dsa_serve (docs/SERVING.md): each
+# installs a seeded io-fault plan, fires a chaos client at the daemon,
+# kills it (SIGKILL or --kill-after suicide) and plants one byte of cache
+# corruption for the next boot scrub; every served cell must be
+# bit-identical to an in-process reference sweep. The validator re-checks
+# the final response against the same reference from the outside; its
+# health probe follows the final clean sweep, so the job table must be
+# built. The directory name holds a ' because the driver hands paths to
+# no shell.
+SOAK_DIR="$BUILD/soak'check.tmp"
+"$BUILD"/bench/bench_soak --steps small --seed 7 --filter BitCount \
+    --rounds 2 --dir "$SOAK_DIR" --keep
+python3 scripts/validate_serve.py "$SOAK_DIR"/serve/final.json \
+    --ref "$SOAK_DIR"/serve/reference.json --min-cached 1
+python3 scripts/validate_serve.py "$SOAK_DIR"/serve/health.json \
+    --expect-health --expect-table built
+rm -rf "$SOAK_DIR"
 
 echo "== runner + resilience suites under TSan =="
 # The batch runner's thread pool and the resilience seams (cell-store
@@ -178,7 +193,7 @@ echo "== serving daemon smoke (kill -9, restart, cache bit-identity) =="
 # bit-identical (cycles + output digests) against an uninterrupted
 # bench_matrix run of the same cells. A third submit must be fully cached.
 cmake --build build -j "$JOBS" --target bench_matrix dsa_serve dsa_submit \
-    dsa_chaos_client bench_soak_serve
+    dsa_chaos_client bench_soak
 SOCK=build/dsa_serve_check.sock
 CACHE=build/serve_cache_check
 rm -rf "$CACHE" "$SOCK"
@@ -281,24 +296,6 @@ RC=$?
 set -e
 [[ "$RC" -eq 3 ]]
 rm -rf "$CACHE" "$SOCK"
-
-echo "== kill-and-chaos soak gate (io-faults + kill -9 + scrub) =="
-# bench_soak_serve composes the whole hostile-environment story: each
-# round installs a seeded io-fault plan, runs chaos clients against the
-# daemon, kills it (SIGKILL or --kill-after suicide), plants one byte of
-# cache corruption for the next boot scrub, and restarts. The drill gates
-# internally on every served cell being bit-identical to an in-process
-# reference sweep; the validator re-checks the final response against the
-# same reference from the outside; its health probe follows the final
-# clean sweep, so the job table must be built.
-rm -rf build/soak_serve_check.tmp
-build/bench/bench_soak_serve --filter BitCount --seed 7 --rounds 2 \
-    --dir build/soak_serve_check.tmp --keep
-python3 scripts/validate_serve.py build/soak_serve_check.tmp/final.json \
-    --ref build/soak_serve_check.tmp/reference.json --min-cached 1
-python3 scripts/validate_serve.py build/soak_serve_check.tmp/health.json \
-    --expect-health --expect-table built
-rm -rf build/soak_serve_check.tmp
 
 echo "== io-fault + serve suites under standalone UBSan =="
 # The injector's bit-twiddling (splitmix64, CRC frames, census arrays)

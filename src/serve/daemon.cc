@@ -210,7 +210,7 @@ bool Daemon::Init(std::string* error) {
   }
   // Scrub before serving: a torn or bit-rotted entry is quarantined on
   // boot, not discovered (and silently recomputed) on first Load.
-  if (cache_.open() && opts_.scrub) {
+  if (cache_.open()) {
     const ScrubStats s = cache_.Scrub();
     if (s.quarantined > 0) {
       std::fprintf(stderr,

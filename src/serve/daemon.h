@@ -93,10 +93,6 @@ struct DaemonOptions {
   // client dripping header bytes is cut off instead of pinning a reader.
   // 0 = no deadline.
   std::uint64_t read_deadline_ms = 5000;
-  // Boot-time cache scrub (cache.h Scrub): verify every entry before
-  // serving, quarantining corruption up front. On by default; the flag
-  // exists so tests can observe first-Load quarantine behaviour.
-  bool scrub = true;
   // --- crash-drill hooks (tests/check.sh only) -----------------------
   // SIGKILL the daemon after this many executed (non-cached) cells, so
   // the kill-and-restart soak can die mid-sweep deterministically.
@@ -110,8 +106,8 @@ struct DaemonOptions {
 // The daemon's sweep space — bench_matrix's batch (same sets, same
 // modes, same config tags, default configs) deduplicated by JobKey and
 // optionally narrowed by a case-insensitive substring filter. Exposed so
-// the chaos soak (bench/bench_soak_serve.cc) can compute its reference
-// truth from exactly the cells the daemon will serve.
+// bench_soak's serve drill (bench/bench_soak.cc) can compute its
+// reference truth from exactly the cells the daemon will serve.
 [[nodiscard]] std::vector<sim::BatchJob> SweepJobs(const std::string& filter);
 
 // The sweep space keyed once: one entry per cell of SweepJobs(""), in
